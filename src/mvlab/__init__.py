@@ -32,6 +32,7 @@ from .families import (
     parse_family,
 )
 from .hypergraphs import (
+    ACTIVE_KERNEL,
     Hypergraph,
     TransversalCertificate,
     format_hypergraph,
@@ -42,7 +43,6 @@ from .hypergraphs import (
     transversal_number,
     underlying_hypergraph,
 )
-from .kernels import ACTIVE_KERNEL
 from .subsets import KSubset
 from .theorems import FormulaId, VerificationReport, all_formula_ids, verify
 from .turan import (

@@ -11,6 +11,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .errors import MvlabError
+
 
 @dataclass(frozen=True)
 class Budget:
@@ -76,6 +78,31 @@ class Bounds:
 
     def as_json(self):
         return self.lo if self.exact else [self.lo, self.hi]
+
+
+class IntervalResult:
+    """Read-outs shared by search results that carry a proven enclosure as
+    ``lo`` and ``hi`` fields. Defines no fields, so a dataclass mixing it in
+    keeps its own field order."""
+
+    @property
+    def exact(self) -> bool:
+        return self.lo == self.hi
+
+    @property
+    def status(self) -> str:
+        return "exact" if self.exact else "interval"
+
+    @property
+    def value(self) -> int:
+        if not self.exact:
+            raise MvlabError(
+                f"{type(self).__name__} is an interval [{self.lo}, {self.hi}]")
+        return self.hi
+
+    @property
+    def bounds(self) -> Bounds:
+        return Bounds(self.lo, self.hi)
 
 
 def as_bounds(value) -> Bounds:

@@ -16,8 +16,7 @@ search returned an interval instead of an exact value.
 
 Output is deterministic for a fixed argv: json and csv never include
 wall-clock fields. The verify --summary table does include a seconds
-column and is the one deliberately non-reproducible view. MVLAB_THREADS
-caps the worker pool used to spread independent verify instances.
+column and is the one deliberately non-reproducible view.
 """
 
 from __future__ import annotations
@@ -26,9 +25,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .budget import Budget
 from .constructions import build_complete_uniform, build_generalized_triangle, build_h_nk
@@ -125,39 +122,30 @@ def _budget(args) -> Budget:
     return Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
 
 
-def _threads() -> int:
-    raw = os.environ.get("MVLAB_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(f"MVLAB_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise _UsageError(f"MVLAB_THREADS must be >= 1, got {value}")
-    return value
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_compute(args) -> int:
+def _emit_result(out: dict, exact: bool, fmt: str) -> int:
+    """Print one search result; exit 3 when it is not exact."""
+    _emit(out, fmt)
+    return EXIT_OK if exact else EXIT_BUDGET
+
+
+def _search_family(args):
+    """The --family graph and its --param maximum, searched on the budget."""
     graph = parse_family(args.family)
-    if args.param not in PARAM_TO_VARIANT:
-        raise _UsageError(f"unknown parameter {args.param!r}; "
-                          f"expected one of {', '.join(PARAM_CHOICES)}")
-    cert = max_visibility_number(graph, PARAM_TO_VARIANT[args.param], _budget(args))
-    _emit(cert.as_json(), args.format)
-    return EXIT_OK if cert.exact else EXIT_BUDGET
+    return graph, max_visibility_number(graph, PARAM_TO_VARIANT[args.param],
+                                        _budget(args))
+
+
+def _cmd_compute(args) -> int:
+    _, cert = _search_family(args)
+    return _emit_result(cert.as_json(), cert.exact, args.format)
 
 
 def _cmd_explore(args) -> int:
-    graph = parse_family(args.family)
-    if args.param not in PARAM_TO_VARIANT:
-        raise _UsageError(f"unknown parameter {args.param!r}; "
-                          f"expected one of {', '.join(PARAM_CHOICES)}")
-    cert = max_visibility_number(graph, PARAM_TO_VARIANT[args.param], _budget(args))
+    graph, cert = _search_family(args)
     out = cert.as_json()
     lo = cert.value
     hi = cert.value if cert.exact else graph.vertex_count
@@ -168,8 +156,7 @@ def _cmd_explore(args) -> int:
             "value": mubayi_asymptote(graph.n, graph.k),
             "binding": False,
         }
-    _emit(out, args.format)
-    return EXIT_OK if cert.exact else EXIT_BUDGET
+    return _emit_result(out, cert.exact, args.format)
 
 
 def _verify_params(args) -> dict:
@@ -186,21 +173,7 @@ def _verify_params(args) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    params = _verify_params(args)
-    budget = _budget(args)
-    threads = _threads()
-    span = params.get("n")
-    if threads > 1 and isinstance(span, tuple) and span[1] > span[0]:
-        # independent instances; reports are reassembled in argument order
-        points = list(range(span[0], span[1] + 1))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(
-                lambda n0: run_verify(args.formula, {**params, "n": n0},
-                                      budget, args.seed),
-                points))
-        reports = [r for chunk in chunks for r in chunk]
-    else:
-        reports = run_verify(args.formula, params, budget, args.seed)
+    reports = run_verify(args.formula, _verify_params(args), _budget(args), args.seed)
 
     if args.summary:
         rows = []
@@ -269,8 +242,7 @@ def _cmd_turan(args) -> int:
     if args.n is None:
         raise _UsageError("turan requires --n (or --check FILE)")
     result = ex_uniform(args.n, pattern.k, pattern, _budget(args))
-    _emit(result.as_json(), args.format)
-    return EXIT_OK if result.exact else EXIT_BUDGET
+    return _emit_result(result.as_json(), result.exact, args.format)
 
 
 def _cmd_covering(args) -> int:
@@ -282,8 +254,7 @@ def _cmd_covering(args) -> int:
         if args.t is None:
             raise _UsageError("covering requires --t (or --c-star)")
         cert = covering_number(args.n, args.k, args.t, _budget(args))
-    _emit(cert.as_json(), args.format)
-    return EXIT_OK if cert.exact else EXIT_BUDGET
+    return _emit_result(cert.as_json(), cert.exact, args.format)
 
 
 def _read_input(path: str) -> str:

@@ -25,11 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, ceil
 
-from .budget import Budget, Bounds, BudgetExhausted, SearchCounters
+from .budget import Budget, BudgetExhausted, IntervalResult, SearchCounters
 from .constructions import build_h_nk
 from .errors import ConstraintError, MvlabError
-from .hypergraphs import Hypergraph, TransversalCertificate, hypergraph, transversal_number
-from .kernels import solve_tau
+from .hypergraphs import (
+    Hypergraph,
+    TransversalCertificate,
+    hypergraph,
+    solve_tau,
+    transversal_number,
+)
 from .subsets import k_subset_masks, k_subsets_of_mask, members_of
 
 
@@ -45,7 +50,7 @@ def _validate_cover_params(n: int, k: int, t: int) -> None:
 
 
 @dataclass(frozen=True)
-class CoveringCertificate:
+class CoveringCertificate(IntervalResult):
     n: int
     k: int
     t: int
@@ -53,24 +58,6 @@ class CoveringCertificate:
     hi: int
     blocks: tuple[int, ...]  # block masks attaining hi
     nodes_expanded: int
-
-    @property
-    def exact(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def status(self) -> str:
-        return "exact" if self.exact else "interval"
-
-    @property
-    def value(self) -> int:
-        if not self.exact:
-            raise MvlabError(f"covering value is an interval [{self.lo}, {self.hi}]")
-        return self.hi
-
-    @property
-    def bounds(self) -> Bounds:
-        return Bounds(self.lo, self.hi)
 
     def block_members(self) -> list[tuple[int, ...]]:
         return [members_of(b) for b in self.blocks]
@@ -181,7 +168,7 @@ def _greedy_cover(cover: list[int], full: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class CStarCertificate:
+class CStarCertificate(IntervalResult):
     """Minimum edge count of a k-uniform system on [n] with transversal
     number >= 2k, with the witness system and its solved transversal."""
 
@@ -192,24 +179,6 @@ class CStarCertificate:
     witness: Hypergraph
     witness_tau: TransversalCertificate
     nodes_expanded: int
-
-    @property
-    def exact(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def status(self) -> str:
-        return "exact" if self.exact else "interval"
-
-    @property
-    def value(self) -> int:
-        if not self.exact:
-            raise MvlabError(f"c_star is an interval [{self.lo}, {self.hi}]")
-        return self.hi
-
-    @property
-    def bounds(self) -> Bounds:
-        return Bounds(self.lo, self.hi)
 
     def as_json(self) -> dict:
         return {

@@ -34,6 +34,7 @@ from .errors import ConstraintError, DomainError
 from .subsets import (
     KSubset,
     MAX_GROUND_SET,
+    iter_bits,
     k_subset_masks,
     k_subsets_of_mask,
 )
@@ -224,8 +225,8 @@ def _neighbor_masks(graph: FamilyGraph, a: int) -> Iterator[int]:
         yield from k_subsets_of_mask(full ^ a, k)
     elif kind is FamilyKind.JOHNSON:
         comp = full ^ a
-        a_bits = list(_single_bits(a))
-        comp_bits = list(_single_bits(comp))
+        a_bits = list(iter_bits(a))
+        comp_bits = list(iter_bits(comp))
         for out_bit in a_bits:
             base = a ^ out_bit
             for in_bit in comp_bits:
@@ -236,13 +237,6 @@ def _neighbor_masks(graph: FamilyGraph, a: int) -> Iterator[int]:
                 yield a | extra
         else:
             yield from k_subsets_of_mask(a, k)
-
-
-def _single_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
 
 
 def _bfs_distance(graph: FamilyGraph, a: int, b: int, a_size: int) -> int:

@@ -23,8 +23,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .kernels import ACTIVE_KERNEL, solve_tau
 from .subsets import KSubset, MAX_GROUND_SET, mask_of, members_of
+
+# name of the tau kernel below, reported in certificates and benchmark results
+ACTIVE_KERNEL = "python"
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,104 @@ def underlying_hypergraph(members: Iterable[KSubset]) -> Hypergraph:
 
 # ----------------------------------------------------------------------
 # transversal number
+#
+# Exact branch and bound for the minimum transversal (hitting set) of a
+# hypergraph given as bitmask edges over a ground set of at most 64
+# elements: branch on an uncovered edge of minimum size, trying each of its
+# vertices in ascending order; prune with |chosen| + (greedy matching lower
+# bound on the uncovered part) >= |best|. The incumbent starts from a
+# max-degree greedy transversal. Edges that are supersets of other edges
+# are dropped up front (hitting the smaller edge hits them too).
+
+
+def _greedy_upper(edges: list[int]) -> int:
+    """Max-degree greedy transversal; returns its vertex mask."""
+    chosen = 0
+    remaining = list(edges)
+    while remaining:
+        counts: dict[int, int] = {}
+        for e in remaining:
+            m = e
+            while m:
+                low = m & -m
+                counts[low] = counts.get(low, 0) + 1
+                m ^= low
+        # highest degree, lowest bit on ties (dict order is insertion order,
+        # so take an explicit max over (count, -bit))
+        best_bit = max(counts, key=lambda b: (counts[b], -b))
+        chosen |= best_bit
+        remaining = [e for e in remaining if not e & best_bit]
+    return chosen
+
+
+def _matching_lower(edges: list[int]) -> int:
+    """Greedy maximal set of pairwise disjoint edges; its size bounds tau."""
+    used = 0
+    count = 0
+    for e in edges:
+        if not e & used:
+            used |= e
+            count += 1
+    return count
+
+
+def solve_tau(edges, node_cap: int = 0):
+    """Exact minimum transversal of bitmask edges.
+
+    Returns (tau, witness_mask, nodes_expanded, complete). ``complete`` is
+    False only when ``node_cap`` > 0 was exhausted, in which case tau is
+    the best known upper bound and witness_mask attains it.
+    """
+    # dedupe and drop superset edges
+    uniq = sorted(set(int(e) for e in edges))
+    minimal: list[int] = []
+    for e in uniq:
+        if e == 0:
+            raise ValueError("empty edge has no transversal")
+        redundant = False
+        for f in minimal:
+            if f & e == f:
+                redundant = True
+                break
+        if not redundant:
+            minimal.append(e)
+    if not minimal:
+        return 0, 0, 0, True
+
+    best_mask = _greedy_upper(minimal)
+    best_size = best_mask.bit_count()
+    nodes = 0
+    complete = True
+
+    # iterative stack: (uncovered edges, chosen mask)
+    stack = [(minimal, 0)]
+    while stack:
+        uncovered, chosen = stack.pop()
+        nodes += 1
+        if node_cap and nodes > node_cap:
+            complete = False
+            break
+        size = chosen.bit_count()
+        if not uncovered:
+            if size < best_size:
+                best_size = size
+                best_mask = chosen
+            continue
+        if size + _matching_lower(uncovered) >= best_size:
+            continue
+        branch = min(uncovered, key=lambda e: (e.bit_count(), e))
+        # push in descending bit order so the stack pops ascending bits first
+        bits = []
+        m = branch
+        while m:
+            low = m & -m
+            bits.append(low)
+            m ^= low
+        for bit in reversed(bits):
+            rest = [e for e in uncovered if not e & bit]
+            stack.append((rest, chosen | bit))
+
+    return best_size, best_mask, nodes, complete
 
 
 @dataclass(frozen=True)
@@ -128,7 +228,7 @@ class TransversalCertificate:
 
 
 def transversal_number(h: Hypergraph, node_cap: int = 0) -> TransversalCertificate:
-    """Exact minimum transversal via the active kernel.
+    """Exact minimum transversal via ``solve_tau``.
 
     Every edge is nonempty by construction, so a transversal always
     exists; tau = 0 iff there are no edges.

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterator
 
-from .budget import Budget, Bounds, BudgetExhausted, SearchCounters
-from .errors import ConstraintError, DomainError, MvlabError
+from .budget import Budget, BudgetExhausted, IntervalResult, SearchCounters
+from .errors import ConstraintError, DomainError
 from .hypergraphs import Hypergraph, hypergraph
 from .subsets import k_subset_masks, k_subsets_of_mask, members_of
 
@@ -175,7 +175,7 @@ def contains_pattern(h: Hypergraph, pattern: Pattern
 
 
 @dataclass(frozen=True)
-class TuranResult:
+class TuranResult(IntervalResult):
     n: int
     k: int
     pattern: Pattern
@@ -183,24 +183,6 @@ class TuranResult:
     hi: int
     witness: Hypergraph
     nodes_expanded: int
-
-    @property
-    def exact(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def status(self) -> str:
-        return "exact" if self.exact else "interval"
-
-    @property
-    def value(self) -> int:
-        if not self.exact:
-            raise MvlabError(f"extremal count is an interval [{self.lo}, {self.hi}]")
-        return self.hi
-
-    @property
-    def bounds(self) -> Bounds:
-        return Bounds(self.lo, self.hi)
 
     def as_json(self) -> dict:
         out = {

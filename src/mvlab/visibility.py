@@ -22,7 +22,10 @@ any subset of a valid set is valid, so an infeasible inclusion prunes
 the whole branch). The dual variant is NOT subset-monotone - removing a
 vertex from X moves it outside and creates new obligated pairs - so it
 is solved by exhaustive enumeration, which caps the graph size it can
-handle. Witnesses are canonicalized to the colex-least optimum.
+handle. Witnesses are canonicalized to the colex-least optimum. The
+canonicalization runs on the caller's budget; if that runs out first, the
+optimum the value search found is returned instead, still exact, and the
+certificate records ``witness_canonical=False``.
 
 For Kneser graphs with n >= 3k-1 (diameter 2), X is a total visibility
 set iff the k-sets outside X, viewed as a k-uniform hypergraph, have
@@ -112,6 +115,8 @@ class VisibilityCertificate:
     status: str  # "exact" | "incomplete"
     nodes_expanded: int
     blocking_pair: tuple[KSubset, ...] | None = None
+    # False when the budget ran out before an exact optimum was made colex-least
+    witness_canonical: bool = True
 
     @property
     def exact(self) -> bool:
@@ -128,6 +133,8 @@ class VisibilityCertificate:
         }
         if self.blocking_pair is not None:
             out["blocking_pair"] = [list(s.members()) for s in self.blocking_pair]
+        if not self.witness_canonical:
+            out["witness_canonical"] = False
         return out
 
 
@@ -309,11 +316,10 @@ def is_visibility_set(graph: FamilyGraph, x_members: Iterable[KSubset],
 
 
 def max_visibility_number(graph: FamilyGraph, variant: Variant | str,
-                          budget: Budget | None = None,
-                          canonical_witness: bool = True) -> VisibilityCertificate:
+                          budget: Budget | None = None) -> VisibilityCertificate:
     """Largest size of a visibility set of the given variant, by exact
     search; on budget exhaustion the best found so far is returned with
-    status "incomplete"."""
+    status "incomplete". Canonicalizing the witness shares the budget."""
     variant = Variant(variant)
     idx = visibility_index(graph)
     if idx.v > SEARCH_VERTEX_CAP:
@@ -321,13 +327,15 @@ def max_visibility_number(graph: FamilyGraph, variant: Variant | str,
             f"definitional search supports at most {SEARCH_VERTEX_CAP} vertices; "
             f"{format_family(graph)} has {idx.v}")
     counters = SearchCounters(budget)
+    canonical = True
 
     if variant is Variant.DUAL:
         value, witness_mask, complete = _max_dual_exhaustive(idx, counters)
     else:
         value, witness_mask, complete = _max_monotone_bb(idx, variant, counters)
-        if complete and canonical_witness and value > 0:
-            witness_mask = _colex_least_witness(idx, variant, value, counters)
+        if complete and value > 0:
+            witness_mask, canonical = _colex_least_witness(
+                idx, variant, value, counters, witness_mask)
 
     witness = idx.subset(i for i in range(idx.v) if (witness_mask >> i) & 1)
     return VisibilityCertificate(
@@ -337,6 +345,7 @@ def max_visibility_number(graph: FamilyGraph, variant: Variant | str,
         witness=witness,
         status="exact" if complete else "incomplete",
         nodes_expanded=counters.nodes,
+        witness_canonical=canonical,
     )
 
 
@@ -503,10 +512,14 @@ def _max_monotone_bb(idx: VisibilityIndex, variant: Variant,
 
 
 def _colex_least_witness(idx: VisibilityIndex, variant: Variant, target: int,
-                         counters: SearchCounters) -> int:
+                         counters: SearchCounters, found_mask: int) -> tuple[int, bool]:
     """Among optimal witnesses, the one whose vertex-index mask is the
     smallest integer (colex-least): ban vertices from the top down
-    whenever a valid optimum still exists without them."""
+    whenever a valid optimum still exists without them.
+
+    Returns (mask, canonical). When the budget runs out first, the
+    optimum ``found_mask`` that the value search returned comes back
+    with canonical False."""
     search = _MonotoneSearch(idx, variant, counters)
     allowed = (1 << idx.v) - 1
     forced = 0
@@ -519,12 +532,9 @@ def _colex_least_witness(idx: VisibilityIndex, variant: Variant, target: int,
                 allowed &= ~bit
             else:
                 forced |= bit
-        return forced
+        return forced, True
     except BudgetExhausted:
-        # canonicalization is best-effort; fall back to a fresh search
-        fallback = _MonotoneSearch(idx, variant, SearchCounters(None))
-        _, mask, _ = fallback.run()
-        return mask
+        return found_mask, False
 
 
 def _max_dual_exhaustive(idx: VisibilityIndex,

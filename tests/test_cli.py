@@ -78,14 +78,6 @@ def test_stdout_deterministic():
     assert a.stdout == b.stdout and a.returncode == b.returncode == 0
 
 
-def test_threads_do_not_change_output():
-    args = ("verify", "--formula", "mut-johnson", "--n", "4..6", "--k", "2")
-    serial = run_cli(*args)
-    threaded = run_cli(*args, env_extra={"MVLAB_THREADS": "4"})
-    assert serial.stdout == threaded.stdout
-    assert threaded.returncode == 0
-
-
 def test_construct_round_trip(tmp_path):
     out = tmp_path / "h.txt"
     p = run_cli("construct", "--what", "H_nk", "--n", "16", "--k", "3",
@@ -156,13 +148,6 @@ def test_usage_errors_are_json_on_stderr():
                         "--k", "2")
     assert bad_range.returncode == 2
     assert json.loads(bad_range.stderr)["error"]["kind"] == "domain"
-
-
-def test_bad_threads_env_is_usage_error():
-    p = run_cli("verify", "--formula", "mut-johnson", "--n", "4", "--k", "2",
-                env_extra={"MVLAB_THREADS": "zero"})
-    assert p.returncode == 2
-    assert json.loads(p.stderr)["error"]["kind"] == "usage"
 
 
 def test_explore_reports_bounds():

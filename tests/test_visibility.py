@@ -124,6 +124,21 @@ def test_budget_degrades_to_incomplete():
     assert is_visibility_set(g, cert.witness, Variant.MUTUAL).ok
 
 
+def test_canonicalisation_stops_within_the_budget():
+    # the value search finishes in 277 nodes; making its optimum colex-least
+    # needs more than the 300 allowed, so the found optimum is kept
+    g = johnson(5, 2)
+    cert = max_visibility_number(g, Variant.TOTAL, Budget(max_nodes=300))
+    assert cert.value == 6 and cert.status == "exact"
+    assert is_visibility_set(g, cert.witness, Variant.TOTAL).ok
+    assert cert.witness_canonical is False
+    assert cert.as_json()["witness_canonical"] is False
+    assert cert.nodes_expanded <= 301
+    unbudgeted = max_visibility_number(g, Variant.TOTAL)
+    assert unbudgeted.witness_canonical
+    assert "witness_canonical" not in unbudgeted.as_json()
+
+
 def test_variant_parsing_and_rejects():
     g = johnson(4, 2)
     assert max_visibility_number(g, "dual").value == 5
