@@ -45,10 +45,12 @@ class SearchCounters:
         self._t0 = time.monotonic()
         self._next_check = _TIME_CHECK_STRIDE
 
-    def tick(self, amount: int = 1) -> None:
-        self.nodes += amount
-        if self.nodes > self.budget.max_nodes:
+    def tick(self) -> None:
+        """Count one node; raise instead once the node cap is spent, so
+        ``nodes`` never passes ``max_nodes``."""
+        if self.nodes >= self.budget.max_nodes:
             raise BudgetExhausted
+        self.nodes += 1
         if self.nodes >= self._next_check:
             self._next_check = self.nodes + _TIME_CHECK_STRIDE
             if time.monotonic() - self._t0 > self.budget.max_seconds:

@@ -266,9 +266,8 @@ def _read_input(path: str) -> str:
 
 def _cmd_tau(args) -> int:
     h = parse_hypergraph(_read_input(args.infile))
-    cert = transversal_number(h)
-    _emit(cert.as_json(), args.format)
-    return EXIT_OK
+    cert = transversal_number(h, node_cap=args.budget_nodes)
+    return _emit_result(cert.as_json(), cert.optimal, args.format)
 
 
 # ----------------------------------------------------------------------

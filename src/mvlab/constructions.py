@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import ConstraintError
+from .errors import ConstraintError, MvlabError
 from .hypergraphs import Hypergraph, hypergraph
 from .subsets import k_subset_masks
 
@@ -86,5 +86,8 @@ def build_h_nk(n: int, k: int) -> Hypergraph:
         edges.extend(build_complete_uniform(2 * k - 3, k, n=n, offset=offset).edges)
         offset += 2 * k - 3
     out = hypergraph(n, edges)
-    assert out.edge_count == 2 * comb(2 * k - 3, k) + 6
+    expected = 2 * comb(2 * k - 3, k) + 6
+    if out.edge_count != expected:
+        raise MvlabError(f"H({n}, {k}) laid out {out.edge_count} distinct edges, "
+                         f"expected {expected}")
     return out

@@ -252,7 +252,9 @@ def _report(formula: FormulaId, params: dict, f: Bounds | None, o: Bounds | None
             oracle: str, claim: str = "equals", reason: str = "",
             certificates: tuple[dict, ...] = ()) -> VerificationReport:
     """Assemble a report, settling the verdict from the enclosures."""
-    assert f is not None and o is not None
+    if f is None or o is None:
+        raise DomainError(f"{formula.value}: a report needs both the formula "
+                          f"and the oracle enclosure")
     if claim == "equals" and not o.exact and oracle not in ("witness-only", "witness"):
         return VerificationReport(formula, params, f, o, "skipped", oracle, claim,
                                   reason or f"oracle beyond budget; proven enclosure "
@@ -315,7 +317,8 @@ def _kneser_vertices_minus(n: int, k: int, removed: list[int]
 
 
 def _disjoint_edges(n: int, k: int, count: int) -> list[int]:
-    assert count * k <= n, f"cannot place {count} disjoint {k}-sets in [{n}]"
+    if count * k > n:
+        raise ConstraintError(f"cannot place {count} disjoint {k}-sets in [{n}]")
     base = (1 << k) - 1
     return [base << (k * i) for i in range(count)]
 

@@ -28,13 +28,13 @@ can be reported alongside but is never a bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 from typing import Iterator
 
 from .budget import Budget, BudgetExhausted, IntervalResult, SearchCounters
 from .errors import ConstraintError, DomainError
 from .hypergraphs import Hypergraph, hypergraph
-from .subsets import k_subset_masks, k_subsets_of_mask, members_of
+from .subsets import k_subset_masks, members_of
 
 
 @dataclass(frozen=True)

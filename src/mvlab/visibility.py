@@ -14,7 +14,13 @@ lie in X). The supported set properties are:
 
 The X-visibility test computes d = dist(u, v), takes the vertices w with
 dist(u,w) + dist(w,v) = d (the shortest-path DAG), removes X, and tests
-layered reachability from u to v.
+layered reachability from u to v. Adjacent pairs have no internal vertex
+and are always visible. A pair at distance 2 is X-visible iff one of its
+common neighbours lies outside X, so the search precomputes that midpoint
+mask for each such pair and decides it with one test, ``mid & ~X``; only
+pairs at distance 3 or more take the layered test. This is the diameter-2
+regime of Kneser graphs with n >= 3k-1 and of J(n, 2), where every
+non-adjacent pair is at distance 2.
 
 Maximum sizes are found by exact branch and bound for the
 subset-monotone variants (mutual, total, outer, general-position:
@@ -43,7 +49,7 @@ from typing import Iterable
 
 from .budget import Budget, BudgetExhausted, SearchCounters
 from .errors import ConstraintError, DomainError, PreconditionError
-from .families import FamilyGraph, FamilyKind, format_family, graph_context, kneser
+from .families import FamilyGraph, format_family, graph_context, kneser
 from .hypergraphs import hypergraph, transversal_number
 from .subsets import KSubset, k_subset_masks
 
@@ -152,7 +158,7 @@ class VisibilityIndex:
         self.ctx = graph_context(graph)
         self.v = len(self.ctx.masks)
         self._layers: dict[tuple[int, int], tuple[int, list[int]]] = {}
-        self._through: list[list[tuple[int, int]]] | None = None
+        self._through: tuple[list[list[tuple[int, int, int]]], list[list[int]]] | None = None
 
     def index_of(self, s: KSubset) -> int:
         i = self.ctx.index.get(s.bits) if s.n == self.graph.n else None
@@ -207,25 +213,43 @@ class VisibilityIndex:
             frontier = nxt & layers[level] & ~obstacles
         return bool(frontier & adj[iv2])
 
-    def pairs_through(self) -> list[list[tuple[int, int]]]:
-        """For each vertex w: the pairs (i, j) whose shortest-path DAG
-        contains w as an internal vertex."""
+    def pairs_through(self) -> tuple[list[list[tuple[int, int, int]]], list[list[int]]]:
+        """The search's feasibility tables, built in one pass over the pairs.
+
+        ``through[w]`` lists a triple (i, j, mid), i < j, for each pair
+        whose shortest-path DAG contains w as an internal vertex.
+        ``mid[i][j]`` (symmetric) is the mask of the common neighbours of a
+        pair at distance 2, and 0 for any other pair; the triple carries the
+        same mask. A distance-2 pair is X-visible iff ``mid & ~X``."""
         if self._through is None:
             v = self.v
+            adj = self.ctx.adj
             dist = self.ctx.dist
-            through: list[list[tuple[int, int]]] = [[] for _ in range(v)]
+            through: list[list[tuple[int, int, int]]] = [[] for _ in range(v)]
+            mid = [[0] * v for _ in range(v)]
             for i in range(v):
                 di = dist[i]
+                row = mid[i]
                 for j in range(i + 1, v):
-                    dj = dist[j]
                     d = di[j]
                     if d < 2:
                         continue
+                    if d == 2:
+                        m = adj[i] & adj[j]
+                        row[j] = mid[j][i] = m
+                        entry = (i, j, m)
+                        while m:
+                            low = m & -m
+                            through[low.bit_length() - 1].append(entry)
+                            m ^= low
+                        continue
+                    dj = dist[j]
+                    entry = (i, j, 0)
                     for w in range(v):
                         s = di[w]
                         if 0 < s < d and s + dj[w] == d:
-                            through[w].append((i, j))
-            self._through = through
+                            through[w].append(entry)
+            self._through = (through, mid)
         return self._through
 
 
@@ -364,7 +388,14 @@ class _MonotoneSearch:
         self.idx = idx
         self.variant = variant
         self.counters = counters
-        self.through = idx.pairs_through() if variant is not Variant.GENERAL_POSITION else None
+        # a pair is obligated once this many of its endpoints are in X
+        self.need = {Variant.MUTUAL: 2, Variant.OUTER: 1}.get(variant, 0)
+        if variant is not Variant.GENERAL_POSITION:
+            self.through, self.mid = idx.pairs_through()
+            # far[w]: the vertices other than w and not adjacent to it, the
+            # only partners whose pair with w has an internal vertex
+            full = (1 << idx.v) - 1
+            self.far = [full & ~(a | 1 << w) for w, a in enumerate(idx.ctx.adj)]
         self.conflicts = [0] * idx.v
         self.best_size = 0
         self.best_mask = 0
@@ -392,36 +423,43 @@ class _MonotoneSearch:
                         return False
             return True
 
+        # a pair at distance 2 is visible iff a midpoint lies outside X;
+        # farther pairs (mid == 0) take the layered test
+        outside = ~new_mask
+        need = self.need
+        pair_visible = idx.pair_visible
         # pairs with v as a new internal obstacle
-        for (i, j) in self.through[v]:
-            if not self._obligated(i, j, new_mask):
+        for i, j, mid in self.through[v]:
+            if mid:
+                if mid & outside or (new_mask >> i & 1) + (new_mask >> j & 1) < need:
+                    continue
+            elif ((new_mask >> i & 1) + (new_mask >> j & 1) < need
+                  or pair_visible(i, j, new_mask)):
                 continue
-            if not idx.pair_visible(i, j, new_mask):
-                self._record_conflict((i, j))
-                return False
+            self._record_conflict((i, j))
+            return False
         # pairs newly obligated by v's membership
+        row = self.mid[v]
         for u in self._new_partners(v, new_mask):
-            if not idx.pair_visible(v, u, new_mask):
-                self._record_conflict((v, u))
-                return False
+            mid = row[u]
+            if mid:
+                if mid & outside:
+                    continue
+            elif pair_visible(v, u, new_mask):
+                continue
+            self._record_conflict((v, u))
+            return False
         return True
 
-    def _obligated(self, i: int, j: int, x_mask: int) -> bool:
-        variant = self.variant
-        if variant is Variant.TOTAL:
-            return True
-        bi = (x_mask >> i) & 1
-        bj = (x_mask >> j) & 1
-        if variant is Variant.MUTUAL:
-            return bool(bi and bj)
-        return bool(bi or bj)  # outer
-
-    def _new_partners(self, v: int, new_mask: int):
+    def _new_partners(self, v: int, new_mask: int) -> list[int]:
+        """The partners u whose pair with v becomes obligated when v joins
+        X, in increasing order. Adjacent pairs are left out: they have no
+        internal vertex, so they are always visible."""
         variant = self.variant
         if variant is Variant.MUTUAL:
-            return _bits_indices(new_mask & ~(1 << v))
+            return _bits_indices(new_mask & self.far[v])
         if variant is Variant.OUTER:
-            return [u for u in range(self.idx.v) if u != v]
+            return _bits_indices(self.far[v])
         # total: v's pairs were already obligated and are unaffected by
         # v joining X (v is an endpoint, never internal to its own pairs)
         return []

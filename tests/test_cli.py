@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -98,6 +99,24 @@ def test_construct_stdout_pipe_to_tau():
     assert built.stdout.splitlines()[0] == "6 4"
     tau = run_cli("tau", "--in", "-", stdin_text=built.stdout)
     assert json.loads(tau.stdout)["tau"] == 2
+
+
+def test_tau_honours_the_node_budget():
+    rng = random.Random(5)
+    edges = set()
+    while len(edges) < 100:
+        edges.add(tuple(sorted(rng.sample(range(1, 25), 4))))
+    text = "24 4\n" + "".join(" ".join(map(str, e)) + "\n" for e in sorted(edges))
+    capped = run_cli("tau", "--in", "-", "--budget-nodes", "10", stdin_text=text)
+    assert capped.returncode == 3, capped.stderr
+    out = json.loads(capped.stdout)
+    assert out["optimal"] is False
+    hit = set(out["transversal"])
+    assert len(hit) == out["tau"]
+    assert all(hit.intersection(e) for e in edges)
+    full = run_cli("tau", "--in", "-", stdin_text=text)
+    assert full.returncode == 0
+    assert json.loads(full.stdout)["optimal"] is True
 
 
 def test_turan_exact_and_interval_exit_codes():

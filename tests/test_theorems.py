@@ -7,6 +7,7 @@ from mvlab.budget import Bounds, Budget
 from mvlab.errors import ConstraintError, DomainError, PreconditionError
 from mvlab.theorems import (
     FormulaId,
+    _disjoint_edges,
     all_formula_ids,
     kneser2_all_params,
     mu_johnson_k2,
@@ -207,6 +208,13 @@ def test_missing_required_params():
         verify("mut-kneser", {"n": 5})
     with pytest.raises(DomainError):
         verify("sandwich-dual-outer", {"n": 5, "k": 2})
+
+
+def test_disjoint_edges_rejects_overfull_ground_set():
+    assert _disjoint_edges(6, 2, 3) == [0b11, 0b1100, 0b110000]
+    # a typed error, not an assert, so the check survives python -O
+    with pytest.raises(ConstraintError):
+        _disjoint_edges(5, 2, 3)
 
 
 def test_bounds_basics():

@@ -1,17 +1,19 @@
-import itertools
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvlab.budget import Budget
+from mvlab.budget import Budget, SearchCounters
 from mvlab.errors import DomainError
-from mvlab.families import bipartite_kneser, johnson, kneser
+from mvlab.families import bipartite_kneser, format_family, johnson, kneser
 from mvlab.subsets import KSubset
 from mvlab.visibility import (
     PARAM_TO_VARIANT,
     Variant,
+    _MonotoneSearch,
     is_visibility_set,
     kneser_total_mv_check_fast,
     max_visibility_number,
+    visibility_index,
 )
 
 from oracles import brute_gp, brute_parameter, johnson_nx, kneser_nx
@@ -133,7 +135,7 @@ def test_canonicalisation_stops_within_the_budget():
     assert is_visibility_set(g, cert.witness, Variant.TOTAL).ok
     assert cert.witness_canonical is False
     assert cert.as_json()["witness_canonical"] is False
-    assert cert.nodes_expanded <= 301
+    assert cert.nodes_expanded <= 300
     unbudgeted = max_visibility_number(g, Variant.TOTAL)
     assert unbudgeted.witness_canonical
     assert "witness_canonical" not in unbudgeted.as_json()
@@ -165,3 +167,62 @@ def test_certificate_json_canonical_order():
         assert members == sorted(members)
     # witness lists come out in colex order of the underlying sets
     assert j["witness"] == sorted(j["witness"], key=lambda m: m[::-1])
+
+
+# diameter 2 (Kneser n >= 3k-1, J(6,2)) and a bipartite graph with pairs
+# at distance 2, 3 and 4, so the mask test and the layered test both run
+MIXED_GRAPHS = (kneser(7, 2), johnson(6, 2), bipartite_kneser(5, 2))
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(st.sampled_from(MIXED_GRAPHS), st.data())
+def test_midpoint_mask_matches_pair_visible(graph, data):
+    idx = visibility_index(graph)
+    through, mid = idx.pairs_through()
+    v = idx.v
+    x = data.draw(st.integers(0, (1 << v) - 1), label="X")
+    i = data.draw(st.integers(0, v - 1), label="i")
+    j = data.draw(st.integers(0, v - 1).filter(lambda j: j != i), label="j")
+    d = idx.ctx.dist[i][j]
+    assert mid[i][j] == mid[j][i]
+    assert (mid[i][j] != 0) == (d == 2)
+    if d == 2:
+        assert mid[i][j] == idx.ctx.adj[i] & idx.ctx.adj[j]
+        assert bool(mid[i][j] & ~x) == idx.pair_visible(i, j, x)
+    # every triple that lists the pair carries the same mask
+    w = data.draw(st.integers(0, v - 1), label="w")
+    for a, b, m in through[w]:
+        assert a < b and m == mid[a][b]
+
+
+@PROPERTY
+@given(st.sampled_from(MIXED_GRAPHS),
+       st.sampled_from((Variant.MUTUAL, Variant.TOTAL, Variant.OUTER)),
+       st.data())
+def test_can_add_agrees_with_the_definitional_check(graph, variant, data):
+    # grow a valid X in a random order, then ask whether one more vertex fits
+    idx = visibility_index(graph)
+    search = _MonotoneSearch(idx, variant, SearchCounters(None))
+    order = data.draw(st.permutations(range(idx.v)), label="order")
+    size = data.draw(st.integers(0, idx.v), label="size")
+    chosen = 0
+    for w in order[:size]:
+        if search.can_add(w, chosen):
+            chosen |= 1 << w
+    members = [i for i in range(idx.v) if (chosen >> i) & 1]
+    assert is_visibility_set(graph, idx.subset(members), variant).ok
+    v = data.draw(st.sampled_from(order), label="v")
+    if (chosen >> v) & 1:
+        return
+    grown = idx.subset(members + [v])
+    assert search.can_add(v, chosen) == is_visibility_set(graph, grown, variant).ok
+
+
+@pytest.mark.parametrize("variant", (Variant.MUTUAL, Variant.TOTAL, Variant.OUTER))
+@pytest.mark.parametrize("graph", MIXED_GRAPHS, ids=format_family)
+def test_search_witnesses_pass_the_definitional_check(graph, variant):
+    cert = max_visibility_number(graph, variant)
+    assert cert.exact and cert.witness_canonical
+    assert len(cert.witness) == cert.value
+    assert is_visibility_set(graph, cert.witness, variant).ok
