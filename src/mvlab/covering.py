@@ -255,7 +255,7 @@ def min_edges_with_tau(n: int, k: int, tau_target: int,
 
     def dfs(start: int, chosen: list[int], m: int) -> bool:
         counters.tick()
-        current_tau = solve_tau(chosen, 0)[0] if chosen else 0
+        current_tau = solve_tau(chosen)[0] if chosen else 0
         slack = m - len(chosen)
         if current_tau + slack < tau_target:
             return False

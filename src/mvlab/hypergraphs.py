@@ -143,12 +143,13 @@ def _matching_lower(edges: list[int]) -> int:
     return count
 
 
-def solve_tau(edges, node_cap: int = 0):
+def solve_tau(edges, node_cap: int | None = None):
     """Exact minimum transversal of bitmask edges.
 
-    Returns (tau, witness_mask, nodes_expanded, complete). ``complete`` is
-    False only when ``node_cap`` > 0 was exhausted, in which case tau is
-    the best known upper bound and witness_mask attains it.
+    Returns (tau, witness_mask, nodes_expanded, complete). ``node_cap``
+    None means no cap; otherwise at most ``node_cap`` nodes are expanded.
+    ``complete`` is False only when the cap stopped the search, in which
+    case tau is the best known upper bound and witness_mask attains it.
     """
     # dedupe and drop superset edges
     uniq = sorted(set(int(e) for e in edges))
@@ -174,11 +175,11 @@ def solve_tau(edges, node_cap: int = 0):
     # iterative stack: (uncovered edges, chosen mask)
     stack = [(minimal, 0)]
     while stack:
-        uncovered, chosen = stack.pop()
-        nodes += 1
-        if node_cap and nodes > node_cap:
+        if node_cap is not None and nodes >= node_cap:
             complete = False
             break
+        uncovered, chosen = stack.pop()
+        nodes += 1
         size = chosen.bit_count()
         if not uncovered:
             if size < best_size:
@@ -227,8 +228,10 @@ class TransversalCertificate:
         }
 
 
-def transversal_number(h: Hypergraph, node_cap: int = 0) -> TransversalCertificate:
-    """Exact minimum transversal via ``solve_tau``.
+def transversal_number(h: Hypergraph,
+                       node_cap: int | None = None) -> TransversalCertificate:
+    """Exact minimum transversal via ``solve_tau``, uncapped unless
+    ``node_cap`` is given.
 
     Every edge is nonempty by construction, so a transversal always
     exists; tau = 0 iff there are no edges.

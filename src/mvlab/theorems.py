@@ -32,6 +32,17 @@ A verdict is "pass" when formula and oracle enclosures agree on their
 overlap (for equality claims the oracle must be exact), "fail" on a
 contradiction, and "skipped" with an explicit reason when the oracle is
 beyond budget or a precondition is unmet.
+
+Every construction becomes a row through ``_witness_report``: a witness
+that fails its validation fails the row, and a valid one of size s is the
+oracle enclosure [s, |V|], settled by ``_report``. For a "witness-only"
+equality with formula enclosure f this is the witness rule: fail when
+s > f.hi, or when f is exact and s < f.lo; skipped when f is a proper
+interval and s < f.lo; pass otherwise. So a witness larger than an
+interval formula fails (no shipped construction reaches this), failing
+rows word their reason the same way for every formula, and mu-johnson-k2
+skips a row whose Turan search the budget cut short, since a smaller
+witness from an unfinished search contradicts nothing.
 """
 
 from __future__ import annotations
@@ -88,6 +99,23 @@ WITNESS_CHECK_CAP = 300
 # formula evaluators
 
 
+def _kneser_minus_c_star(n: int, k: int, budget: Budget | None) -> Bounds:
+    """C(n,k) - c_star(n,k), closed as C(n,k) - 2k from n = 2k^2 on."""
+    if n >= 2 * k * k:
+        return as_bounds(comb(n, k) - 2 * k)
+    cert = c_star(n, k, budget)
+    return Bounds(comb(n, k) - cert.hi, comb(n, k) - cert.lo)
+
+
+def _bipartite_minus_covering(n: int, k: int, budget: Budget | None) -> Bounds:
+    """2 C(n,k) - 2 C(n, n-k, 2k), closed as 2 C(n,k) - 4k - 2 from
+    n = 2k^2 + k on."""
+    if n >= 2 * k * k + k:
+        return as_bounds(2 * comb(n, k) - 4 * k - 2)
+    cov = covering_number(n, n - k, 2 * k, budget)
+    return Bounds(2 * comb(n, k) - 2 * cov.hi, 2 * comb(n, k) - 2 * cov.lo)
+
+
 def mut_kneser_formula(n: int, k: int, budget: Budget | None = None) -> Bounds:
     """Total visibility number of the disjointness graph on k-subsets:
     0 up to n = 3k-1, C(n,k) - c_star(n,k) up to n = 2k^2 - 1, and
@@ -96,10 +124,7 @@ def mut_kneser_formula(n: int, k: int, budget: Budget | None = None) -> Bounds:
         raise ConstraintError(f"need n >= 2k+1 and k >= 2, got n={n}, k={k}")
     if n <= 3 * k - 1:
         return Bounds(0, 0)
-    if n >= 2 * k * k:
-        return as_bounds(comb(n, k) - 2 * k)
-    cert = c_star(n, k, budget)
-    return Bounds(comb(n, k) - cert.hi, comb(n, k) - cert.lo)
+    return _kneser_minus_c_star(n, k, budget)
 
 
 def mu_kneser_formula(n: int, k: int, budget: Budget | None = None) -> Bounds:
@@ -111,10 +136,7 @@ def mu_kneser_formula(n: int, k: int, budget: Budget | None = None) -> Bounds:
         raise PreconditionError(
             f"mutual visibility formula requires n >= 7k-5 = {7 * k - 5} "
             f"(or n=8 when k=2), got n={n}")
-    if n >= 2 * k * k:
-        return as_bounds(comb(n, k) - 2 * k)
-    cert = c_star(n, k, budget)
-    return Bounds(comb(n, k) - cert.hi, comb(n, k) - cert.lo)
+    return _kneser_minus_c_star(n, k, budget)
 
 
 def mut_bipartite_formula(n: int, k: int, budget: Budget | None = None) -> Bounds:
@@ -125,10 +147,7 @@ def mut_bipartite_formula(n: int, k: int, budget: Budget | None = None) -> Bound
         raise ConstraintError(f"need n >= 2k+1 and k >= 2, got n={n}, k={k}")
     if n <= 3 * k:
         return Bounds(0, 0)
-    if n >= 2 * k * k + k:
-        return as_bounds(2 * comb(n, k) - 4 * k - 2)
-    cov = covering_number(n, n - k, 2 * k, budget)
-    return Bounds(2 * comb(n, k) - 2 * cov.hi, 2 * comb(n, k) - 2 * cov.lo)
+    return _bipartite_minus_covering(n, k, budget)
 
 
 def mu_bipartite_lower_bound(n: int, k: int, budget: Budget | None = None) -> Bounds:
@@ -140,11 +159,7 @@ def mu_bipartite_lower_bound(n: int, k: int, budget: Budget | None = None) -> Bo
         raise PreconditionError(
             f"bipartite lower bound requires n >= 3k+1 = {3 * k + 1}, got n={n}")
     base = comb(n, k)
-    if n >= 2 * k * k + k:
-        other = as_bounds(2 * base - 4 * k - 2)
-    else:
-        cov = covering_number(n, n - k, 2 * k, budget)
-        other = Bounds(2 * base - 2 * cov.hi, 2 * base - 2 * cov.lo)
+    other = _bipartite_minus_covering(n, k, budget)
     return Bounds(max(base, other.lo), max(base, other.hi))
 
 
@@ -251,21 +266,51 @@ def _settle(claim: str, f: Bounds, o: Bounds) -> str | None:
 def _report(formula: FormulaId, params: dict, f: Bounds | None, o: Bounds | None,
             oracle: str, claim: str = "equals", reason: str = "",
             certificates: tuple[dict, ...] = ()) -> VerificationReport:
-    """Assemble a report, settling the verdict from the enclosures."""
+    """Assemble a report, settling the verdict from the enclosures. A
+    "witness-only" equality follows the witness rule (module docstring)
+    and words its own fail and skipped reasons."""
     if f is None or o is None:
         raise DomainError(f"{formula.value}: a report needs both the formula "
                           f"and the oracle enclosure")
-    if claim == "equals" and not o.exact and oracle not in ("witness-only", "witness"):
-        return VerificationReport(formula, params, f, o, "skipped", oracle, claim,
-                                  reason or f"oracle beyond budget; proven enclosure "
-                                  f"[{o.lo}, {o.hi}]", certificates)
-    verdict = _settle(claim, f, o)
-    if verdict is None:
-        return VerificationReport(formula, params, f, o, "skipped", oracle, claim,
-                                  reason or "enclosures too loose to decide",
-                                  certificates)
+    if claim == "equals" and oracle == "witness-only":
+        size = o.lo                   # o = [witness size, |V|]
+        if size > f.hi or (f.exact and size < f.lo):
+            verdict = "fail"
+            reason = f"validated witness has size {size}, formula says {f.as_json()}"
+        elif size < f.lo:
+            verdict = "skipped"
+            reason = f"witness size {size} below proven formula range [{f.lo}, {f.hi}]"
+        else:
+            verdict = "pass"
+    elif claim == "equals" and not o.exact:
+        verdict = "skipped"
+        reason = reason or f"oracle beyond budget; proven enclosure [{o.lo}, {o.hi}]"
+    else:
+        verdict = _settle(claim, f, o)
+        if verdict is None:
+            verdict, reason = "skipped", reason or "enclosures too loose to decide"
     return VerificationReport(formula, params, f, o, verdict, oracle, claim,
                               reason, certificates)
+
+
+def _witness_report(formula: FormulaId, params: dict, f: Bounds, graph: FamilyGraph,
+                    size: int, check: tuple[bool, dict], construction: str,
+                    oracle: str = "witness-only", claim: str = "equals",
+                    reason: str = "", certificates: tuple[dict, ...] = ()
+                    ) -> VerificationReport:
+    """The row for a construction of ``size`` vertices of ``graph``, whose
+    validation returned ``check`` = (ok, certificate); settled by
+    ``_report`` once the construction validates."""
+    ok, cert = check
+    cert["construction"] = construction
+    certificates = certificates + (cert,)
+    if not ok:
+        return VerificationReport(formula, params, f, Bounds(0, graph.vertex_count),
+                                  "fail", oracle, claim,
+                                  "witness fails the visibility predicate",
+                                  certificates)
+    return _report(formula, params, f, Bounds(size, graph.vertex_count), oracle,
+                   claim, reason, certificates)
 
 
 # ----------------------------------------------------------------------
@@ -375,33 +420,16 @@ def _v_mu_kneser(inst: dict, budget: Budget | None, seed: int) -> list[Verificat
     g, members = _kneser_vertices_minus(n, k, removed)
     size = len(members)
     if g.vertex_count <= WITNESS_CHECK_CAP:
-        ok, cert = _validate_witness(g, members, Variant.MUTUAL)
+        check = _validate_witness(g, members, Variant.MUTUAL)
     elif n >= 3 * k - 1:
         ok = kneser_total_mv_check_fast(n, k, members)
-        cert = {"witness_size": size, "validates": ok,
-                "validator": "transversal-reduction"}
+        check = ok, {"witness_size": size, "validates": ok,
+                     "validator": "transversal-reduction"}
     else:
         return [VerificationReport(FormulaId.MU_KNESER, inst, f, None, "skipped",
                                    "witness-only",
                                    reason="witness validation beyond budget")]
-    cert["construction"] = kind
-    if not ok:
-        return [VerificationReport(FormulaId.MU_KNESER, inst, f,
-                                   Bounds(0, g.vertex_count), "fail", "witness-only",
-                                   reason="witness fails the visibility predicate",
-                                   certificates=(cert,))]
-    o = Bounds(size, g.vertex_count)
-    if f.exact:
-        verdict = "pass" if size == f.lo else "fail"
-        reason = "" if verdict == "pass" else (
-            f"validated witness has size {size}, formula says {f.lo}")
-    elif size >= f.lo:
-        verdict, reason = "pass", ""
-    else:
-        verdict = "skipped"
-        reason = f"witness size {size} below proven formula range [{f.lo}, {f.hi}]"
-    return [VerificationReport(FormulaId.MU_KNESER, inst, f, o, verdict,
-                               "witness-only", reason=reason, certificates=(cert,))]
+    return [_witness_report(FormulaId.MU_KNESER, inst, f, g, size, check, kind)]
 
 
 def _v_mut_bipartite(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
@@ -434,20 +462,9 @@ def _v_mut_bipartite(inst: dict, budget: Budget | None, seed: int) -> list[Verif
         return [VerificationReport(FormulaId.MUT_BIPARTITE, inst, f, None, "skipped",
                                    "witness-only",
                                    reason="witness validation beyond budget")]
-    ok, cert = _validate_witness(g, members, Variant.TOTAL)
-    cert["construction"] = "covering-family-both-sides"
-    if not ok:
-        return [VerificationReport(FormulaId.MUT_BIPARTITE, inst, f,
-                                   Bounds(0, g.vertex_count), "fail", "witness-only",
-                                   reason="witness fails the visibility predicate",
-                                   certificates=(cert,))]
-    o = Bounds(size, g.vertex_count)
-    verdict = "pass" if (f.exact and size == f.lo) else \
-        ("pass" if not f.exact and size >= f.lo else "fail")
-    reason = "" if verdict == "pass" else (
-        f"validated witness has size {size}, formula says {f.lo}")
-    return [VerificationReport(FormulaId.MUT_BIPARTITE, inst, f, o, verdict,
-                               "witness-only", reason=reason, certificates=(cert,))]
+    return [_witness_report(FormulaId.MUT_BIPARTITE, inst, f, g, size,
+                            _validate_witness(g, members, Variant.TOTAL),
+                            "covering-family-both-sides")]
 
 
 def _v_mu_bipartite_lb(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
@@ -494,16 +511,9 @@ def _v_mut_johnson(inst: dict, budget: Budget | None, seed: int) -> list[Verific
                                    reason="oracle beyond budget",
                                    certificates=tuple(certs))]
     members = [KSubset(n, e) for e in tr.witness.edges]
-    ok, cert = _validate_witness(g, members, Variant.TOTAL)
-    cert["construction"] = "pattern-free-edge-system"
-    certs.append(cert)
-    o = Bounds(len(members), g.vertex_count)
-    verdict = "pass" if ok and f.exact and len(members) == f.lo else \
-        ("pass" if ok and not f.exact and len(members) >= f.lo else "fail")
-    reason = "" if verdict == "pass" else "witness fails or misses the formula value"
-    return [VerificationReport(FormulaId.MUT_JOHNSON, inst, f, o, verdict,
-                               "witness-only", reason=reason,
-                               certificates=tuple(certs))]
+    return [_witness_report(FormulaId.MUT_JOHNSON, inst, f, g, len(members),
+                            _validate_witness(g, members, Variant.TOTAL),
+                            "pattern-free-edge-system", certificates=tuple(certs))]
 
 
 def _v_mu_johnson_sandwich(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
@@ -538,15 +548,16 @@ def _v_mu_johnson_k2(inst: dict, budget: Budget | None, seed: int) -> list[Verif
         return [VerificationReport(FormulaId.MU_JOHNSON_K2, inst, f, None, "skipped",
                                    "witness-only", reason="oracle beyond budget")]
     tr = ex_uniform(n, 2, build_k4_suspension(2), budget)
+    if not tr.exact:
+        # a budget-cut search returns a smaller witness, not a contradiction
+        return [VerificationReport(FormulaId.MU_JOHNSON_K2, inst, f, None, "skipped",
+                                   "witness-only", reason="oracle beyond budget",
+                                   certificates=(tr.as_json(),))]
     members = [KSubset(n, e) for e in tr.witness.edges]
-    ok, cert = _validate_witness(g, members, Variant.MUTUAL)
-    cert["construction"] = "clique-pattern-free-edge-system"
-    o = Bounds(len(members), g.vertex_count)
-    verdict = "pass" if ok and tr.exact and len(members) == f.lo else "fail"
-    reason = "" if verdict == "pass" else "witness fails or misses the formula value"
-    return [VerificationReport(FormulaId.MU_JOHNSON_K2, inst, f, o, verdict,
-                               "witness-only", reason=reason,
-                               certificates=(tr.as_json(), cert))]
+    return [_witness_report(FormulaId.MU_JOHNSON_K2, inst, f, g, len(members),
+                            _validate_witness(g, members, Variant.MUTUAL),
+                            "clique-pattern-free-edge-system",
+                            certificates=(tr.as_json(),))]
 
 
 def _v_mu_kneser_gp_lb(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
@@ -560,17 +571,9 @@ def _v_mu_kneser_gp_lb(inst: dict, budget: Budget | None, seed: int) -> list[Ver
                                    "skipped", "witness", claim="at-least",
                                    reason="witness validation beyond budget")]
     star = [v for v in g.vertices() if v.bits & 1]
-    ok, cert = _validate_witness(g, star, Variant.GENERAL_POSITION)
-    cert["construction"] = "common-element-star"
-    if not ok:
-        return [VerificationReport(FormulaId.MU_KNESER_GP_LB, inst, f,
-                                   Bounds(0, g.vertex_count), "fail", "witness",
-                                   claim="at-least",
-                                   reason="star is not in general position here",
-                                   certificates=(cert,))]
-    o = Bounds(len(star), g.vertex_count)
-    return [_report(FormulaId.MU_KNESER_GP_LB, inst, f, o, "witness",
-                    claim="at-least", certificates=(cert,))]
+    return [_witness_report(FormulaId.MU_KNESER_GP_LB, inst, f, g, len(star),
+                            _validate_witness(g, star, Variant.GENERAL_POSITION),
+                            "common-element-star", oracle="witness", claim="at-least")]
 
 
 def _v_kneser2_all_params(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
@@ -584,8 +587,7 @@ def _v_kneser2_all_params(inst: dict, budget: Budget | None, seed: int) -> list[
                                    {**inst, "param": p}, f, None, "skipped",
                                    "witness-only", reason="oracle beyond budget")
                 for p in ("mu-total", "mu", "mu-dual", "mu-outer")]
-    ok, wcert = _validate_witness(g, members, Variant.TOTAL)
-    wcert["construction"] = "complement-four-disjoint-pairs"
+    check = _validate_witness(g, members, Variant.TOTAL)
     rows: list[VerificationReport] = []
 
     # the total parameter gets an exact oracle through the edge-count search
@@ -602,15 +604,11 @@ def _v_kneser2_all_params(inst: dict, budget: Budget | None, seed: int) -> list[
                                        "skipped", "reduction-min-edges",
                                        reason="oracle beyond budget"))
 
-    o = Bounds(size, g.vertex_count)
     for p in ("mu", "mu-dual", "mu-outer"):
-        verdict = "pass" if ok and size == f.lo else "fail"
-        reason = "" if verdict == "pass" else "witness fails the total predicate"
-        rows.append(VerificationReport(
-            FormulaId.KNESER2_ALL_PARAMS, {**inst, "param": p}, f, o, verdict,
-            "witness-only",
-            reason=reason or "upper bound from the exact total parameter",
-            certificates=(wcert,)))
+        rows.append(_witness_report(
+            FormulaId.KNESER2_ALL_PARAMS, {**inst, "param": p}, f, g, size, check,
+            "complement-four-disjoint-pairs",
+            reason="upper bound from the exact total parameter"))
     return rows
 
 

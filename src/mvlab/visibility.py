@@ -28,10 +28,12 @@ any subset of a valid set is valid, so an infeasible inclusion prunes
 the whole branch). The dual variant is NOT subset-monotone - removing a
 vertex from X moves it outside and creates new obligated pairs - so it
 is solved by exhaustive enumeration, which caps the graph size it can
-handle. Witnesses are canonicalized to the colex-least optimum. The
-canonicalization runs on the caller's budget; if that runs out first, the
-optimum the value search found is returned instead, still exact, and the
-certificate records ``witness_canonical=False``.
+handle. Witnesses are canonicalized to the colex-least optimum by one
+more search: with the optimum size known, it decides vertices from the
+highest index down, "exclude" first, and stops at its first leaf of that
+size. The canonicalization runs on the caller's budget; if that runs out
+first, the optimum the value search found is returned instead, still
+exact, and the certificate records ``witness_canonical=False``.
 
 For Kneser graphs with n >= 3k-1 (diameter 2), X is a total visibility
 set iff the k-sets outside X, viewed as a k-uniform hypergraph, have
@@ -507,32 +509,6 @@ class _MonotoneSearch:
             m ^= low
         return best
 
-    def feasible_exact(self, forced_mask: int, allowed_mask: int,
-                       target: int) -> bool:
-        """Does a valid set of size target exist with
-        forced subset of X subset of allowed? (decision search)"""
-        # forced must itself be valid, built up incrementally
-        chosen = 0
-        for v in _bits_indices(forced_mask):
-            if not self.can_add(v, chosen):
-                return False
-            chosen |= 1 << v
-        return self._decide(chosen, allowed_mask & ~forced_mask, target)
-
-    def _decide(self, chosen_mask: int, undecided_mask: int, target: int) -> bool:
-        self.counters.tick()
-        size = chosen_mask.bit_count()
-        if size >= target:
-            return True
-        if size + undecided_mask.bit_count() < target:
-            return False
-        v = self._pick(undecided_mask)
-        rest = undecided_mask & ~(1 << v)
-        if self.can_add(v, chosen_mask):
-            if self._decide(chosen_mask | (1 << v), rest, target):
-                return True
-        return self._decide(chosen_mask, rest, target)
-
 
 def _bits_indices(mask: int) -> list[int]:
     out = []
@@ -552,25 +528,32 @@ def _max_monotone_bb(idx: VisibilityIndex, variant: Variant,
 def _colex_least_witness(idx: VisibilityIndex, variant: Variant, target: int,
                          counters: SearchCounters, found_mask: int) -> tuple[int, bool]:
     """Among optimal witnesses, the one whose vertex-index mask is the
-    smallest integer (colex-least): ban vertices from the top down
-    whenever a valid optimum still exists without them.
+    smallest integer (colex-least), found by one depth-first search: it
+    decides vertices from the highest index down, tries "exclude" first,
+    and prunes a branch that can no longer reach ``target``, so its first
+    leaf of size ``target`` is the colex-least optimum.
 
     Returns (mask, canonical). When the budget runs out first, the
     optimum ``found_mask`` that the value search returned comes back
     with canonical False."""
     search = _MonotoneSearch(idx, variant, counters)
-    allowed = (1 << idx.v) - 1
-    forced = 0
+    tick = counters.tick
+    can_add = search.can_add
+
+    def dfs(w: int, chosen_mask: int, size: int) -> int | None:
+        # vertices w, w-1, ..., 0 are still undecided
+        tick()
+        if size == target:
+            return chosen_mask
+        if size + w + 1 < target:
+            return None
+        found = dfs(w - 1, chosen_mask, size)
+        if found is None and can_add(w, chosen_mask):
+            found = dfs(w - 1, chosen_mask | (1 << w), size + 1)
+        return found
+
     try:
-        for w in range(idx.v - 1, -1, -1):
-            bit = 1 << w
-            if not allowed & bit:
-                continue
-            if search.feasible_exact(forced, allowed & ~bit, target):
-                allowed &= ~bit
-            else:
-                forced |= bit
-        return forced, True
+        return dfs(idx.v - 1, 0, 0), True
     except BudgetExhausted:
         return found_mask, False
 
@@ -580,7 +563,6 @@ def _max_dual_exhaustive(idx: VisibilityIndex,
     """Dual visibility is not subset-monotone; enumerate all subsets in
     ascending mask order (first optimum found is the colex-least)."""
     v = idx.v
-    pair_cache: dict[tuple[int, int], tuple[int, ...]] = {}
     best_size, best_mask = 0, 0
     complete = True
 

@@ -101,22 +101,52 @@ def test_construct_stdout_pipe_to_tau():
     assert json.loads(tau.stdout)["tau"] == 2
 
 
-def test_tau_honours_the_node_budget():
+def _random_tau_input():
     rng = random.Random(5)
     edges = set()
     while len(edges) < 100:
         edges.add(tuple(sorted(rng.sample(range(1, 25), 4))))
     text = "24 4\n" + "".join(" ".join(map(str, e)) + "\n" for e in sorted(edges))
+    return edges, text
+
+
+def test_tau_honours_the_node_budget():
+    edges, text = _random_tau_input()
     capped = run_cli("tau", "--in", "-", "--budget-nodes", "10", stdin_text=text)
     assert capped.returncode == 3, capped.stderr
     out = json.loads(capped.stdout)
     assert out["optimal"] is False
+    assert out["nodes_expanded"] <= 10
     hit = set(out["transversal"])
     assert len(hit) == out["tau"]
     assert all(hit.intersection(e) for e in edges)
     full = run_cli("tau", "--in", "-", stdin_text=text)
     assert full.returncode == 0
     assert json.loads(full.stdout)["optimal"] is True
+
+
+def test_tau_zero_node_budget_stops_at_once():
+    # a zero budget expands nothing, as in every other verb; the greedy
+    # transversal comes back as the upper bound
+    edges, text = _random_tau_input()
+    p = run_cli("tau", "--in", "-", "--budget-nodes", "0", stdin_text=text)
+    assert p.returncode == 3, p.stderr
+    out = json.loads(p.stdout)
+    assert out["nodes_expanded"] == 0
+    assert out["optimal"] is False
+    hit = set(out["transversal"])
+    assert len(hit) == out["tau"]
+    assert all(hit.intersection(e) for e in edges)
+
+
+def test_verify_mu_johnson_k2_budget_cut_is_skipped():
+    # a budget-cut Turan search returns a smaller witness, not a contradiction
+    p = run_cli("verify", "--formula", "mu-johnson-k2", "--n", "8..9",
+                "--budget-nodes", "200")
+    assert p.returncode == 3, p.stderr
+    rows = json.loads(p.stdout)
+    assert [r["verdict"] for r in rows] == ["skipped", "skipped"]
+    assert all(r["reason"] == "oracle beyond budget" for r in rows)
 
 
 def test_turan_exact_and_interval_exit_codes():

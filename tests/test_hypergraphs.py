@@ -51,9 +51,9 @@ def test_kernel_node_cap_degrades_identically():
     h = hypergraph(8, masks)
     true_tau, _, _, complete = solve_tau(masks)
     assert complete and true_tau == brute_tau(h.edge_members(), 8)
-    for cap in (1, 2, 3, 5, 8):
+    for cap in (0, 1, 2, 3, 5, 8):
         tau, mask, nodes, complete = solve_tau(masks, cap)
-        assert nodes <= cap + 1
+        assert nodes <= cap
         assert is_transversal(h, mask) and mask.bit_count() == tau
         if complete:
             assert tau == true_tau

@@ -2,12 +2,16 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mvlab import theorems
 from mvlab.budget import Bounds, Budget
 from mvlab.errors import ConstraintError, DomainError, PreconditionError
 from mvlab.theorems import (
     FormulaId,
     _disjoint_edges,
+    _report,
     all_formula_ids,
     kneser2_all_params,
     mu_johnson_k2,
@@ -224,3 +228,102 @@ def test_bounds_basics():
         Bounds(4, 2)
     with pytest.raises(ValueError):
         Bounds(2, 5).value
+
+
+# ----------------------------------------------------------------------
+# the verdict rule
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _bounds(draw):
+    lo = draw(st.integers(0, 12))
+    return Bounds(lo, lo + draw(st.sampled_from((0, 0, 1, 3))))
+
+
+# claim shape -> relation between a parameter value p (enclosed by the
+# oracle) and a formula value q (enclosed by the formula)
+_RELATION = {
+    "equals": lambda p, q: p == q,
+    "at-least": lambda p, q: p >= q,
+    "at-most": lambda p, q: p <= q,
+    "greater-than": lambda p, q: q > p,
+    "within": lambda p, q: p == q,
+}
+
+
+@PROPERTY
+@given(_bounds(), _bounds(), st.sampled_from(sorted(_RELATION)))
+def test_report_decides_only_where_the_enclosures_do(f, o, claim):
+    r = _report(FormulaId.MUT_KNESER, {}, f, o, "definitional-search", claim=claim)
+    rel = _RELATION[claim]
+    pairs = [(p, q) for p in range(o.lo, o.hi + 1) for q in range(f.lo, f.hi + 1)]
+    some = any(rel(p, q) for p, q in pairs)
+    if claim == "within":      # every enclosed value lies in f
+        every = all(any(rel(p, q) for q in range(f.lo, f.hi + 1))
+                    for p in range(o.lo, o.hi + 1))
+    else:
+        every = all(rel(p, q) for p, q in pairs)
+    if claim == "equals":      # an exact oracle that agrees with f on their overlap
+        expected = "skipped" if not o.exact else ("pass" if some else "fail")
+    else:
+        expected = "pass" if every else ("fail" if not some else "skipped")
+    assert r.verdict == expected
+
+
+@PROPERTY
+@given(_bounds(), st.integers(0, 16), st.integers(0, 4))
+def test_witness_rule(f, size, extra):
+    o = Bounds(size, size + extra)          # [witness size, |V|]
+    r = _report(FormulaId.MU_KNESER, {}, f, o, "witness-only")
+    assert (r.verdict == "fail") == (size > f.hi or (f.exact and size < f.lo))
+    assert not (r.verdict == "pass" and size < f.lo)
+    if r.verdict == "skipped":
+        assert not f.exact and size < f.lo
+        assert r.reason.startswith(f"witness size {size} below proven formula range")
+
+
+def _fails_validation(monkeypatch):
+    def refuse(graph, members, variant):
+        return False, {"witness_size": len(members), "validates": False}
+    monkeypatch.setattr(theorems, "_validate_witness", refuse)
+
+
+def _assert_fail_row(r, vertex_count, construction):
+    assert r.verdict == "fail"
+    assert r.oracle_value == Bounds(0, vertex_count)
+    assert r.reason == "witness fails the visibility predicate"
+    assert r.certificates[-1]["construction"] == construction
+
+
+@pytest.mark.parametrize("formula,params,budget,vertices,construction", [
+    ("mu-kneser", {"n": 8, "k": 2}, None, 28, "disjoint-edges"),
+    ("mut-bipartite", {"n": 7, "k": 2}, None, 42, "covering-family-both-sides"),
+    ("mut-johnson", {"n": 7, "k": 3}, Budget(max_nodes=2000), 35,
+     "pattern-free-edge-system"),
+    ("mu-johnson-k2", {"n": 8}, None, 28, "clique-pattern-free-edge-system"),
+    ("mu-kneser-gp-lb", {"n": 5, "k": 2}, None, 10, "common-element-star"),
+])
+def test_failed_validation_fails_the_row(monkeypatch, formula, params, budget,
+                                         vertices, construction):
+    _fails_validation(monkeypatch)
+    (r,) = verify(formula, params, budget=budget)
+    _assert_fail_row(r, vertices, construction)
+
+
+def test_failed_transversal_reduction_fails_the_row(monkeypatch):
+    # kneser(26, 2) has 325 vertices, past the definitional witness check
+    monkeypatch.setattr(theorems, "kneser_total_mv_check_fast", lambda n, k, x: False)
+    (r,) = verify("mu-kneser", {"n": 26, "k": 2})
+    _assert_fail_row(r, 325, "disjoint-edges")
+    assert r.certificates[-1]["validator"] == "transversal-reduction"
+
+
+def test_failed_validation_fails_the_kneser2_witness_rows(monkeypatch):
+    _fails_validation(monkeypatch)
+    total, *rest = verify("kneser2-all-params", {"n": 8})
+    assert total.verdict == "pass" and total.oracle == "reduction-min-edges"
+    assert [r.params["param"] for r in rest] == ["mu", "mu-dual", "mu-outer"]
+    for r in rest:
+        _assert_fail_row(r, 28, "complement-four-disjoint-pairs")

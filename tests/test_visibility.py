@@ -226,3 +226,20 @@ def test_search_witnesses_pass_the_definitional_check(graph, variant):
     assert cert.exact and cert.witness_canonical
     assert len(cert.witness) == cert.value
     assert is_visibility_set(graph, cert.witness, variant).ok
+
+
+@pytest.mark.parametrize("variant", (Variant.MUTUAL, Variant.TOTAL, Variant.OUTER))
+@pytest.mark.parametrize("graph", (kneser(5, 2), johnson(4, 2), johnson(5, 2),
+                                   kneser(6, 2)), ids=format_family)
+def test_witness_is_the_first_optimum_in_mask_order(graph, variant):
+    # brute force: the least index mask of the optimum size that validates
+    cert = max_visibility_number(graph, variant)
+    idx = visibility_index(graph)
+    found = 0
+    for s in cert.witness:
+        found |= 1 << idx.index_of(s)
+    first = next(mask for mask in range(1 << idx.v)
+                 if mask.bit_count() == cert.value
+                 and is_visibility_set(graph, idx.subset(
+                     i for i in range(idx.v) if mask >> i & 1), variant).ok)
+    assert found == first
