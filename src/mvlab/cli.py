@@ -266,7 +266,7 @@ def _read_input(path: str) -> str:
 
 def _cmd_tau(args) -> int:
     h = parse_hypergraph(_read_input(args.infile))
-    cert = transversal_number(h, node_cap=args.budget_nodes)
+    cert = transversal_number(h, _budget(args))
     return _emit_result(cert.as_json(), cert.optimal, args.format)
 
 

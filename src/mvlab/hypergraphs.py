@@ -19,11 +19,14 @@ canonical (edges colex-sorted), so write -> read -> write is bit-exact.
 
 from __future__ import annotations
 
+import sys
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .budget import _TIME_CHECK_STRIDE, Budget
 from .errors import DomainError
-from .subsets import KSubset, MAX_GROUND_SET, mask_of, members_of
+from .subsets import KSubset, MAX_GROUND_SET, iter_bits, mask_of, members_of
 
 # name of the tau kernel below, reported in certificates and benchmark results
 ACTIVE_KERNEL = "python"
@@ -109,7 +112,9 @@ def underlying_hypergraph(members: Iterable[KSubset]) -> Hypergraph:
 # vertices in ascending order; prune with |chosen| + (greedy matching lower
 # bound on the uncovered part) >= |best|. The incumbent starts from a
 # max-degree greedy transversal. Edges that are supersets of other edges
-# are dropped up front (hitting the smaller edge hits them too).
+# are dropped up front (hitting the smaller edge hits them too). The rest
+# are sorted once by (size, mask); filtering keeps that order, so the
+# branch edge is always the first uncovered edge.
 
 
 def _greedy_upper(edges: list[int]) -> int:
@@ -119,11 +124,8 @@ def _greedy_upper(edges: list[int]) -> int:
     while remaining:
         counts: dict[int, int] = {}
         for e in remaining:
-            m = e
-            while m:
-                low = m & -m
+            for low in iter_bits(e):
                 counts[low] = counts.get(low, 0) + 1
-                m ^= low
         # highest degree, lowest bit on ties (dict order is insertion order,
         # so take an explicit max over (count, -bit))
         best_bit = max(counts, key=lambda b: (counts[b], -b))
@@ -143,13 +145,16 @@ def _matching_lower(edges: list[int]) -> int:
     return count
 
 
-def solve_tau(edges, node_cap: int | None = None):
+def solve_tau(edges, node_cap: int | None = None, deadline: float | None = None):
     """Exact minimum transversal of bitmask edges.
 
     Returns (tau, witness_mask, nodes_expanded, complete). ``node_cap``
     None means no cap; otherwise at most ``node_cap`` nodes are expanded.
-    ``complete`` is False only when the cap stopped the search, in which
-    case tau is the best known upper bound and witness_mask attains it.
+    ``deadline`` None means no clock; otherwise the search stops once
+    ``time.monotonic()`` passes it, read every ``_TIME_CHECK_STRIDE``
+    nodes. ``complete`` is False only when the cap or the deadline stopped
+    the search, in which case tau is the best known upper bound and
+    witness_mask attains it.
     """
     # dedupe and drop superset edges
     uniq = sorted(set(int(e) for e in edges))
@@ -166,18 +171,25 @@ def solve_tau(edges, node_cap: int | None = None):
             minimal.append(e)
     if not minimal:
         return 0, 0, 0, True
+    minimal.sort(key=lambda e: (e.bit_count(), e))
 
     best_mask = _greedy_upper(minimal)
     best_size = best_mask.bit_count()
     nodes = 0
     complete = True
+    # one integer test per node: ``stop`` is the node cap, or the next clock
+    # reading when that comes first
+    cap = sys.maxsize if node_cap is None else node_cap
+    stop = cap if deadline is None else min(cap, _TIME_CHECK_STRIDE)
 
     # iterative stack: (uncovered edges, chosen mask)
     stack = [(minimal, 0)]
     while stack:
-        if node_cap is not None and nodes >= node_cap:
-            complete = False
-            break
+        if nodes >= stop:
+            if nodes >= cap or time.monotonic() > deadline:
+                complete = False
+                break
+            stop = min(cap, nodes + _TIME_CHECK_STRIDE)
         uncovered, chosen = stack.pop()
         nodes += 1
         size = chosen.bit_count()
@@ -188,15 +200,8 @@ def solve_tau(edges, node_cap: int | None = None):
             continue
         if size + _matching_lower(uncovered) >= best_size:
             continue
-        branch = min(uncovered, key=lambda e: (e.bit_count(), e))
         # push in descending bit order so the stack pops ascending bits first
-        bits = []
-        m = branch
-        while m:
-            low = m & -m
-            bits.append(low)
-            m ^= low
-        for bit in reversed(bits):
+        for bit in reversed(list(iter_bits(uncovered[0]))):
             rest = [e for e in uncovered if not e & bit]
             stack.append((rest, chosen | bit))
 
@@ -206,7 +211,7 @@ def solve_tau(edges, node_cap: int | None = None):
 @dataclass(frozen=True)
 class TransversalCertificate:
     """Minimum transversal with witness. ``optimal`` is False only when a
-    node cap stopped the search, in which case tau is an upper bound."""
+    budget stopped the search, in which case tau is an upper bound."""
 
     hypergraph: Hypergraph
     tau: int
@@ -229,14 +234,19 @@ class TransversalCertificate:
 
 
 def transversal_number(h: Hypergraph,
-                       node_cap: int | None = None) -> TransversalCertificate:
-    """Exact minimum transversal via ``solve_tau``, uncapped unless
-    ``node_cap`` is given.
+                       budget: Budget | None = None) -> TransversalCertificate:
+    """Exact minimum transversal via ``solve_tau``, uncapped unless a
+    ``budget`` is given, whose node cap and seconds then bound the search.
 
     Every edge is nonempty by construction, so a transversal always
     exists; tau = 0 iff there are no edges.
     """
-    tau, mask, nodes, complete = solve_tau(list(h.edges), node_cap)
+    if budget is None:
+        node_cap = deadline = None
+    else:
+        node_cap = budget.max_nodes
+        deadline = time.monotonic() + budget.max_seconds
+    tau, mask, nodes, complete = solve_tau(list(h.edges), node_cap, deadline)
     return TransversalCertificate(
         hypergraph=h,
         tau=tau,

@@ -55,7 +55,7 @@ from math import comb
 
 from .budget import Budget, Bounds, BudgetExhausted, as_bounds, bounds_agree
 from .constructions import build_h_nk
-from .covering import c_star, covering_number, min_edges_with_tau
+from .covering import CoveringCertificate, c_star, covering_number, min_edges_with_tau
 from .errors import ConstraintError, DomainError, PreconditionError
 from .families import FamilyGraph, bipartite_kneser, format_family, johnson, kneser, parse_family
 from .hypergraphs import transversal_number
@@ -107,13 +107,19 @@ def _kneser_minus_c_star(n: int, k: int, budget: Budget | None) -> Bounds:
     return Bounds(comb(n, k) - cert.hi, comb(n, k) - cert.lo)
 
 
-def _bipartite_minus_covering(n: int, k: int, budget: Budget | None) -> Bounds:
-    """2 C(n,k) - 2 C(n, n-k, 2k), closed as 2 C(n,k) - 4k - 2 from
-    n = 2k^2 + k on."""
+def _mut_bipartite(n: int, k: int, budget: Budget | None
+                   ) -> tuple[Bounds, CoveringCertificate | None]:
+    """``mut_bipartite_formula`` with the C(n, n-k, 2k) certificate it
+    rests on, so a verifier derives its witness from the same search; the
+    certificate is None where the value is closed."""
+    if k < 2 or n < 2 * k + 1:
+        raise ConstraintError(f"need n >= 2k+1 and k >= 2, got n={n}, k={k}")
+    if n <= 3 * k:
+        return Bounds(0, 0), None
     if n >= 2 * k * k + k:
-        return as_bounds(2 * comb(n, k) - 4 * k - 2)
+        return as_bounds(2 * comb(n, k) - 4 * k - 2), None
     cov = covering_number(n, n - k, 2 * k, budget)
-    return Bounds(2 * comb(n, k) - 2 * cov.hi, 2 * comb(n, k) - 2 * cov.lo)
+    return Bounds(2 * comb(n, k) - 2 * cov.hi, 2 * comb(n, k) - 2 * cov.lo), cov
 
 
 def mut_kneser_formula(n: int, k: int, budget: Budget | None = None) -> Bounds:
@@ -143,24 +149,27 @@ def mut_bipartite_formula(n: int, k: int, budget: Budget | None = None) -> Bound
     """Total visibility number of the containment graph: 0 up to n = 3k,
     2 C(n,k) - 2 C(n, n-k, 2k) in the middle, 2 C(n,k) - 4k - 2 from
     n = 2k^2 + k on."""
-    if k < 2 or n < 2 * k + 1:
-        raise ConstraintError(f"need n >= 2k+1 and k >= 2, got n={n}, k={k}")
-    if n <= 3 * k:
-        return Bounds(0, 0)
-    return _bipartite_minus_covering(n, k, budget)
+    return _mut_bipartite(n, k, budget)[0]
 
 
-def mu_bipartite_lower_bound(n: int, k: int, budget: Budget | None = None) -> Bounds:
-    """max{C(n,k), 2 C(n,k) - 2 C(n, n-k, 2k)}, a proven lower bound on
-    the mutual visibility number of the containment graph."""
+def _mu_bipartite_lb(n: int, k: int, budget: Budget | None
+                     ) -> tuple[Bounds, Bounds, CoveringCertificate | None]:
+    """``mu_bipartite_lower_bound`` with the total-visibility bounds and the
+    covering certificate it was taken from (see ``_mut_bipartite``)."""
     if k < 2:
         raise ConstraintError(f"need k >= 2, got {k}")
     if n < 3 * k + 1:
         raise PreconditionError(
             f"bipartite lower bound requires n >= 3k+1 = {3 * k + 1}, got n={n}")
     base = comb(n, k)
-    other = _bipartite_minus_covering(n, k, budget)
-    return Bounds(max(base, other.lo), max(base, other.hi))
+    other, cov = _mut_bipartite(n, k, budget)
+    return Bounds(max(base, other.lo), max(base, other.hi)), other, cov
+
+
+def mu_bipartite_lower_bound(n: int, k: int, budget: Budget | None = None) -> Bounds:
+    """max{C(n,k), 2 C(n,k) - 2 C(n, n-k, 2k)}, a proven lower bound on
+    the mutual visibility number of the containment graph."""
+    return _mu_bipartite_lb(n, k, budget)[0]
 
 
 def mut_johnson_value(n: int, k: int, budget: Budget | None = None) -> Bounds:
@@ -433,43 +442,49 @@ def _v_mu_kneser(inst: dict, budget: Budget | None, seed: int) -> list[Verificat
 
 
 def _v_mut_bipartite(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
+    f, cov = _mut_bipartite(inst["n"], inst["k"], budget)
+    return [_mut_bipartite_report(inst, f, cov)]
+
+
+def _mut_bipartite_report(inst: dict, f: Bounds,
+                          cov: CoveringCertificate | None) -> VerificationReport:
+    """The mut-bipartite row for formula bounds ``f`` and the covering
+    certificate they came from."""
     n, k = inst["n"], inst["k"]
-    f = mut_bipartite_formula(n, k, budget)
     g = bipartite_kneser(n, k)
     if n <= 3 * k:
         if g.vertex_count > WITNESS_CHECK_CAP:
-            return [VerificationReport(FormulaId.MUT_BIPARTITE, inst, f, None,
-                                       "skipped", "singleton-sweep",
-                                       reason="oracle beyond budget")]
+            return VerificationReport(FormulaId.MUT_BIPARTITE, inst, f, None,
+                                      "skipped", "singleton-sweep",
+                                      reason="oracle beyond budget")
         o, certs = _singleton_sweep(g)
-        return [_report(FormulaId.MUT_BIPARTITE, inst, f, o, "singleton-sweep",
-                        certificates=certs)]
+        return _report(FormulaId.MUT_BIPARTITE, inst, f, o, "singleton-sweep",
+                       certificates=certs)
     # witness: both sides of a minimum covering family removed
     full = (1 << n) - 1
-    if n >= 2 * k * k + k:
+    if cov is None:
         blocks = [full ^ e for e in _disjoint_edges(n, k, 2 * k + 1)]
+    elif not cov.exact:
+        return VerificationReport(FormulaId.MUT_BIPARTITE, inst, f, None,
+                                  "skipped", "witness-only",
+                                  reason="covering search beyond budget")
     else:
-        cov = covering_number(n, n - k, 2 * k, budget)
-        if not cov.exact:
-            return [VerificationReport(FormulaId.MUT_BIPARTITE, inst, f, None,
-                                       "skipped", "witness-only",
-                                       reason="covering search beyond budget")]
         blocks = list(cov.blocks)
     gone = set(blocks) | {full ^ b for b in blocks}
     members = [v for v in g.vertices() if v.bits not in gone]
     size = len(members)
     if g.vertex_count > WITNESS_CHECK_CAP:
-        return [VerificationReport(FormulaId.MUT_BIPARTITE, inst, f, None, "skipped",
-                                   "witness-only",
-                                   reason="witness validation beyond budget")]
-    return [_witness_report(FormulaId.MUT_BIPARTITE, inst, f, g, size,
-                            _validate_witness(g, members, Variant.TOTAL),
-                            "covering-family-both-sides")]
+        return VerificationReport(FormulaId.MUT_BIPARTITE, inst, f, None, "skipped",
+                                  "witness-only",
+                                  reason="witness validation beyond budget")
+    return _witness_report(FormulaId.MUT_BIPARTITE, inst, f, g, size,
+                           _validate_witness(g, members, Variant.TOTAL),
+                           "covering-family-both-sides")
 
 
 def _v_mu_bipartite_lb(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
     n, k = inst["n"], inst["k"]
-    f = mu_bipartite_lower_bound(n, k, budget)
+    f, f_mut, cov = _mu_bipartite_lb(n, k, budget)
     g = bipartite_kneser(n, k)
     if g.vertex_count > WITNESS_CHECK_CAP:
         return [VerificationReport(FormulaId.MU_BIPARTITE_LB, inst, f, None,
@@ -484,7 +499,7 @@ def _v_mu_bipartite_lb(inst: dict, budget: Budget | None, seed: int) -> list[Ver
     certs.append(cert)
     if ok:
         best = max(best, len(side))
-    mut = _v_mut_bipartite(inst, budget, seed)[0]
+    mut = _mut_bipartite_report(inst, f_mut, cov)
     if mut.oracle_value is not None and mut.verdict == "pass":
         best = max(best, mut.oracle_value.lo)
         certs.extend(mut.certificates)

@@ -20,21 +20,27 @@ bound over the colex-ordered candidate edges with the bound
 |current| + |remaining candidates| <= incumbent. Since relabeling is a
 pattern-automorphism of [n] and the optimum is nonempty, the search
 fixes the first candidate edge {1..k} as included (root symmetry
-normalization). On budget exhaustion the result degrades to an interval
-[best found, candidate-count bound]; the n^(k-1/2)/k! asymptotic guide
-can be reported alongside but is never a bound.
+normalization). Each candidate edge gets one table row of its splits
+(link dict of the apex, low and high bit of the pair), one link dict per
+apex, built the first time the search reaches the edge; testing, adding
+and removing an edge at a node read that row and compute nothing else.
+On budget exhaustion the
+result degrades to an interval [best found, candidate-count bound]; for
+the plain C4 (k = 2) the upper end is also capped by Reiman's bound
+floor((n/4)(1 + sqrt(4n - 3))), which bounds the reported interval only,
+never the search. The n^(k-1/2)/k! asymptotic guide can be reported
+alongside but is never a bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
-from typing import Iterator
+from math import factorial, isqrt
 
 from .budget import Budget, BudgetExhausted, IntervalResult, SearchCounters
 from .errors import ConstraintError, DomainError
 from .hypergraphs import Hypergraph, hypergraph
-from .subsets import k_subset_masks, members_of
+from .subsets import iter_bits, k_subset_masks, members_of
 
 
 @dataclass(frozen=True)
@@ -202,68 +208,36 @@ class TuranResult(IntervalResult):
         return out
 
 
-class _EdgeState:
-    """Included edges with per-apex link graphs, supporting undo."""
-
-    __slots__ = ("pattern", "edges", "links", "trail")
-
-    def __init__(self, pattern: Pattern):
-        self.pattern = pattern
-        self.edges: list[int] = []
-        self.links: dict[int, dict[int, int]] = {}
-        self.trail: list[list[tuple[int, int, int]]] = []
-
-    def completes_pattern(self, edge: int) -> bool:
-        """Would adding ``edge`` create a pattern through it?"""
-        find = _completes_c4 if self.pattern.name == "c4sus" else _completes_k4
-        for pair in _pair_splits(edge):
-            apex = edge ^ pair
-            adj = self.links.get(apex)
-            if adj and find(adj, pair):
-                return True
-        return False
-
-    def push(self, edge: int) -> None:
-        undo: list[tuple[int, int, int]] = []
-        for pair in _pair_splits(edge):
-            apex = edge ^ pair
-            adj = self.links.setdefault(apex, {})
-            lo = pair & -pair
-            hi = pair ^ lo
-            undo.append((apex, lo, adj.get(lo, 0)))
-            undo.append((apex, hi, adj.get(hi, 0)))
-            adj[lo] = adj.get(lo, 0) | hi
-            adj[hi] = adj.get(hi, 0) | lo
-        self.trail.append(undo)
-        self.edges.append(edge)
-
-    def pop(self) -> None:
-        self.edges.pop()
-        for apex, bit, old in reversed(self.trail.pop()):
-            adj = self.links[apex]
-            if old:
-                adj[bit] = old
-            else:
-                del adj[bit]
-
-
-def _pair_splits(edge: int) -> Iterator[int]:
+def _pair_splits(edge: int) -> list[int]:
     """All 2-subsets of an edge (the candidate z-pairs; the rest is apex)."""
-    bits = []
-    m = edge
-    while m:
-        low = m & -m
-        bits.append(low)
-        m ^= low
-    for i in range(len(bits)):
-        for j in range(i + 1, len(bits)):
-            yield bits[i] | bits[j]
+    bits = list(iter_bits(edge))
+    return [a | b for i, a in enumerate(bits) for b in bits[i + 1:]]
 
 
-def _completes_c4(adj: dict[int, int], pair: int) -> bool:
-    """Does adding ``pair`` to the link graph close a 4-cycle through it?"""
-    a = pair & -pair
-    b = pair ^ a
+class _SplitRows(dict):
+    """Row i lists the (link, lo, hi) splits of candidate edge i, where link
+    is the adjacency dict of the apex ``edge ^ (lo | hi)``; every edge
+    through an apex shares its one dict, so a row is all the search needs to
+    test, add and remove an edge. A row is built when the search first
+    reaches its edge, so a budget-cut search on a large [n] builds only the
+    rows it visits."""
+
+    def __init__(self, candidates: list[int]):
+        super().__init__()
+        self.candidates = candidates
+        self.links: dict[int, dict[int, int]] = {}
+
+    def __missing__(self, i: int) -> list[tuple[dict[int, int], int, int]]:
+        edge = self.candidates[i]
+        links = self.links
+        row = self[i] = [(links.setdefault(edge ^ pair, {}), pair & -pair, pair & (pair - 1))
+                         for pair in _pair_splits(edge)]
+        return row
+
+
+def _completes_c4(adj: dict[int, int], a: int, b: int) -> bool:
+    """Does adding the pair ``a | b`` to the link graph close a 4-cycle
+    through it?"""
     na = adj.get(a, 0) & ~b
     nb = adj.get(b, 0) & ~a
     # cycle a-b-x-y-a: x in N(b), y in N(x) cap N(a)
@@ -276,12 +250,10 @@ def _completes_c4(adj: dict[int, int], pair: int) -> bool:
     return False
 
 
-def _completes_k4(adj: dict[int, int], pair: int) -> bool:
-    """Does adding ``pair`` close a K4? Needs an adjacent pair among the
-    common neighbors of the endpoints."""
-    a = pair & -pair
-    b = pair ^ a
-    common = adj.get(a, 0) & adj.get(b, 0) & ~pair
+def _completes_k4(adj: dict[int, int], a: int, b: int) -> bool:
+    """Does adding the pair ``a | b`` close a K4? Needs an adjacent pair
+    among the common neighbors of the endpoints."""
+    common = adj.get(a, 0) & adj.get(b, 0) & ~(a | b)
     x = common
     while x:
         low = x & -x
@@ -306,40 +278,73 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
                            hypergraph(n, candidates), 0)
 
     counters = SearchCounters(budget)
-    state = _EdgeState(pattern)
-    best: list[list[int]] = [[]]
+    tick = counters.tick
+    find = _completes_c4 if pattern.name == "c4sus" else _completes_k4
+    rows = _SplitRows(candidates)
+    edges: list[int] = []
+    best: list[int] = []
     best_size = 0
 
+    def push(i: int) -> None:
+        for adj, lo, hi in rows[i]:
+            adj[lo] = adj.get(lo, 0) | hi
+            adj[hi] = adj.get(hi, 0) | lo
+        edges.append(candidates[i])
+
+    def pop(i: int) -> None:
+        # lo-hi was absent from this link before push(i), so clearing the
+        # two bits restores it exactly
+        edges.pop()
+        for adj, lo, hi in rows[i]:
+            rest = adj[lo] ^ hi
+            if rest:
+                adj[lo] = rest
+            else:
+                del adj[lo]
+            rest = adj[hi] ^ lo
+            if rest:
+                adj[hi] = rest
+            else:
+                del adj[hi]
+
     def dfs(i: int) -> None:
-        nonlocal best_size
-        counters.tick()
-        if len(state.edges) > best_size:
-            best_size = len(state.edges)
-            best[0] = list(state.edges)
-        if i >= total or len(state.edges) + (total - i) <= best_size:
-            return
-        edge = candidates[i]
-        if not state.completes_pattern(edge):
-            state.push(edge)
-            dfs(i + 1)
-            state.pop()
-        dfs(i + 1)
+        # the exclude branch dfs(i + 1) is the next turn of the loop: it
+        # ticks its node and tests its bound, and cannot raise the
+        # incumbent, since it holds the same edges
+        nonlocal best, best_size
+        tick()
+        size = len(edges)
+        if size > best_size:
+            best_size = size
+            best = list(edges)
+        while i < total and size + (total - i) > best_size:
+            for adj, lo, hi in rows[i]:
+                if adj and find(adj, lo, hi):
+                    break
+            else:
+                push(i)
+                dfs(i + 1)
+                pop(i)
+            i += 1
+            tick()
 
     complete = True
     try:
         # root normalization: some optimum contains {1..k} up to relabeling
-        state.push(candidates[0])
+        push(0)
         best_size = 1
-        best[0] = list(state.edges)
+        best = list(edges)
         dfs(1)
-        state.pop()
     except BudgetExhausted:
         complete = False
 
-    hi = best_size if complete else total
-    lo = best_size
-    witness = hypergraph(n, best[0])
-    return TuranResult(n, k, pattern, lo, hi, witness, counters.nodes)
+    if complete:
+        hi = best_size
+    elif pattern.name == "c4sus" and k == 2:
+        hi = min(total, reiman_c4_bound(n))
+    else:
+        hi = total
+    return TuranResult(n, k, pattern, best_size, hi, hypergraph(n, best), counters.nodes)
 
 
 # ----------------------------------------------------------------------
@@ -351,6 +356,14 @@ def turan_k4_closed(n: int) -> int:
     if n < 1:
         raise ConstraintError(f"need n >= 1, got {n}")
     return n * n // 3
+
+
+def reiman_c4_bound(n: int) -> int:
+    """Reiman's bound on C4-free graphs with n vertices:
+    floor((n/4)(1 + sqrt(4n - 3))), computed in integers."""
+    if n < 1:
+        raise ConstraintError(f"need n >= 1, got {n}")
+    return (n + isqrt(n * n * (4 * n - 3))) // 4
 
 
 def mubayi_asymptote(n: int, k: int) -> float:

@@ -122,7 +122,29 @@ def test_tau_honours_the_node_budget():
     assert all(hit.intersection(e) for e in edges)
     full = run_cli("tau", "--in", "-", stdin_text=text)
     assert full.returncode == 0
-    assert json.loads(full.stdout)["optimal"] is True
+    out = json.loads(full.stdout)
+    assert out["optimal"] is True
+    # the kernel's search tree, pinned
+    assert (out["tau"], out["nodes_expanded"]) == (9, 38417)
+    assert out["transversal"] == [1, 6, 8, 10, 11, 12, 14, 16, 24]
+
+
+def test_tau_honours_the_seconds_budget():
+    # far beyond 10^7 nodes unbudgeted; the clock stops it long before
+    rng = random.Random(11)
+    edges = set()
+    while len(edges) < 200:
+        edges.add(tuple(sorted(rng.sample(range(1, 37), 4))))
+    text = "36 4\n" + "".join(" ".join(map(str, e)) + "\n" for e in sorted(edges))
+    p = run_cli("tau", "--in", "-", "--budget-seconds", "0.05",
+                "--budget-nodes", "10000000", stdin_text=text)
+    assert p.returncode == 3, p.stderr
+    out = json.loads(p.stdout)
+    assert out["optimal"] is False
+    assert 0 < out["nodes_expanded"] < 10_000_000
+    hit = set(out["transversal"])
+    assert len(hit) == out["tau"]
+    assert all(hit.intersection(e) for e in edges)
 
 
 def test_tau_zero_node_budget_stops_at_once():

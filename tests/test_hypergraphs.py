@@ -1,8 +1,10 @@
 import itertools
 import random
+import time
 
 import pytest
 
+from mvlab.budget import _TIME_CHECK_STRIDE, Budget
 from mvlab.errors import DomainError
 from mvlab.hypergraphs import (
     format_hypergraph,
@@ -59,6 +61,21 @@ def test_kernel_node_cap_degrades_identically():
             assert tau == true_tau
         else:
             assert tau >= true_tau
+
+
+def test_kernel_reads_the_clock_every_stride():
+    # a deadline already past stops the search at its first clock reading,
+    # or at the node cap when that comes first
+    rng = random.Random(11)
+    masks = list({sum(1 << x for x in rng.sample(range(36), 4)) for _ in range(200)})
+    h = hypergraph(36, masks)
+    past = time.monotonic() - 1.0
+    for cap, spent in ((None, _TIME_CHECK_STRIDE), (100, 100)):
+        tau, mask, nodes, complete = solve_tau(masks, cap, past)
+        assert (nodes, complete) == (spent, False)
+        assert is_transversal(h, mask) and mask.bit_count() == tau
+    cert = transversal_number(h, Budget(max_nodes=10_000_000, max_seconds=0.0))
+    assert not cert.optimal and cert.nodes_expanded == _TIME_CHECK_STRIDE
 
 
 def test_gallai_identity_on_graphs():

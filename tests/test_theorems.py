@@ -112,6 +112,25 @@ def test_mut_bipartite_first_range_and_witness():
     assert r.formula_value.value == 24
 
 
+@pytest.mark.parametrize("formula,n", (("mu-bipartite-lb", 8), ("mut-bipartite", 9)))
+def test_bipartite_rows_run_one_covering_search(monkeypatch, formula, n):
+    # the formula bounds and the witness blocks come from one certificate,
+    # so a row spends at most one node budget
+    spent = []
+    inner = theorems.covering_number
+
+    def counted(*args, **kwargs):
+        cert = inner(*args, **kwargs)
+        spent.append(cert.nodes_expanded)
+        return cert
+
+    monkeypatch.setattr(theorems, "covering_number", counted)
+    budget = Budget(max_nodes=1000)
+    (r,) = verify(formula, {"n": n, "k": 2}, budget=budget)
+    assert len(spent) == 1 and spent[0] <= budget.max_nodes
+    assert r.verdict != "fail"
+
+
 def test_mut_johnson_dual_route_agreement():
     reports = verify("mut-johnson", {"n": (4, 6), "k": 2})
     assert _verdicts(reports) == ["pass"] * 3

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from mvlab.budget import Budget
@@ -11,6 +13,7 @@ from mvlab.turan import (
     format_pattern,
     mubayi_asymptote,
     parse_pattern,
+    reiman_c4_bound,
     turan_k4_closed,
 )
 
@@ -119,3 +122,56 @@ def test_trivial_small_n():
     assert ex_uniform(1, 2, pat).value == 0
     # on fewer vertices than the pattern needs, every graph is pattern-free
     assert ex_uniform(3, 2, pat).value == 3
+
+
+# Search trees pinned at their node counts and witnesses: a change to the
+# branching order, the bound or the node accounting fails these.
+PINNED_TREES = (
+    (7, 2, build_c4_suspension(2), None, 9, 9, 52514,
+     [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5), (1, 6), (1, 7), (6, 7)]),
+    (6, 2, build_k4_suspension(2), None, 12, 12, 301,
+     [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (3, 5), (4, 5), (2, 6),
+      (3, 6), (4, 6), (5, 6)]),
+    (7, 3, build_c4_suspension(3), 5000, 15, 35, 5000,
+     [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5), (3, 4, 5), (1, 2, 6),
+      (3, 4, 6), (1, 5, 6), (2, 5, 6), (3, 5, 6), (4, 5, 6), (1, 2, 7), (3, 4, 7),
+      (5, 6, 7)]),
+)
+
+
+@pytest.mark.parametrize("n,k,pat,cap,lo,hi,nodes,witness", PINNED_TREES)
+def test_search_tree_is_pinned(n, k, pat, cap, lo, hi, nodes, witness):
+    budget = None if cap is None else Budget(max_nodes=cap)
+    r = ex_uniform(n, k, pat, budget)
+    assert (r.lo, r.hi, r.nodes_expanded) == (lo, hi, nodes)
+    assert r.witness.edge_members() == witness
+
+
+def test_reiman_bound_matches_its_real_form():
+    for n in range(1, 200):
+        assert reiman_c4_bound(n) == int((n / 4) * (1 + (4 * n - 3) ** 0.5))
+    # an upper bound on the exact maxima above
+    assert all(C4_FREE_MAX[n] <= reiman_c4_bound(n) for n in C4_FREE_MAX)
+
+
+def test_budget_cut_c4_interval_takes_the_reiman_cap():
+    r = ex_uniform(9, 2, build_c4_suspension(2), Budget(max_nodes=1000))
+    assert not r.exact
+    assert r.hi == 15 == reiman_c4_bound(9)
+    assert r.lo <= 13 <= r.hi  # ex(9, C4) = 13
+    # the cap narrows the reported interval only; the search still runs to
+    # its node budget
+    assert r.nodes_expanded == 1000
+
+
+def test_budget_cut_search_builds_only_the_rows_it_visits():
+    # 91,390 candidate 4-sets: a table of all their splits would take tens
+    # of MB; a 500-node search reaches a few hundred of them
+    tracemalloc.start()
+    try:
+        r = ex_uniform(40, 4, build_c4_suspension(4), Budget(max_nodes=500))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not r.exact and r.nodes_expanded == 500
+    assert peak < 16 * 2**20
