@@ -269,10 +269,13 @@ class GraphContext:
     """Indexed vertices, adjacency bitmask rows and all-pairs distances.
 
     Vertex i is ``masks[i]``; ``adj[i]`` is a bitmask over vertex indices;
-    ``dist[i]`` is a bytearray of distances from vertex i.
+    ``dist[i]`` is a bytearray of distances from vertex i; ``layers[i][d]``
+    is the bitmask of the vertices at distance d from vertex i, for d from
+    0 (vertex i alone) to the eccentricity of i. The layers are the BFS
+    frontiers that ``dist`` is read from, so they partition the vertices.
     """
 
-    __slots__ = ("graph", "masks", "index", "adj", "dist")
+    __slots__ = ("graph", "masks", "index", "adj", "dist", "layers")
 
     def __init__(self, graph: FamilyGraph):
         self.graph = graph
@@ -289,12 +292,15 @@ class GraphContext:
                 row |= 1 << self.index[nb]
             adj.append(row)
         self.adj = adj
-        self.dist = [self._bfs_row(i, v) for i in range(v)]
+        rows = [self._bfs_row(i, v) for i in range(v)]
+        self.dist = [row for row, _ in rows]
+        self.layers = [layers for _, layers in rows]
 
-    def _bfs_row(self, src: int, v: int) -> bytearray:
+    def _bfs_row(self, src: int, v: int) -> tuple[bytearray, list[int]]:
         row = bytearray([255]) * v
         row[src] = 0
         frontier = 1 << src
+        layers = [frontier]
         seen = frontier
         d = 0
         while frontier:
@@ -312,10 +318,12 @@ class GraphContext:
                 low = f & -f
                 row[low.bit_length() - 1] = d
                 f ^= low
+            if nxt:
+                layers.append(nxt)
             frontier = nxt
         if 255 in row:
             raise DomainError("graph is disconnected")  # not reachable in-range
-        return row
+        return row, layers
 
 
 @lru_cache(maxsize=None)

@@ -308,23 +308,33 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
                 del adj[hi]
 
     def dfs(i: int) -> None:
-        # the exclude branch dfs(i + 1) is the next turn of the loop: it
-        # ticks its node and tests its bound, and cannot raise the
-        # incumbent, since it holds the same edges
+        # ``stack`` holds the included candidates below the root, so the
+        # depth is not bounded by the recursion limit. The exclude branch
+        # is the next turn of the loop: it ticks its node and tests its
+        # bound, and cannot raise the incumbent (it holds the same edges)
         nonlocal best, best_size
+        stack: list[int] = []
         tick()
-        size = len(edges)
-        if size > best_size:
-            best_size = size
-            best = list(edges)
-        while i < total and size + (total - i) > best_size:
-            for adj, lo, hi in rows[i]:
-                if adj and find(adj, lo, hi):
-                    break
-            else:
-                push(i)
-                dfs(i + 1)
+        while True:
+            size = len(edges)
+            if size > best_size:
+                best_size = size
+                best = list(edges)
+            if i < total and size + (total - i) > best_size:
+                for adj, lo, hi in rows[i]:
+                    if adj and find(adj, lo, hi):
+                        break
+                else:
+                    push(i)
+                    stack.append(i)
+                    i += 1
+                    tick()
+                    continue
+            elif stack:
+                i = stack.pop()
                 pop(i)
+            else:
+                return
             i += 1
             tick()
 

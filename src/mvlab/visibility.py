@@ -12,15 +12,18 @@ lie in X). The supported set properties are:
   shortest path, i.e. dist(u,v) + dist(v,z) > dist(u,z) for all ordered
   triples of distinct members
 
-The X-visibility test computes d = dist(u, v), takes the vertices w with
-dist(u,w) + dist(w,v) = d (the shortest-path DAG), removes X, and tests
-layered reachability from u to v. Adjacent pairs have no internal vertex
-and are always visible. A pair at distance 2 is X-visible iff one of its
-common neighbours lies outside X, so the search precomputes that midpoint
-mask for each such pair and decides it with one test, ``mid & ~X``; only
-pairs at distance 3 or more take the layered test. This is the diameter-2
-regime of Kneser graphs with n >= 3k-1 and of J(n, 2), where every
-non-adjacent pair is at distance 2.
+The X-visibility test walks the distance layers of the graph context,
+``layers[s][d]`` being the vertices at distance d from s. A BFS from s
+that expands only through vertices outside X, keeping at step d only
+``layers[s][d]``, reaches a vertex iff some shortest path to it avoids X
+internally. ``is_visibility_set`` runs it once per obligated source, in
+ascending order, and reports the lowest target missed: the
+lexicographically first blocking pair. ``pair_visible`` walks the same
+frontiers for one pair. Adjacent pairs are always visible. A pair at
+distance 2 is X-visible iff a common neighbour lies outside X, so the
+search precomputes that midpoint mask and tests ``mid & ~X``; only pairs
+at distance 3 or more take ``pair_visible``, none in the diameter-2
+regime (Kneser graphs with n >= 3k-1, and J(n, 2)).
 
 Maximum sizes are found by exact branch and bound for the
 subset-monotone variants (mutual, total, outer, general-position:
@@ -151,15 +154,14 @@ class VisibilityCertificate:
 
 
 class VisibilityIndex:
-    """Vertex-indexed view of a graph with cached shortest-path layers."""
+    """Vertex-indexed view of a graph and the search's feasibility tables."""
 
-    __slots__ = ("graph", "ctx", "v", "_layers", "_through")
+    __slots__ = ("graph", "ctx", "v", "_through")
 
     def __init__(self, graph: FamilyGraph):
         self.graph = graph
         self.ctx = graph_context(graph)
         self.v = len(self.ctx.masks)
-        self._layers: dict[tuple[int, int], tuple[int, list[int]]] = {}
         self._through: tuple[list[list[tuple[int, int, int]]], list[list[int]]] | None = None
 
     def index_of(self, s: KSubset) -> int:
@@ -172,37 +174,21 @@ class VisibilityIndex:
         n = self.graph.n
         return tuple(KSubset(n, self.ctx.masks[i]) for i in sorted(set(indices)))
 
-    def _pair_layers(self, iu: int, iv: int) -> tuple[int, list[int]]:
-        """Distance and per-layer masks of internal shortest-path vertices."""
-        if iu > iv:
-            iu, iv = iv, iu
-        key = (iu, iv)
-        hit = self._layers.get(key)
-        if hit is not None:
-            return hit
-        du = self.ctx.dist[iu]
-        dv = self.ctx.dist[iv]
-        d = du[iv]
-        layers = [0] * (d + 1)
-        if d >= 2:
-            for w in range(self.v):
-                s = du[w]
-                if 0 < s < d and s + dv[w] == d:
-                    layers[s] |= 1 << w
-        self._layers[key] = (d, layers)
-        return d, layers
-
     def pair_visible(self, iu: int, iv: int, obstacles: int) -> bool:
         """Is some shortest iu,iv-path internally disjoint from obstacles?
 
         Endpoint bits in ``obstacles`` are ignored (internal vertices only).
-        """
-        d, layers = self._pair_layers(min(iu, iv), max(iu, iv))
+        The frontier at level l keeps the vertices at distance d - l from
+        iv that are adjacent to the frontier at level l - 1; each is then
+        exactly l from iu, so the frontiers are the shortest-path DAG."""
+        ctx = self.ctx
+        d = ctx.dist[iu][iv]
         if d <= 1:
             return True
-        iu2, iv2 = min(iu, iv), max(iu, iv)
-        adj = self.ctx.adj
-        frontier = adj[iu2] & layers[1] & ~obstacles
+        adj = ctx.adj
+        to_v = ctx.layers[iv]
+        free = ~obstacles
+        frontier = adj[iu] & to_v[d - 1] & free
         for level in range(2, d):
             if not frontier:
                 return False
@@ -212,8 +198,8 @@ class VisibilityIndex:
                 low = f & -f
                 nxt |= adj[low.bit_length() - 1]
                 f ^= low
-            frontier = nxt & layers[level] & ~obstacles
-        return bool(frontier & adj[iv2])
+            frontier = nxt & to_v[d - level] & free
+        return frontier != 0
 
     def pairs_through(self) -> tuple[list[list[tuple[int, int, int]]], list[list[int]]]:
         """The search's feasibility tables, built in one pass over the pairs.
@@ -225,32 +211,27 @@ class VisibilityIndex:
         same mask. A distance-2 pair is X-visible iff ``mid & ~X``."""
         if self._through is None:
             v = self.v
-            adj = self.ctx.adj
-            dist = self.ctx.dist
+            dist, layers = self.ctx.dist, self.ctx.layers
             through: list[list[tuple[int, int, int]]] = [[] for _ in range(v)]
             mid = [[0] * v for _ in range(v)]
             for i in range(v):
-                di = dist[i]
-                row = mid[i]
+                di, li, row = dist[i], layers[i], mid[i]
                 for j in range(i + 1, v):
                     d = di[j]
                     if d < 2:
                         continue
+                    # the internal vertices: s from i and d - s from j
+                    lj = layers[j]
+                    m = 0
+                    for s in range(1, d):
+                        m |= li[s] & lj[d - s]
                     if d == 2:
-                        m = adj[i] & adj[j]
                         row[j] = mid[j][i] = m
-                        entry = (i, j, m)
-                        while m:
-                            low = m & -m
-                            through[low.bit_length() - 1].append(entry)
-                            m ^= low
-                        continue
-                    dj = dist[j]
-                    entry = (i, j, 0)
-                    for w in range(v):
-                        s = di[w]
-                        if 0 < s < d and s + dj[w] == d:
-                            through[w].append(entry)
+                    entry = (i, j, m if d == 2 else 0)
+                    while m:
+                        low = m & -m
+                        through[low.bit_length() - 1].append(entry)
+                        m ^= low
             self._through = (through, mid)
         return self._through
 
@@ -282,30 +263,40 @@ def is_x_visible(graph: FamilyGraph, x_members: Iterable[KSubset],
     return idx.pair_visible(iu, iv, obstacles)
 
 
-def _obligated_pairs(variant: Variant, v: int, x_mask: int):
-    """Yield the index pairs a visibility set of this variant must keep
-    visible. Quadratic; used by the standalone predicate, not the search."""
-    inside = [i for i in range(v) if (x_mask >> i) & 1]
-    if variant is Variant.MUTUAL:
-        for a in range(len(inside)):
-            for b in range(a + 1, len(inside)):
-                yield inside[a], inside[b]
-    elif variant is Variant.TOTAL:
-        for i in range(v):
-            for j in range(i + 1, v):
-                yield i, j
-    elif variant is Variant.DUAL:
-        for i in range(v):
-            for j in range(i + 1, v):
-                if ((x_mask >> i) & 1) == ((x_mask >> j) & 1):
-                    yield i, j
-    elif variant is Variant.OUTER:
-        for i in range(v):
-            for j in range(i + 1, v):
-                if (x_mask >> i) & 1 or (x_mask >> j) & 1:
-                    yield i, j
-    else:
-        raise DomainError(f"no pair obligations for variant {variant}")
+def _blocked_pair(idx: VisibilityIndex, variant: Variant,
+                  x_mask: int) -> tuple[int, int] | None:
+    """The lexicographically first pair (i, j), i < j, that the variant
+    obliges to be X-visible and that is not, or None. One bitset BFS per
+    source s: the reach at distance d is N(reach at d - 1, minus X) cut
+    to the vertices at distance d from s, and a target is visible iff it
+    is reached in its own layer. Adjacent targets are not tested."""
+    adj, layers = idx.ctx.adj, idx.ctx.layers
+    full = (1 << idx.v) - 1
+    # the partners a source must see when it is in X, and when it is not
+    on_x, off_x = {Variant.MUTUAL: (x_mask, 0), Variant.TOTAL: (full, full),
+                   Variant.OUTER: (full, x_mask),
+                   Variant.DUAL: (x_mask, full & ~x_mask)}[variant]
+    free = ~x_mask
+    for s in range(idx.v):
+        ring = layers[s]
+        remaining = (on_x if x_mask >> s & 1 else off_x) & ~((2 << s) - 1) & ~ring[1]
+        reach = ring[1]
+        missed = 0
+        for layer in ring[2:]:
+            if not remaining:
+                break
+            f = reach & free
+            reach = 0
+            while f:
+                low = f & -f
+                reach |= adj[low.bit_length() - 1]
+                f ^= low
+            reach &= layer
+            missed |= remaining & layer & ~reach
+            remaining &= ~layer
+        if missed:
+            return s, (missed & -missed).bit_length() - 1
+    return None
 
 
 def is_visibility_set(graph: FamilyGraph, x_members: Iterable[KSubset],
@@ -331,10 +322,10 @@ def is_visibility_set(graph: FamilyGraph, x_members: Iterable[KSubset],
                         return CheckResult(False, idx.subset((i, j, k)))
         return CheckResult(True, None)
 
-    for i, j in _obligated_pairs(variant, idx.v, x_mask):
-        if not idx.pair_visible(i, j, x_mask):
-            return CheckResult(False, idx.subset((i, j)))
-    return CheckResult(True, None)
+    pair = _blocked_pair(idx, variant, x_mask)
+    if pair is None:
+        return CheckResult(True, None)
+    return CheckResult(False, idx.subset(pair))
 
 
 # ----------------------------------------------------------------------
@@ -567,23 +558,12 @@ def _max_dual_exhaustive(idx: VisibilityIndex,
     complete = True
 
     # X = empty set is always dual (no obstacles at all), so best >= 0
-    all_pairs = [(i, j) for i in range(v) for j in range(i + 1, v)]
     try:
         for mask in range(1 << v):
             counters.tick()
-            size = mask.bit_count()
-            if size <= best_size:
-                continue
-            ok = True
-            for i, j in all_pairs:
-                same_side = ((mask >> i) & 1) == ((mask >> j) & 1)
-                if not same_side:
-                    continue
-                if not idx.pair_visible(i, j, mask):
-                    ok = False
-                    break
-            if ok:
-                best_size, best_mask = size, mask
+            if (mask.bit_count() > best_size
+                    and _blocked_pair(idx, Variant.DUAL, mask) is None):
+                best_size, best_mask = mask.bit_count(), mask
     except BudgetExhausted:
         complete = False
     return best_size, best_mask, complete

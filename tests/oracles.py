@@ -5,6 +5,10 @@ itertools and deliberately shares no code with the package under test:
 graphs come from fresh generators, visibility is decided by enumerating
 the internal-vertex sets of all geodesics, and optima come from subset
 enumeration. Exponential in instance size; callers keep instances tiny.
+
+The reference visibility predicate at the end is the exception: it takes
+the package's adjacency rows and distance table as input (the families
+tests check those against networkx) and decides each pair on its own.
 """
 
 from __future__ import annotations
@@ -219,3 +223,52 @@ def brute_uniform_turan_c4sus(n: int, k: int) -> int:
         if not _has_c4_suspension(chosen, k):
             best = x.bit_count()
     return best
+
+
+# ----------------------------------------------------------------------
+# reference visibility predicate, one pair at a time
+
+# is the pair obligated, given whether each endpoint is in X?
+_OBLIGED = {
+    "mutual": lambda a, b: a and b,
+    "total": lambda a, b: True,
+    "dual": lambda a, b: a == b,
+    "outer": lambda a, b: a or b,
+}
+
+
+def reference_pair_visible(adj: list[int], dist, u: int, v: int, x_mask: int) -> bool:
+    """Layered reachability on the shortest u,v-path DAG: level s holds
+    the w with dist(u, w) = s and dist(u, w) + dist(w, v) = dist(u, v);
+    the walk from u keeps, level by level, the DAG vertices outside X
+    adjacent to the previous level, and must end next to v."""
+    d = dist[u][v]
+    if d <= 1:
+        return True
+    levels = [0] * d
+    for w in range(len(adj)):
+        s = dist[u][w]
+        if 0 < s < d and s + dist[w][v] == d:
+            levels[s] |= 1 << w
+    frontier = 1 << u
+    for s in range(1, d):
+        reach = 0
+        for w in range(len(adj)):
+            if frontier >> w & 1:
+                reach |= adj[w]
+        frontier = reach & levels[s] & ~x_mask
+    return any(frontier >> w & 1 and adj[w] >> v & 1 for w in range(len(adj)))
+
+
+def reference_blocking_pair(adj: list[int], dist, variant: str,
+                            x_mask: int) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, in lexicographic order that the
+    variant obliges to be X-visible and that is not, or None."""
+    obliged = _OBLIGED[variant]
+    v = len(adj)
+    for i in range(v):
+        for j in range(i + 1, v):
+            if (obliged(x_mask >> i & 1, x_mask >> j & 1)
+                    and not reference_pair_visible(adj, dist, i, j, x_mask)):
+                return i, j
+    return None

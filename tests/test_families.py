@@ -8,6 +8,7 @@ from mvlab.families import (
     FamilyKind,
     bipartite_kneser,
     format_family,
+    graph_context,
     johnson,
     kneser,
     parse_family,
@@ -134,3 +135,20 @@ def test_diameter_matches_reference():
     assert kneser(5, 2).diameter() == 2  # Petersen
     for g in (kneser(6, 2), johnson(6, 3), bipartite_kneser(5, 2)):
         assert g.diameter() == nx.diameter(_to_nx(g))
+
+
+@pytest.mark.parametrize("graph", (kneser(7, 2), kneser(7, 3), johnson(6, 3),
+                                   bipartite_kneser(6, 2), bipartite_kneser(7, 3)),
+                         ids=format_family)
+def test_layers_partition_the_vertices_by_distance(graph):
+    ctx = graph_context(graph)
+    v = len(ctx.masks)
+    for i, layers in enumerate(ctx.layers):
+        assert layers[0] == 1 << i
+        assert len(layers) == max(ctx.dist[i]) + 1
+        union = 0
+        for d, layer in enumerate(layers):
+            assert layer and not layer & union
+            union |= layer
+            assert layer == sum(1 << j for j in range(v) if ctx.dist[i][j] == d)
+        assert union == (1 << v) - 1

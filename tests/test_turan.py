@@ -175,3 +175,14 @@ def test_budget_cut_search_builds_only_the_rows_it_visits():
         tracemalloc.stop()
     assert not r.exact and r.nodes_expanded == 500
     assert peak < 16 * 2**20
+
+
+def test_deep_search_returns_an_interval():
+    # the incumbent passes 1,000 included edges, deeper than the
+    # interpreter's recursion limit allows a recursive search to go
+    pat = build_c4_suspension(3)
+    r = ex_uniform(50, 3, pat, Budget(max_nodes=300000))
+    assert not r.exact and r.nodes_expanded == 300000
+    assert 1000 < r.lo <= r.hi == 19600  # C(50, 3) candidates
+    assert len(r.witness.edges) == r.lo
+    assert contains_pattern(r.witness, pat) is None

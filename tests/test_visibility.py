@@ -16,7 +16,14 @@ from mvlab.visibility import (
     visibility_index,
 )
 
-from oracles import brute_gp, brute_parameter, johnson_nx, kneser_nx
+from oracles import (
+    brute_gp,
+    brute_parameter,
+    johnson_nx,
+    kneser_nx,
+    reference_blocking_pair,
+    reference_pair_visible,
+)
 
 PETERSEN_EXPECTED = {"mu": 6, "mu-total": 0, "mu-dual": 0, "mu-outer": 4}
 J42_EXPECTED = {"mu": 5, "mu-total": 4, "mu-dual": 5, "mu-outer": 4}
@@ -194,6 +201,28 @@ def test_midpoint_mask_matches_pair_visible(graph, data):
     w = data.draw(st.integers(0, v - 1), label="w")
     for a, b, m in through[w]:
         assert a < b and m == mid[a][b]
+
+
+# diameters 2, 3, 3 and 7
+REFERENCE_GRAPHS = (kneser(7, 2), johnson(6, 3), bipartite_kneser(6, 2),
+                    bipartite_kneser(7, 3))
+PAIR_VARIANTS = (Variant.MUTUAL, Variant.TOTAL, Variant.OUTER, Variant.DUAL)
+
+
+@PROPERTY
+@given(st.sampled_from(REFERENCE_GRAPHS), st.sampled_from(PAIR_VARIANTS), st.data())
+def test_predicate_matches_the_pairwise_reference(graph, variant, data):
+    idx = visibility_index(graph)
+    adj, dist = idx.ctx.adj, idx.ctx.dist
+    members = data.draw(st.sets(st.integers(0, idx.v - 1)), label="X")
+    x = sum(1 << i for i in members)
+    res = is_visibility_set(graph, idx.subset(members), variant)
+    expected = reference_blocking_pair(adj, dist, variant.value, x)
+    assert res.ok == (expected is None)
+    assert res.blocking == (None if expected is None else idx.subset(expected))
+    i = data.draw(st.integers(0, idx.v - 1), label="i")
+    j = data.draw(st.integers(0, idx.v - 1).filter(lambda j: j != i), label="j")
+    assert idx.pair_visible(i, j, x) == reference_pair_visible(adj, dist, i, j, x)
 
 
 @PROPERTY
