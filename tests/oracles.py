@@ -6,9 +6,12 @@ graphs come from fresh generators, visibility is decided by enumerating
 the internal-vertex sets of all geodesics, and optima come from subset
 enumeration. Exponential in instance size; callers keep instances tiny.
 
-The reference visibility predicate at the end is the exception: it takes
-the package's adjacency rows and distance table as input (the families
-tests check those against networkx) and decides each pair on its own.
+Two references are exceptions. ``reference_solve_tau`` is the package's
+former transversal kernel, plain branching without sibling bans, kept to
+pin that the banned kernel returns the same optimum and witness. The
+reference visibility predicate at the end takes the package's adjacency
+rows and distance table as input (the families tests check those against
+networkx) and decides each pair on its own.
 """
 
 from __future__ import annotations
@@ -126,13 +129,68 @@ def brute_gp(g: nx.Graph) -> int:
 
 def brute_tau(edges: list[tuple[int, ...]], n: int) -> int:
     """Minimum hitting set by growing-size subset enumeration."""
-    ground = range(1, n + 1)
+    masks = [sum(1 << x for x in e) for e in edges]
+    bits = [1 << x for x in range(1, n + 1)]
     for size in range(0, n + 1):
-        for cand in itertools.combinations(ground, size):
-            s = set(cand)
-            if all(s & set(e) for e in edges):
+        for cand in itertools.combinations(bits, size):
+            hit = sum(cand)
+            for e in masks:
+                if not hit & e:
+                    break
+            else:
                 return size
     raise AssertionError("unreachable: the full ground set hits everything")
+
+
+def reference_solve_tau(edges: list[int]) -> tuple[int, int]:
+    """(tau, witness mask) of bitmask edges by plain
+    branching: drop superset edges, sort by (size, mask), start from a
+    max-degree greedy transversal, branch on the first uncovered edge's
+    vertices in ascending order, and prune on |chosen| + (greedy matching
+    over the uncovered edges) >= |best|."""
+    minimal: list[int] = []
+    for e in sorted(set(edges)):
+        if not any(f & e == f for f in minimal):
+            minimal.append(e)
+    if not minimal:
+        return 0, 0
+    minimal.sort(key=lambda e: (e.bit_count(), e))
+
+    def bits(mask):
+        while mask:
+            low = mask & -mask
+            yield low
+            mask ^= low
+
+    best_mask, remaining = 0, list(minimal)
+    while remaining:
+        counts: dict[int, int] = {}
+        for e in remaining:
+            for low in bits(e):
+                counts[low] = counts.get(low, 0) + 1
+        pick = max(counts, key=lambda b: (counts[b], -b))
+        best_mask |= pick
+        remaining = [e for e in remaining if not e & pick]
+    best_size = best_mask.bit_count()
+
+    stack = [(minimal, 0)]
+    while stack:
+        uncovered, chosen = stack.pop()
+        size = chosen.bit_count()
+        if not uncovered:
+            if size < best_size:
+                best_size, best_mask = size, chosen
+            continue
+        used = matching = 0
+        for e in uncovered:
+            if not e & used:
+                used |= e
+                matching += 1
+        if size + matching >= best_size:
+            continue
+        for bit in reversed(list(bits(uncovered[0]))):
+            stack.append(([e for e in uncovered if not e & bit], chosen | bit))
+    return best_size, best_mask
 
 
 def brute_covering(n: int, k: int, t: int) -> int:
