@@ -8,41 +8,45 @@ to a proven interval. Preconditions mirror the stated ranges of the
 results and are never extrapolated: a query outside the range raises a
 precondition error naming the violated clause.
 
-``verify`` binds every formula tag to an oracle strategy and emits
-VerificationReport rows:
+``verify`` binds every formula tag to an oracle and emits
+VerificationReport rows. A graph parameter is checked through one oracle
+ladder, ``_oracle``: each verifier names the rungs it may use, and the
+first rung within reach of the graph runs.
 
-- definitional-search: full branch-and-bound over the graph (small
-  instances only);
-- singleton-sweep: for zero-valued ranges, every single vertex fails
-  the total-visibility predicate (total visibility sets are closed
-  under subsets, so this settles the value 0 exactly);
+- definitional-search: full branch-and-bound, up to 22 vertices (16 for
+  the dual variant);
+- singleton-sweep: up to 300 vertices, settles a zero value exactly, as
+  total visibility sets are subset-closed: every singleton must fail;
+- witness / witness-only: an explicit construction, validated by the
+  definitional predicate up to 300 vertices and past that, on a Kneser
+  graph with n >= 3k-1 and a variant other than general position, by the
+  transversal reduction (no vertex cap); "witness" fully
+  proves a bound-shaped claim, while "witness-only" marks an equality whose
+  matching upper bound is not independently re-proved at this size;
 - reduction-min-edges: the transversal characterization of total
-  visibility in the disjointness graphs, with the minimum edge count
-  found by the reference edge-subset search;
-- equivalence-sweep: seeded random subsets checked against both the
-  definitional predicate and the transversal reduction;
-- witness / witness-only: an explicit construction is validated
-  definitionally; "witness" fully proves a bound-shaped claim, while
-  "witness-only" marks an equality whose matching upper bound is not
-  independently re-proved at this size;
-- covering-search / construction-tau / integer-arithmetic for the
-  combinatorial lemmas.
+  visibility in the disjointness graphs, with the minimum edge count found
+  by the reference edge-subset search (no vertex cap).
+
+The lemmas use covering-search, construction-tau, integer-arithmetic and
+equivalence-sweep (seeded random subsets, definitional against reduction).
 
 A verdict is "pass" when formula and oracle enclosures agree on their
 overlap (for equality claims the oracle must be exact), "fail" on a
-contradiction, and "skipped" with an explicit reason when the oracle is
-beyond budget or a precondition is unmet.
+contradiction, and "skipped" otherwise; ``_report`` builds every skipped
+row. A skip reason says which of two things stopped the oracle: a static
+cap, decided before any search runs ("kneser:n=11,k=4 has 330 vertices,
+above the 300-vertex witness-check cap"), or the caller's budget ("oracle
+beyond budget", "mu-dual search beyond budget"). A precondition skip names
+the violated clause.
 
-Every construction becomes a row through ``_witness_report``: a witness
-that fails its validation fails the row, and a valid one of size s is the
-oracle enclosure [s, |V|], settled by ``_report``. For a "witness-only"
-equality with formula enclosure f this is the witness rule: fail when
-s > f.hi, or when f is exact and s < f.lo; skipped when f is a proper
-interval and s < f.lo; pass otherwise. So a witness larger than an
-interval formula fails (no shipped construction reaches this), failing
-rows word their reason the same way for every formula, and mu-johnson-k2
-skips a row whose Turan search the budget cut short, since a smaller
-witness from an unfinished search contradicts nothing.
+A valid construction of size s is the oracle enclosure [s, |V|]; one that
+fails its validation fails the row. For a "witness-only" equality with
+formula enclosure f this is the witness rule: fail when s > f.hi, or when
+f is exact and s < f.lo; skipped when f is a proper interval and s < f.lo;
+pass otherwise. So a witness larger than an interval formula fails (no
+shipped construction reaches this), and mu-johnson-k2 skips a row whose
+Turan search the budget cut short, since a smaller witness from an
+unfinished search contradicts nothing.
 """
 
 from __future__ import annotations
@@ -52,12 +56,14 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import comb
+from typing import Callable, NamedTuple
 
 from .budget import Budget, Bounds, BudgetExhausted, as_bounds, bounds_agree
 from .constructions import build_h_nk
 from .covering import CoveringCertificate, c_star, covering_number, min_edges_with_tau
 from .errors import ConstraintError, DomainError, PreconditionError
-from .families import FamilyGraph, bipartite_kneser, format_family, johnson, kneser, parse_family
+from .families import (FamilyGraph, FamilyKind, bipartite_kneser, format_family, johnson,
+                       kneser, parse_family)
 from .hypergraphs import transversal_number
 from .subsets import KSubset
 from .turan import build_c4_suspension, build_k4_suspension, ex_uniform
@@ -89,7 +95,7 @@ def all_formula_ids() -> tuple[str, ...]:
     return tuple(f.value for f in FormulaId)
 
 
-# vertex-count caps for the oracle strategies
+# vertex-count caps of the oracle ladder's rungs
 DEFINITIONAL_SEARCH_CAP = 22
 DUAL_SEARCH_CAP = 16
 WITNESS_CHECK_CAP = 300
@@ -275,13 +281,17 @@ def _settle(claim: str, f: Bounds, o: Bounds) -> str | None:
 def _report(formula: FormulaId, params: dict, f: Bounds | None, o: Bounds | None,
             oracle: str, claim: str = "equals", reason: str = "",
             certificates: tuple[dict, ...] = ()) -> VerificationReport:
-    """Assemble a report, settling the verdict from the enclosures. A
-    "witness-only" equality follows the witness rule (module docstring)
+    """Assemble a report, settling the verdict from the enclosures. This is
+    the one place a skipped row is built: o None is a skip for ``reason``.
+    A "witness-only" equality follows the witness rule (module docstring)
     and words its own fail and skipped reasons."""
-    if f is None or o is None:
-        raise DomainError(f"{formula.value}: a report needs both the formula "
-                          f"and the oracle enclosure")
-    if claim == "equals" and oracle == "witness-only":
+    if o is None:
+        if not reason:
+            raise DomainError(f"{formula.value}: a skipped row needs a reason")
+        verdict = "skipped"
+    elif f is None:
+        raise DomainError(f"{formula.value}: a report needs the formula enclosure")
+    elif claim == "equals" and oracle == "witness-only":
         size = o.lo                   # o = [witness size, |V|]
         if size > f.hi or (f.exact and size < f.lo):
             verdict = "fail"
@@ -302,50 +312,131 @@ def _report(formula: FormulaId, params: dict, f: Bounds | None, o: Bounds | None
                               reason, certificates)
 
 
-def _witness_report(formula: FormulaId, params: dict, f: Bounds, graph: FamilyGraph,
-                    size: int, check: tuple[bool, dict], construction: str,
-                    oracle: str = "witness-only", claim: str = "equals",
-                    reason: str = "", certificates: tuple[dict, ...] = ()
-                    ) -> VerificationReport:
-    """The row for a construction of ``size`` vertices of ``graph``, whose
-    validation returned ``check`` = (ok, certificate); settled by
-    ``_report`` once the construction validates."""
-    ok, cert = check
-    cert["construction"] = construction
-    certificates = certificates + (cert,)
-    if not ok:
-        return VerificationReport(formula, params, f, Bounds(0, graph.vertex_count),
-                                  "fail", oracle, claim,
+# ----------------------------------------------------------------------
+# the oracle ladder
+
+
+class _Witness(NamedTuple):
+    """A construction for the witness rungs; ``members`` is None when the
+    search that builds it was cut by the budget."""
+    members: list[KSubset] | None
+    construction: str
+    certificates: tuple[dict, ...] = ()
+
+
+class _Oracle(NamedTuple):
+    """The ladder's answer: the rung that ran (or the last one tried), its
+    enclosure (None for a skip, which ``reason`` explains), its certificates,
+    and whether the construction it checked failed validation."""
+    name: str
+    value: Bounds | None
+    certificates: tuple[dict, ...] = ()
+    reason: str = ""
+    refuted: bool = False
+
+
+def _past_cap(graph: FamilyGraph, variant: Variant, rung: str) -> str:
+    """The static skip reason when ``graph`` is past the vertex cap of
+    ``rung``, else ""."""
+    if rung == "definitional-search":
+        cap, what = ((DUAL_SEARCH_CAP, "dual-search") if variant is Variant.DUAL
+                     else (DEFINITIONAL_SEARCH_CAP, "definitional-search"))
+    else:
+        cap, what = WITNESS_CHECK_CAP, "witness-check"
+    if graph.vertex_count <= cap:
+        return ""
+    return (f"{format_family(graph)} has {graph.vertex_count} vertices, "
+            f"above the {cap}-vertex {what} cap")
+
+
+def _oracle(graph: FamilyGraph, variant: Variant, budget: Budget | None,
+            rungs: tuple[str, ...],
+            witness: Callable[[], _Witness] | None = None) -> _Oracle:
+    """The oracle ladder (module docstring): run the first of ``rungs``
+    within reach of ``graph``. Past every cap the answer is a skip naming
+    the last cap; a rung the budget cuts short is an "oracle beyond budget"
+    skip. The witness rungs check the construction ``witness()``."""
+    reason = ""
+    try:
+        for rung in rungs:
+            if rung == "reduction-min-edges":
+                return _min_edges(graph, budget)
+            reason = _past_cap(graph, variant, rung)
+            if rung == "definitional-search" and not reason:
+                return _definitional(graph, variant, budget)
+            if rung == "singleton-sweep" and not reason:
+                return _singleton_sweep(graph)
+            # the reduction decides total visibility, which implies every
+            # variant but general position
+            reducible = (graph.kind is FamilyKind.KNESER
+                         and graph.n >= 3 * graph.k - 1
+                         and variant is not Variant.GENERAL_POSITION)
+            if rung in ("witness", "witness-only") and (not reason or reducible):
+                return _checked(rung, graph, variant, budget, witness(), not reason)
+    except BudgetExhausted:
+        return _Oracle(rung, None, reason="oracle beyond budget")
+    return _Oracle(rung, None, reason=reason)
+
+
+def _checked(rung: str, graph: FamilyGraph, variant: Variant, budget: Budget | None,
+             w: _Witness, definitional: bool) -> _Oracle:
+    """A valid construction of size s is the enclosure [s, |V|]."""
+    if w.members is None:
+        # a budget-cut search returns a smaller witness, not a contradiction
+        return _Oracle(rung, None, w.certificates, "oracle beyond budget")
+    if definitional:
+        ok, cert = _validate_witness(graph, w.members, variant)
+    else:
+        ok = kneser_total_mv_check_fast(graph.n, graph.k, w.members, budget)
+        cert = {"witness_size": len(w.members), "validates": ok,
+                "validator": "transversal-reduction"}
+    cert["construction"] = w.construction
+    size = len(w.members) if ok else 0
+    return _Oracle(rung, Bounds(size, graph.vertex_count), w.certificates + (cert,),
+                   refuted=not ok)
+
+
+def _min_edges(graph: FamilyGraph, budget: Budget | None) -> _Oracle:
+    n, k = graph.n, graph.k
+    m, witness, nodes = min_edges_with_tau(n, k, 2 * k, budget)
+    tau_cert = transversal_number(witness, budget)
+    if not tau_cert.optimal:
+        raise BudgetExhausted
+    return _Oracle("reduction-min-edges", as_bounds(comb(n, k) - m),
+                   ({"min_edges": m, "nodes_expanded": nodes}, tau_cert.as_json()))
+
+
+def _row(formula: FormulaId, params: dict, f: Bounds, o: _Oracle,
+         claim: str = "equals", reason: str = "",
+         certificates: tuple[dict, ...] = ()) -> VerificationReport:
+    """The report for the ladder's answer ``o``, its certificates after
+    ``certificates``. A construction that fails its validation fails the
+    row; every other answer is settled by ``_report``."""
+    certificates += o.certificates
+    if o.refuted:
+        return VerificationReport(formula, params, f, o.value, "fail", o.name, claim,
                                   "witness fails the visibility predicate",
                                   certificates)
-    return _report(formula, params, f, Bounds(size, graph.vertex_count), oracle,
-                   claim, reason, certificates)
-
-
-# ----------------------------------------------------------------------
-# oracle building blocks
+    return _report(formula, params, f, o.value, o.name, claim, o.reason or reason,
+                   certificates)
 
 
 def _definitional(graph: FamilyGraph, variant: Variant, budget: Budget | None
-                  ) -> tuple[Bounds, tuple[dict, ...]]:
+                  ) -> _Oracle:
     cert = max_visibility_number(graph, variant, budget)
-    if cert.exact:
-        val = Bounds(cert.value, cert.value)
-    else:
-        val = Bounds(cert.value, graph.vertex_count)
-    return val, (cert.as_json(),)
+    hi = cert.value if cert.exact else graph.vertex_count
+    return _Oracle("definitional-search", Bounds(cert.value, hi), (cert.as_json(),))
 
 
-def _singleton_sweep(graph: FamilyGraph) -> tuple[Bounds, tuple[dict, ...]]:
+def _singleton_sweep(graph: FamilyGraph) -> _Oracle:
     """Exact value-0 oracle: total visibility sets are subset-closed, so
     the parameter is 0 iff every singleton fails."""
     for v in graph.vertices():
-        res = is_visibility_set(graph, [v], Variant.TOTAL)
-        if res.ok:
-            return Bounds(1, graph.vertex_count), (
-                {"singleton": list(v.members()), "total_visibility": True},)
-    return Bounds(0, 0), ({"singletons_checked": graph.vertex_count,
-                           "all_fail": True},)
+        if is_visibility_set(graph, [v], Variant.TOTAL).ok:
+            return _Oracle("singleton-sweep", Bounds(1, graph.vertex_count), (
+                {"singleton": list(v.members()), "total_visibility": True},))
+    return _Oracle("singleton-sweep", Bounds(0, 0), (
+        {"singletons_checked": graph.vertex_count, "all_fail": True},))
 
 
 def _validate_witness(graph: FamilyGraph, members: list[KSubset],
@@ -362,12 +453,11 @@ def _validate_witness(graph: FamilyGraph, members: list[KSubset],
     return res.ok, cert
 
 
-def _kneser_vertices_minus(n: int, k: int, removed: list[int]
-                           ) -> tuple[FamilyGraph, list[KSubset]]:
-    g = kneser(n, k)
+def _kneser_minus(graph: FamilyGraph, removed: list[int], construction: str
+                  ) -> _Witness:
+    """The vertices of ``graph`` outside ``removed``."""
     gone = set(removed)
-    members = [v for v in g.vertices() if v.bits not in gone]
-    return g, members
+    return _Witness([v for v in graph.vertices() if v.bits not in gone], construction)
 
 
 def _disjoint_edges(n: int, k: int, count: int) -> list[int]:
@@ -378,36 +468,17 @@ def _disjoint_edges(n: int, k: int, count: int) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# per-formula verifiers
+# per-formula verifiers: each names its formula, its construction and the
+# rungs of the ladder it may use
 
 
 def _v_mut_kneser(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
     n, k = inst["n"], inst["k"]
     f = mut_kneser_formula(n, k, budget)
-    g = kneser(n, k)
-    if n <= 3 * k - 1:
-        if g.vertex_count > WITNESS_CHECK_CAP:
-            return [VerificationReport(FormulaId.MUT_KNESER, inst, f, None,
-                                       "skipped", "singleton-sweep",
-                                       reason="oracle beyond budget")]
-        o, certs = _singleton_sweep(g)
-        return [_report(FormulaId.MUT_KNESER, inst, f, o, "singleton-sweep",
-                        certificates=certs)]
-    if g.vertex_count <= DEFINITIONAL_SEARCH_CAP:
-        o, certs = _definitional(g, Variant.TOTAL, budget)
-        return [_report(FormulaId.MUT_KNESER, inst, f, o, "definitional-search",
-                        certificates=certs)]
-    try:
-        m, witness, nodes = min_edges_with_tau(n, k, 2 * k, budget)
-    except BudgetExhausted:
-        return [VerificationReport(FormulaId.MUT_KNESER, inst, f, None, "skipped",
-                                   "reduction-min-edges",
-                                   reason="oracle beyond budget")]
-    tau_cert = transversal_number(witness)
-    o = as_bounds(comb(n, k) - m)
-    return [_report(FormulaId.MUT_KNESER, inst, f, o, "reduction-min-edges",
-                    certificates=({"min_edges": m, "nodes_expanded": nodes},
-                                  tau_cert.as_json()))]
+    rungs = (("singleton-sweep",) if n <= 3 * k - 1
+             else ("definitional-search", "reduction-min-edges"))
+    o = _oracle(kneser(n, k), Variant.TOTAL, budget, rungs)
+    return [_row(FormulaId.MUT_KNESER, inst, f, o)]
 
 
 def _mu_kneser_witness(n: int, k: int) -> tuple[list[int], str]:
@@ -425,87 +496,61 @@ def _mu_kneser_witness(n: int, k: int) -> tuple[list[int], str]:
 def _v_mu_kneser(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
     n, k = inst["n"], inst["k"]
     f = mu_kneser_formula(n, k, budget)
-    removed, kind = _mu_kneser_witness(n, k)
-    g, members = _kneser_vertices_minus(n, k, removed)
-    size = len(members)
-    if g.vertex_count <= WITNESS_CHECK_CAP:
-        check = _validate_witness(g, members, Variant.MUTUAL)
-    elif n >= 3 * k - 1:
-        ok = kneser_total_mv_check_fast(n, k, members)
-        check = ok, {"witness_size": size, "validates": ok,
-                     "validator": "transversal-reduction"}
-    else:
-        return [VerificationReport(FormulaId.MU_KNESER, inst, f, None, "skipped",
-                                   "witness-only",
-                                   reason="witness validation beyond budget")]
-    return [_witness_report(FormulaId.MU_KNESER, inst, f, g, size, check, kind)]
+    g = kneser(n, k)
+    o = _oracle(g, Variant.MUTUAL, budget, ("witness-only",),
+                lambda: _kneser_minus(g, *_mu_kneser_witness(n, k)))
+    return [_row(FormulaId.MU_KNESER, inst, f, o)]
 
 
 def _v_mut_bipartite(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
     f, cov = _mut_bipartite(inst["n"], inst["k"], budget)
-    return [_mut_bipartite_report(inst, f, cov)]
+    return [_mut_bipartite_report(inst, f, cov, budget)]
 
 
-def _mut_bipartite_report(inst: dict, f: Bounds,
-                          cov: CoveringCertificate | None) -> VerificationReport:
+def _mut_bipartite_report(inst: dict, f: Bounds, cov: CoveringCertificate | None,
+                          budget: Budget | None) -> VerificationReport:
     """The mut-bipartite row for formula bounds ``f`` and the covering
     certificate they came from."""
     n, k = inst["n"], inst["k"]
     g = bipartite_kneser(n, k)
     if n <= 3 * k:
-        if g.vertex_count > WITNESS_CHECK_CAP:
-            return VerificationReport(FormulaId.MUT_BIPARTITE, inst, f, None,
-                                      "skipped", "singleton-sweep",
-                                      reason="oracle beyond budget")
-        o, certs = _singleton_sweep(g)
-        return _report(FormulaId.MUT_BIPARTITE, inst, f, o, "singleton-sweep",
-                       certificates=certs)
-    # witness: both sides of a minimum covering family removed
-    full = (1 << n) - 1
-    if cov is None:
-        blocks = [full ^ e for e in _disjoint_edges(n, k, 2 * k + 1)]
-    elif not cov.exact:
-        return VerificationReport(FormulaId.MUT_BIPARTITE, inst, f, None,
-                                  "skipped", "witness-only",
-                                  reason="covering search beyond budget")
-    else:
-        blocks = list(cov.blocks)
-    gone = set(blocks) | {full ^ b for b in blocks}
-    members = [v for v in g.vertices() if v.bits not in gone]
-    size = len(members)
-    if g.vertex_count > WITNESS_CHECK_CAP:
-        return VerificationReport(FormulaId.MUT_BIPARTITE, inst, f, None, "skipped",
-                                  "witness-only",
-                                  reason="witness validation beyond budget")
-    return _witness_report(FormulaId.MUT_BIPARTITE, inst, f, g, size,
-                           _validate_witness(g, members, Variant.TOTAL),
-                           "covering-family-both-sides")
+        o = _oracle(g, Variant.TOTAL, budget, ("singleton-sweep",))
+        return _row(FormulaId.MUT_BIPARTITE, inst, f, o)
+    if cov is not None and not cov.exact:
+        return _report(FormulaId.MUT_BIPARTITE, inst, f, None, "witness-only",
+                       reason="covering search beyond budget")
+
+    def witness() -> _Witness:
+        # both sides of a minimum covering family removed
+        full = (1 << n) - 1
+        blocks = (cov.blocks if cov is not None
+                  else [full ^ e for e in _disjoint_edges(n, k, 2 * k + 1)])
+        gone = set(blocks) | {full ^ b for b in blocks}
+        return _Witness([v for v in g.vertices() if v.bits not in gone],
+                        "covering-family-both-sides")
+
+    o = _oracle(g, Variant.TOTAL, budget, ("witness-only",), witness)
+    return _row(FormulaId.MUT_BIPARTITE, inst, f, o)
 
 
 def _v_mu_bipartite_lb(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
     n, k = inst["n"], inst["k"]
     f, f_mut, cov = _mu_bipartite_lb(n, k, budget)
     g = bipartite_kneser(n, k)
-    if g.vertex_count > WITNESS_CHECK_CAP:
-        return [VerificationReport(FormulaId.MU_BIPARTITE_LB, inst, f, None,
-                                   "skipped", "witness",
-                                   reason="witness validation beyond budget")]
-    certs: list[dict] = []
-    best = 0
     # k-side class: pairwise distance 2 through the larger side
-    side = [v for v in g.vertices() if v.size == k]
-    ok, cert = _validate_witness(g, side, Variant.MUTUAL)
-    cert["construction"] = "k-side-class"
-    certs.append(cert)
-    if ok:
-        best = max(best, len(side))
-    mut = _mut_bipartite_report(inst, f_mut, cov)
-    if mut.oracle_value is not None and mut.verdict == "pass":
+    side = _oracle(g, Variant.MUTUAL, budget, ("witness",),
+                   lambda: _Witness([v for v in g.vertices() if v.size == k],
+                                    "k-side-class"))
+    if side.value is None:
+        return [_row(FormulaId.MU_BIPARTITE_LB, inst, f, side, claim="at-least")]
+    best = 0 if side.refuted else side.value.lo
+    certs = side.certificates
+    mut = _mut_bipartite_report(inst, f_mut, cov, budget)
+    if mut.verdict == "pass":
         best = max(best, mut.oracle_value.lo)
-        certs.extend(mut.certificates)
-    o = Bounds(best, g.vertex_count)
-    return [_report(FormulaId.MU_BIPARTITE_LB, inst, f, o, "witness",
-                    claim="at-least", certificates=tuple(certs))]
+        certs += mut.certificates
+    return [_report(FormulaId.MU_BIPARTITE_LB, inst, f, Bounds(best, g.vertex_count),
+                    "witness", claim="at-least", certificates=certs)]
 
 
 def _v_mut_johnson(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
@@ -513,22 +558,12 @@ def _v_mut_johnson(inst: dict, budget: Budget | None, seed: int) -> list[Verific
     if k < 2 or n < k + 2:
         raise ConstraintError(f"need n >= k+2 and k >= 2, got n={n}, k={k}")
     tr = ex_uniform(n, k, build_c4_suspension(k), budget)
-    f = tr.bounds
-    certs: list[dict] = [tr.as_json()]
-    g = johnson(n, k)
-    if g.vertex_count <= DEFINITIONAL_SEARCH_CAP:
-        o, dcerts = _definitional(g, Variant.TOTAL, budget)
-        return [_report(FormulaId.MUT_JOHNSON, inst, f, o, "definitional-search",
-                        certificates=tuple(certs) + dcerts)]
-    if g.vertex_count > WITNESS_CHECK_CAP:
-        return [VerificationReport(FormulaId.MUT_JOHNSON, inst, f, None, "skipped",
-                                   "witness-only",
-                                   reason="oracle beyond budget",
-                                   certificates=tuple(certs))]
-    members = [KSubset(n, e) for e in tr.witness.edges]
-    return [_witness_report(FormulaId.MUT_JOHNSON, inst, f, g, len(members),
-                            _validate_witness(g, members, Variant.TOTAL),
-                            "pattern-free-edge-system", certificates=tuple(certs))]
+    o = _oracle(johnson(n, k), Variant.TOTAL, budget,
+                ("definitional-search", "witness-only"),
+                lambda: _Witness([KSubset(n, e) for e in tr.witness.edges],
+                                 "pattern-free-edge-system"))
+    return [_row(FormulaId.MUT_JOHNSON, inst, tr.bounds, o,
+                 certificates=(tr.as_json(),))]
 
 
 def _v_mu_johnson_sandwich(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
@@ -537,42 +572,23 @@ def _v_mu_johnson_sandwich(inst: dict, budget: Budget | None, seed: int) -> list
         raise ConstraintError(f"need n >= k+2 and k >= 2, got n={n}, k={k}")
     lo = ex_uniform(n, k, build_c4_suspension(k), budget)
     hi = ex_uniform(n, k, build_k4_suspension(k), budget)
-    f = Bounds(lo.lo, hi.hi)
-    certs = (lo.as_json(), hi.as_json())
-    g = johnson(n, k)
-    if g.vertex_count > DEFINITIONAL_SEARCH_CAP:
-        return [VerificationReport(FormulaId.MU_JOHNSON_SANDWICH, inst, f, None,
-                                   "skipped", "definitional-search", claim="within",
-                                   reason="oracle beyond budget",
-                                   certificates=certs)]
-    o, dcerts = _definitional(g, Variant.MUTUAL, budget)
-    return [_report(FormulaId.MU_JOHNSON_SANDWICH, inst, f, o,
-                    "definitional-search", claim="within",
-                    certificates=certs + dcerts)]
+    o = _oracle(johnson(n, k), Variant.MUTUAL, budget, ("definitional-search",))
+    return [_row(FormulaId.MU_JOHNSON_SANDWICH, inst, Bounds(lo.lo, hi.hi), o,
+                 claim="within", certificates=(lo.as_json(), hi.as_json()))]
 
 
 def _v_mu_johnson_k2(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
     n = inst["n"]
     f = as_bounds(mu_johnson_k2(n))
-    g = johnson(n, 2)
-    if g.vertex_count <= DEFINITIONAL_SEARCH_CAP:
-        o, certs = _definitional(g, Variant.MUTUAL, budget)
-        return [_report(FormulaId.MU_JOHNSON_K2, inst, f, o, "definitional-search",
-                        certificates=certs)]
-    if g.vertex_count > WITNESS_CHECK_CAP:
-        return [VerificationReport(FormulaId.MU_JOHNSON_K2, inst, f, None, "skipped",
-                                   "witness-only", reason="oracle beyond budget")]
-    tr = ex_uniform(n, 2, build_k4_suspension(2), budget)
-    if not tr.exact:
-        # a budget-cut search returns a smaller witness, not a contradiction
-        return [VerificationReport(FormulaId.MU_JOHNSON_K2, inst, f, None, "skipped",
-                                   "witness-only", reason="oracle beyond budget",
-                                   certificates=(tr.as_json(),))]
-    members = [KSubset(n, e) for e in tr.witness.edges]
-    return [_witness_report(FormulaId.MU_JOHNSON_K2, inst, f, g, len(members),
-                            _validate_witness(g, members, Variant.MUTUAL),
-                            "clique-pattern-free-edge-system",
-                            certificates=(tr.as_json(),))]
+
+    def witness() -> _Witness:
+        tr = ex_uniform(n, 2, build_k4_suspension(2), budget)
+        members = [KSubset(n, e) for e in tr.witness.edges] if tr.exact else None
+        return _Witness(members, "clique-pattern-free-edge-system", (tr.as_json(),))
+
+    o = _oracle(johnson(n, 2), Variant.MUTUAL, budget,
+                ("definitional-search", "witness-only"), witness)
+    return [_row(FormulaId.MU_JOHNSON_K2, inst, f, o)]
 
 
 def _v_mu_kneser_gp_lb(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
@@ -581,49 +597,25 @@ def _v_mu_kneser_gp_lb(inst: dict, budget: Budget | None, seed: int) -> list[Ver
     if n < 2 * k + 1:
         raise ConstraintError(f"need n >= 2k+1, got n={n}, k={k}")
     g = kneser(n, k)
-    if g.vertex_count > WITNESS_CHECK_CAP:
-        return [VerificationReport(FormulaId.MU_KNESER_GP_LB, inst, f, None,
-                                   "skipped", "witness", claim="at-least",
-                                   reason="witness validation beyond budget")]
-    star = [v for v in g.vertices() if v.bits & 1]
-    return [_witness_report(FormulaId.MU_KNESER_GP_LB, inst, f, g, len(star),
-                            _validate_witness(g, star, Variant.GENERAL_POSITION),
-                            "common-element-star", oracle="witness", claim="at-least")]
+    o = _oracle(g, Variant.GENERAL_POSITION, budget, ("witness",),
+                lambda: _Witness([v for v in g.vertices() if v.bits & 1],
+                                 "common-element-star"))
+    return [_row(FormulaId.MU_KNESER_GP_LB, inst, f, o, claim="at-least")]
 
 
 def _v_kneser2_all_params(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
     n = inst["n"]
     f = as_bounds(kneser2_all_params(n))
-    removed = _disjoint_edges(n, 2, 4)
-    g, members = _kneser_vertices_minus(n, 2, removed)
-    size = len(members)
-    if g.vertex_count > WITNESS_CHECK_CAP:
-        return [VerificationReport(FormulaId.KNESER2_ALL_PARAMS,
-                                   {**inst, "param": p}, f, None, "skipped",
-                                   "witness-only", reason="oracle beyond budget")
-                for p in ("mu-total", "mu", "mu-dual", "mu-outer")]
-    check = _validate_witness(g, members, Variant.TOTAL)
-    rows: list[VerificationReport] = []
-
+    g = kneser(n, 2)
     # the total parameter gets an exact oracle through the edge-count search
-    try:
-        m, witness, nodes = min_edges_with_tau(n, 2, 4, budget)
-        o_total = as_bounds(comb(n, 2) - m)
-        rows.append(_report(FormulaId.KNESER2_ALL_PARAMS, {**inst, "param": "mu-total"},
-                            f, o_total, "reduction-min-edges",
-                            certificates=({"min_edges": m, "nodes_expanded": nodes},
-                                          transversal_number(witness).as_json())))
-    except BudgetExhausted:
-        rows.append(VerificationReport(FormulaId.KNESER2_ALL_PARAMS,
-                                       {**inst, "param": "mu-total"}, f, None,
-                                       "skipped", "reduction-min-edges",
-                                       reason="oracle beyond budget"))
-
-    for p in ("mu", "mu-dual", "mu-outer"):
-        rows.append(_witness_report(
-            FormulaId.KNESER2_ALL_PARAMS, {**inst, "param": p}, f, g, size, check,
-            "complement-four-disjoint-pairs",
-            reason="upper bound from the exact total parameter"))
+    total = _oracle(g, Variant.TOTAL, budget, ("reduction-min-edges",))
+    rows = [_row(FormulaId.KNESER2_ALL_PARAMS, {**inst, "param": "mu-total"}, f, total)]
+    o = _oracle(g, Variant.TOTAL, budget, ("witness-only",),
+                lambda: _kneser_minus(g, _disjoint_edges(n, 2, 4),
+                                      "complement-four-disjoint-pairs"))
+    rows.extend(_row(FormulaId.KNESER2_ALL_PARAMS, {**inst, "param": p}, f, o,
+                     reason="upper bound from the exact total parameter")
+                for p in ("mu", "mu-dual", "mu-outer"))
     return rows
 
 
@@ -638,9 +630,9 @@ def _v_lemma_binom(inst: dict, budget: Budget | None, seed: int) -> list[Verific
         rows.append(_report(FormulaId.LEMMA_BINOM, {"n": n, "k": k}, f, o,
                             "integer-arithmetic", claim="greater-than"))
     if not rows:
-        rows.append(VerificationReport(FormulaId.LEMMA_BINOM, inst, None, None,
-                                       "skipped", "integer-arithmetic",
-                                       reason=f"no k satisfies k < {n} < 2k"))
+        rows.append(_report(FormulaId.LEMMA_BINOM, inst, None, None,
+                            "integer-arithmetic",
+                            reason=f"no k satisfies k < {n} < 2k"))
     return rows
 
 
@@ -657,22 +649,21 @@ def _v_lemma_cstar(inst: dict, budget: Budget | None, seed: int) -> list[Verific
                             "covering-search",
                             certificates=(cs.as_json(),)))
     if k >= 3 and n >= 7 * k - 5:
-        bound = 2 * comb(2 * k - 3, k) + 6
+        f = as_bounds(2 * comb(2 * k - 3, k) + 6)
         h = build_h_nk(n, k)
-        tau_cert = transversal_number(h)
-        if tau_cert.tau != 2 * k or not tau_cert.optimal:
+        tau_cert = transversal_number(h, budget)
+        params, certs = {**inst, "part": "ii"}, (tau_cert.as_json(),)
+        if tau_cert.optimal and tau_cert.tau != 2 * k:
             rows.append(VerificationReport(
-                FormulaId.LEMMA_CSTAR, {**inst, "part": "ii"}, as_bounds(bound),
-                None, "fail", "construction-tau",
+                FormulaId.LEMMA_CSTAR, params, f, None, "fail", "construction-tau",
                 reason=f"construction has transversal number {tau_cert.tau}, "
                        f"expected {2 * k}",
-                certificates=(tau_cert.as_json(),)))
-        else:
-            o = Bounds(2 * k, len(h.edges))
-            rows.append(_report(FormulaId.LEMMA_CSTAR, {**inst, "part": "ii"},
-                                as_bounds(bound), o, "construction-tau",
-                                claim="at-most",
-                                certificates=(tau_cert.as_json(),)))
+                certificates=certs))
+        else:   # a search the budget cut short is a skip
+            o = Bounds(2 * k, len(h.edges)) if tau_cert.optimal else None
+            rows.append(_report(FormulaId.LEMMA_CSTAR, params, f, o, "construction-tau",
+                                claim="at-most", certificates=certs,
+                                reason="" if o else "oracle beyond budget"))
     if n >= 2 * k * k + k:
         f = as_bounds(2 * k + 1)
         full = (1 << n) - 1
@@ -683,9 +674,8 @@ def _v_lemma_cstar(inst: dict, budget: Budget | None, seed: int) -> list[Verific
         rows.append(_report(FormulaId.LEMMA_CSTAR, {**inst, "part": "iii"}, f, o,
                             "covering-search", certificates=(cov.as_json(),)))
     if not rows:
-        rows.append(VerificationReport(FormulaId.LEMMA_CSTAR, inst, None, None,
-                                       "skipped", "covering-search",
-                                       reason=f"no clause covers n={n}, k={k}"))
+        rows.append(_report(FormulaId.LEMMA_CSTAR, inst, None, None, "covering-search",
+                            reason=f"no clause covers n={n}, k={k}"))
     return rows
 
 
@@ -709,7 +699,7 @@ def _v_lemma_transversal_equiv(inst: dict, budget: Budget | None,
     positives = 0
     for x in pools:
         definitional = is_visibility_set(g, x, Variant.TOTAL).ok
-        reduced = kneser_total_mv_check_fast(n, k, x)
+        reduced = kneser_total_mv_check_fast(n, k, x, budget)
         positives += definitional
         if definitional != reduced:
             disagreements += 1
@@ -732,22 +722,24 @@ def _v_sandwich_dual_outer(inst: dict, budget: Budget | None,
     spec = inst["family"]
     g = parse_family(spec) if isinstance(spec, str) else spec
     inst = {**inst, "family": format_family(g)}
-    if g.vertex_count > DUAL_SEARCH_CAP:
-        return [VerificationReport(FormulaId.SANDWICH_DUAL_OUTER, inst, None, None,
-                                   "skipped", "definitional-search", claim="chain",
-                                   reason="oracle beyond budget")]
+
+    def skip(reason: str) -> list[VerificationReport]:
+        return [_report(FormulaId.SANDWICH_DUAL_OUTER, inst, None, None,
+                        "definitional-search", claim="chain", reason=reason)]
+
+    # the dual search has the smallest cap, so it decides for all four
+    reason = _past_cap(g, Variant.DUAL, "definitional-search")
+    if reason:
+        return skip(reason)
     values: dict[str, int] = {}
     certs: list[dict] = []
     for name, variant in (("mu-total", Variant.TOTAL), ("mu-dual", Variant.DUAL),
                           ("mu-outer", Variant.OUTER), ("mu", Variant.MUTUAL)):
-        cert = max_visibility_number(g, variant, budget)
-        if not cert.exact:
-            return [VerificationReport(FormulaId.SANDWICH_DUAL_OUTER, inst, None,
-                                       None, "skipped", "definitional-search",
-                                       claim="chain",
-                                       reason=f"{name} search beyond budget")]
-        values[name] = cert.value
-        certs.append(cert.as_json())
+        o = _oracle(g, variant, budget, ("definitional-search",))
+        if not o.value.exact:
+            return skip(f"{name} search beyond budget")
+        values[name] = o.value.lo
+        certs.extend(o.certificates)
     chain_ok = (values["mu-total"] <= values["mu-dual"] <= values["mu"]
                 and values["mu-total"] <= values["mu-outer"] <= values["mu"])
     certs.insert(0, {"values": values, "chain_holds": chain_ok})
@@ -851,11 +843,9 @@ def verify(formula: FormulaId | str, params: dict | None = None,
         try:
             rows = _VERIFIERS[fid](inst, budget, seed)
         except PreconditionError as e:
-            rows = [VerificationReport(fid, inst, None, None, "skipped", "none",
-                                       reason=f"precondition: {e}")]
+            rows = [_report(fid, inst, None, None, "none", reason=f"precondition: {e}")]
         except BudgetExhausted:
-            rows = [VerificationReport(fid, inst, None, None, "skipped", "none",
-                                       reason="oracle beyond budget")]
+            rows = [_report(fid, inst, None, None, "none", reason="oracle beyond budget")]
         dt = time.perf_counter() - t0
         out.extend(replace(r, seconds=dt) for r in rows)
     return out

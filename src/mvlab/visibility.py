@@ -573,13 +573,18 @@ def _max_dual_exhaustive(idx: VisibilityIndex,
 # Kneser total-visibility reduction
 
 
-def kneser_total_mv_check_fast(n: int, k: int, x_members: Iterable[KSubset]) -> bool:
+def kneser_total_mv_check_fast(n: int, k: int, x_members: Iterable[KSubset],
+                               budget: Budget | None = None) -> bool:
     """Is X a total visibility set of the Kneser graph, via the
     transversal reduction (requires n >= 3k-1, the diameter-2 regime)?
 
     X qualifies iff the k-sets outside X form a hypergraph with
     transversal number >= 2k. In particular X = all vertices fails for
     n >= 2k+1 (the empty outside family has transversal number 0).
+
+    The transversal search runs under ``budget`` (uncapped when None). A
+    cut search still answers False when its upper bound is below 2k;
+    otherwise it cannot decide and raises BudgetExhausted.
     """
     graph = kneser(n, k)
     if n < 3 * k - 1:
@@ -593,5 +598,9 @@ def kneser_total_mv_check_fast(n: int, k: int, x_members: Iterable[KSubset]) -> 
     outside = [m for m in k_subset_masks(n, k) if m not in x_bits]
     if not outside:
         return False
-    h = hypergraph(n, outside)
-    return transversal_number(h).tau >= 2 * k
+    cert = transversal_number(hypergraph(n, outside), budget)
+    if cert.tau < 2 * k:
+        return False
+    if not cert.optimal:
+        raise BudgetExhausted
+    return True

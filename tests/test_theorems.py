@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvlab import theorems
+import mvlab.cli
+from mvlab import hypergraphs, theorems
 from mvlab.budget import Bounds, Budget
 from mvlab.errors import ConstraintError, DomainError, PreconditionError
 from mvlab.theorems import (
@@ -153,14 +154,19 @@ def test_gp_lower_bound_witness():
 
 
 def test_kneser2_all_params_rows():
-    reports = verify("kneser2-all-params", {"n": 8})
-    assert [r.params["param"] for r in reports] == [
-        "mu-total", "mu", "mu-dual", "mu-outer"]
-    assert _verdicts(reports) == ["pass"] * 4
-    assert reports[0].oracle == "reduction-min-edges"
-    for r in reports[1:]:
-        assert r.oracle == "witness-only"
-        assert "upper bound from the exact total parameter" in r.reason
+    # kneser(26, 2) has 325 vertices, past the witness-check cap: the total
+    # row keeps its uncapped edge-count oracle, and the witness is checked
+    # by the transversal reduction
+    for n, validator in ((8, "definitional"), (26, "transversal-reduction")):
+        reports = verify("kneser2-all-params", {"n": n})
+        assert [r.params["param"] for r in reports] == [
+            "mu-total", "mu", "mu-dual", "mu-outer"]
+        assert _verdicts(reports) == ["pass"] * 4
+        assert reports[0].oracle == "reduction-min-edges"
+        for r in reports[1:]:
+            assert r.oracle == "witness-only"
+            assert "upper bound from the exact total parameter" in r.reason
+            assert r.certificates[-1]["validator"] == validator
 
 
 def test_lemma_binom_rows():
@@ -213,6 +219,85 @@ def test_budget_exhaustion_skips_not_fails():
     (r,) = reports
     assert r.verdict == "skipped"
     assert "budget" in r.reason
+
+
+_CAPPED = [
+    ("mut-kneser", {"n": 11, "k": 4}, "singleton-sweep",
+     "kneser:n=11,k=4 has 330 vertices, above the 300-vertex witness-check cap"),
+    ("mu-johnson-sandwich", {"n": 8, "k": 2}, "definitional-search",
+     "johnson:n=8,k=2 has 28 vertices, above the 22-vertex definitional-search cap"),
+    ("mu-johnson-k2", {"n": 26}, "witness-only",
+     "johnson:n=26,k=2 has 325 vertices, above the 300-vertex witness-check cap"),
+    ("mu-kneser-gp-lb", {"n": 26, "k": 2}, "witness",
+     "kneser:n=26,k=2 has 325 vertices, above the 300-vertex witness-check cap"),
+    ("sandwich-dual-outer", {"family": "kneser:n=7,k=2"}, "definitional-search",
+     "kneser:n=7,k=2 has 21 vertices, above the 16-vertex dual-search cap"),
+]
+
+
+@pytest.mark.parametrize("formula,params,oracle,reason", _CAPPED,
+                         ids=[c[0] for c in _CAPPED])
+def test_static_cap_skips_name_the_cap(capsys, formula, params, oracle, reason):
+    # a cap is decided before any search runs, so its reason is not a budget's
+    (r,) = verify(formula, params)
+    assert (r.verdict, r.oracle, r.reason) == ("skipped", oracle, reason)
+    assert "budget" not in r.reason
+    argv = ["verify", "--formula", formula]
+    for key, value in params.items():
+        argv += [f"--{key}", str(value)]
+    assert mvlab.cli.main(argv) == 3
+    capsys.readouterr()
+
+
+# small instances of every formula, covering every skip path of the ladder:
+# a cap, cut searches, cut witness checks and cut tau calls
+_BUDGET_SWEEP = (
+    ("mut-kneser", {"n": (5, 9), "k": 2}),
+    ("mu-kneser", {"n": 26, "k": 2}),
+    ("mut-bipartite", {"n": (5, 8), "k": 2}),
+    ("mu-bipartite-lb", {"n": 8, "k": 2}),
+    ("mut-johnson", {"n": 6, "k": 2}),
+    ("mut-johnson", {"n": 7, "k": 3}),
+    ("mu-johnson-sandwich", {"n": 5, "k": 2}),
+    ("mu-johnson-k2", {"n": 8}),
+    ("mu-johnson-k2", {"n": 26}),
+    ("mu-kneser-gp-lb", {"n": 5, "k": 2}),
+    ("kneser2-all-params", {"n": (8, 9)}),
+    ("kneser2-all-params", {"n": 26}),
+    ("lemma-binom", {"n": 6}),
+    ("lemma-cstar", {"n": 8, "k": 2}),
+    ("lemma-cstar", {"n": 16, "k": 3}),
+    ("lemma-transversal-equiv", {"n": 12, "k": 2, "samples": 50}),
+    ("sandwich-dual-outer", {"family": "kneser:n=5,k=2"}),
+)
+
+
+@pytest.mark.parametrize("nodes", (0, 1, 10, 100, 1000))
+def test_budget_cut_never_fails_a_row(nodes):
+    assert {f for f, _ in _BUDGET_SWEEP} == set(all_formula_ids())
+    budget = Budget(max_nodes=nodes)
+    for formula, params in _BUDGET_SWEEP:
+        for r in verify(formula, params, budget=budget):
+            assert r.verdict in ("pass", "skipped"), (formula, r.params, r.reason)
+
+
+def test_verify_tau_calls_honour_the_budget(monkeypatch):
+    caps = []
+    inner = hypergraphs.solve_tau
+
+    def recorded(edges, node_cap=None, deadline=None):
+        caps.append(node_cap)
+        return inner(edges, node_cap, deadline)
+
+    monkeypatch.setattr(hypergraphs, "solve_tau", recorded)
+    budget = Budget(max_nodes=1, max_seconds=0.01)
+    (r,) = verify("lemma-transversal-equiv", {"n": 12, "k": 2, "samples": 50},
+                  budget=budget)
+    assert (r.verdict, r.reason) == ("skipped", "oracle beyond budget")
+    (ii,) = verify("lemma-cstar", {"n": 16, "k": 3}, budget=budget)
+    assert (ii.params["part"], ii.verdict) == ("ii", "skipped")
+    assert ii.certificates[0]["optimal"] is False
+    assert caps and set(caps) == {1}
 
 
 def test_report_json_shape_and_determinism():
@@ -333,7 +418,8 @@ def test_failed_validation_fails_the_row(monkeypatch, formula, params, budget,
 
 def test_failed_transversal_reduction_fails_the_row(monkeypatch):
     # kneser(26, 2) has 325 vertices, past the definitional witness check
-    monkeypatch.setattr(theorems, "kneser_total_mv_check_fast", lambda n, k, x: False)
+    monkeypatch.setattr(theorems, "kneser_total_mv_check_fast",
+                        lambda n, k, x, budget: False)
     (r,) = verify("mu-kneser", {"n": 26, "k": 2})
     _assert_fail_row(r, 325, "disjoint-edges")
     assert r.certificates[-1]["validator"] == "transversal-reduction"

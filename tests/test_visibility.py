@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvlab.budget import Budget, SearchCounters
+from mvlab.budget import Budget, BudgetExhausted, SearchCounters
 from mvlab.errors import DomainError
 from mvlab.families import bipartite_kneser, format_family, johnson, kneser
 from mvlab.subsets import KSubset
@@ -121,6 +121,18 @@ def test_fast_total_check_agrees_with_definitional():
         fast = kneser_total_mv_check_fast(6, 2, x)
         slow = is_visibility_set(g, x, Variant.TOTAL).ok
         assert fast == slow
+
+
+def test_fast_total_check_under_a_cut_budget():
+    g = kneser(6, 2)
+    vs = g.vertices()
+    cut = Budget(max_nodes=0)
+    # one outside edge: the greedy upper bound 1 < 2k already decides
+    assert kneser_total_mv_check_fast(6, 2, vs[1:], cut) is False
+    # all 15 outside: tau = 5 >= 2k, which a cut search cannot prove
+    assert kneser_total_mv_check_fast(6, 2, []) is True
+    with pytest.raises(BudgetExhausted):
+        kneser_total_mv_check_fast(6, 2, [], cut)
 
 
 def test_budget_degrades_to_incomplete():
