@@ -3,7 +3,13 @@
 Every exact search accepts a Budget; exceeding it is not an error but
 degrades the result to an interval (status "incomplete"/"interval") with
 the best proven bounds and witness. Defaults follow the CLI contract:
-10^7 nodes and 60 seconds per invocation.
+10^7 nodes and 60 seconds.
+
+A Budget bounds each search, not each command: every search counts its
+own nodes and times itself from its own start. A command that runs
+several searches may spend it once per search; for example,
+``verify --formula mut-johnson --n 6..9 --k 3 --budget-seconds 0.3`` runs
+four and takes about 1.2 s.
 """
 
 from __future__ import annotations

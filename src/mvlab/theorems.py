@@ -694,26 +694,34 @@ def _v_lemma_transversal_equiv(inst: dict, budget: Budget | None,
     pools.extend([v] for v in verts)  # singletons are the sharpest edge cases
     for _ in range(samples):
         pools.append([v for v in verts if rng.random() < 0.5])
-    disagreements = 0
+    params = {**inst, "samples": samples}
+    checked = disagreements = positives = 0
     first_bad: dict | None = None
-    positives = 0
     for x in pools:
         definitional = is_visibility_set(g, x, Variant.TOTAL).ok
-        reduced = kneser_total_mv_check_fast(n, k, x, budget)
+        try:
+            reduced = kneser_total_mv_check_fast(n, k, x, budget)
+        except BudgetExhausted:
+            # a disagreement found before the cut still fails the row
+            if disagreements:
+                break
+            return [_report(FormulaId.LEMMA_TRANSVERSAL_EQUIV, params, None, None,
+                            "equivalence-sweep", claim="equivalence",
+                            reason="oracle beyond budget")]
+        checked += 1
         positives += definitional
         if definitional != reduced:
             disagreements += 1
             if first_bad is None:
                 first_bad = {"subset": [list(v.members()) for v in x],
                              "definitional": definitional, "reduction": reduced}
-    cert = {"subsets_checked": len(pools), "random_samples": samples,
+    cert = {"subsets_checked": checked, "random_samples": samples,
             "seed": seed, "positives": positives, "disagreements": disagreements}
     if first_bad is not None:
         cert["first_disagreement"] = first_bad
     verdict = "pass" if disagreements == 0 else "fail"
-    return [VerificationReport(FormulaId.LEMMA_TRANSVERSAL_EQUIV,
-                               {**inst, "samples": samples}, None, None, verdict,
-                               "equivalence-sweep", claim="equivalence",
+    return [VerificationReport(FormulaId.LEMMA_TRANSVERSAL_EQUIV, params, None, None,
+                               verdict, "equivalence-sweep", claim="equivalence",
                                certificates=(cert,))]
 
 

@@ -21,17 +21,24 @@ ascending order, and reports the lowest target missed: the
 lexicographically first blocking pair. ``pair_visible`` walks the same
 frontiers for one pair. Adjacent pairs are always visible. A pair at
 distance 2 is X-visible iff a common neighbour lies outside X, so the
-search precomputes that midpoint mask and tests ``mid & ~X``; only pairs
-at distance 3 or more take ``pair_visible``, none in the diameter-2
-regime (Kneser graphs with n >= 3k-1, and J(n, 2)).
+search precomputes that midpoint mask and tests ``mid & ~X``. A pair
+i, j at distance 3 is X-visible iff some a outside X, next to i and two
+steps from j, has a neighbour outside X next to j; the search
+precomputes one row of those neighbours per a. Only pairs at distance 4
+or more take ``pair_visible``, none in the diameter-2 regime (Kneser
+graphs with n >= 3k-1, and J(n, 2)) nor in bipartite Kneser graphs of
+diameter 3.
 
 Maximum sizes are found by exact branch and bound for the
 subset-monotone variants (mutual, total, outer, general-position:
 any subset of a valid set is valid, so an infeasible inclusion prunes
-the whole branch). The dual variant is NOT subset-monotone - removing a
-vertex from X moves it outside and creates new obligated pairs - so it
-is solved by exhaustive enumeration, which caps the graph size it can
-handle. Witnesses are canonicalized to the colex-least optimum by one
+the whole branch). All three families are vertex-transitive, so the
+value search fixes vertex 0 in X at its root, a symmetry reduction in
+the sense of orbital branching (Ostrowski, Linderoth, Rossi and
+Smriglio, Math. Programming 2011). The dual variant is NOT
+subset-monotone - removing a vertex from X moves it outside and creates
+new obligated pairs - so it is solved by exhaustive enumeration, which
+caps the graph size it can handle. Witnesses are canonicalized to the colex-least optimum by one
 more search: with the optimum size known, it decides vertices from the
 highest index down, "exclude" first, and stops at its first leaf of that
 size. The canonicalization runs on the caller's budget; if that runs out
@@ -152,6 +159,9 @@ class VisibilityCertificate:
 # ----------------------------------------------------------------------
 # indexed machinery shared by the predicate and the search
 
+# a pair's slot in the feasibility tables (VisibilityIndex.pairs_through)
+Mid = int | tuple[tuple[int, int], ...]
+
 
 class VisibilityIndex:
     """Vertex-indexed view of a graph and the search's feasibility tables."""
@@ -162,7 +172,7 @@ class VisibilityIndex:
         self.graph = graph
         self.ctx = graph_context(graph)
         self.v = len(self.ctx.masks)
-        self._through: tuple[list[list[tuple[int, int, int]]], list[list[int]]] | None = None
+        self._through: tuple[list[list[tuple[int, int, Mid]]], list[list[Mid]]] | None = None
 
     def index_of(self, s: KSubset) -> int:
         i = self.ctx.index.get(s.bits) if s.n == self.graph.n else None
@@ -201,19 +211,26 @@ class VisibilityIndex:
             frontier = nxt & to_v[d - level] & free
         return frontier != 0
 
-    def pairs_through(self) -> tuple[list[list[tuple[int, int, int]]], list[list[int]]]:
+    def pairs_through(self) -> tuple[list[list[tuple[int, int, Mid]]], list[list[Mid]]]:
         """The search's feasibility tables, built in one pass over the pairs.
 
         ``through[w]`` lists a triple (i, j, mid), i < j, for each pair
-        whose shortest-path DAG contains w as an internal vertex.
-        ``mid[i][j]`` (symmetric) is the mask of the common neighbours of a
-        pair at distance 2, and 0 for any other pair; the triple carries the
-        same mask. A distance-2 pair is X-visible iff ``mid & ~X``."""
+        whose shortest-path DAG contains w as an internal vertex, and
+        ``mid[i][j]`` (symmetric) holds the same ``mid``. It decides the
+        pair without a frontier walk where the distance allows:
+
+        - distance 2: the mask of the common neighbours. The pair is
+          X-visible iff ``mid & ~X``.
+        - distance 3: a tuple of rows (1 << a, row), one for each a at
+          distance 1 from i and 2 from j, where row masks a's neighbours at
+          distance 2 from i and 1 from j. The pair is X-visible iff some
+          row has ``a_bit & ~X and row & ~X``.
+        - any other distance: 0, and the pair takes ``pair_visible``."""
         if self._through is None:
             v = self.v
-            dist, layers = self.ctx.dist, self.ctx.layers
-            through: list[list[tuple[int, int, int]]] = [[] for _ in range(v)]
-            mid = [[0] * v for _ in range(v)]
+            adj, dist, layers = self.ctx.adj, self.ctx.dist, self.ctx.layers
+            through: list[list[tuple[int, int, Mid]]] = [[] for _ in range(v)]
+            mid: list[list[Mid]] = [[0] * v for _ in range(v)]
             for i in range(v):
                 di, li, row = dist[i], layers[i], mid[i]
                 for j in range(i + 1, v):
@@ -227,7 +244,12 @@ class VisibilityIndex:
                         m |= li[s] & lj[d - s]
                     if d == 2:
                         row[j] = mid[j][i] = m
-                    entry = (i, j, m if d == 2 else 0)
+                    elif d == 3:
+                        far_side = li[2] & lj[1]
+                        row[j] = mid[j][i] = tuple(
+                            (1 << a, adj[a] & far_side)
+                            for a in _bits_indices(li[1] & lj[2]))
+                    entry = (i, j, row[j])
                     while m:
                         low = m & -m
                         through[low.bit_length() - 1].append(entry)
@@ -372,8 +394,16 @@ class _MonotoneSearch:
     Feasibility is maintained incrementally: when v joins the candidate
     set, only pairs involving v (new obligations) and pairs whose
     shortest-path DAG contains v (v as a new obstacle) are re-verified.
-    Branch order follows the conflict heuristic: vertices appearing in
-    more discovered blocking pairs are decided first.
+    Pairs at distance 2 and 3 are decided from their slots in
+    ``pairs_through`` (a midpoint mask, distance-3 rows), farther pairs
+    by ``pair_visible``. Branch order follows the conflict heuristic:
+    vertices appearing in more discovered blocking pairs are decided
+    first.
+
+    ``run`` uses root symmetry: the root only includes vertex 0, which
+    vertex-transitivity allows (comment in ``run``). The colex-least
+    witness search (``_colex_least_witness``) calls ``can_add`` alone and
+    fixes no vertex, so canonical witnesses are as without the symmetry.
     """
 
     def __init__(self, idx: VisibilityIndex, variant: Variant,
@@ -389,6 +419,9 @@ class _MonotoneSearch:
             # only partners whose pair with w has an internal vertex
             full = (1 << idx.v) - 1
             self.far = [full & ~(a | 1 << w) for w, a in enumerate(idx.ctx.adj)]
+            if variant is Variant.OUTER:
+                # the outer partners of v are all of far[v], on every call
+                self.far_lists = [_bits_indices(f) for f in self.far]
         self.conflicts = [0] * idx.v
         self.best_size = 0
         self.best_mask = 0
@@ -416,13 +449,25 @@ class _MonotoneSearch:
                         return False
             return True
 
-        # a pair at distance 2 is visible iff a midpoint lies outside X;
-        # farther pairs (mid == 0) take the layered test
+        # the pair's slot decides it (pairs_through): rows at distance 3, a
+        # midpoint mask at distance 2; farther pairs (0) take the layered
+        # test. A mask slot tests ``mid & outside`` before the obligation
+        # count, which is dearer; a rows slot tests the count first.
         outside = ~new_mask
         need = self.need
         pair_visible = idx.pair_visible
         # pairs with v as a new internal obstacle
         for i, j, mid in self.through[v]:
+            if mid.__class__ is tuple:
+                if (new_mask >> i & 1) + (new_mask >> j & 1) < need:
+                    continue
+                for a_bit, row in mid:
+                    if a_bit & outside and row & outside:
+                        break
+                else:
+                    self._record_conflict((i, j))
+                    return False
+                continue
             if mid:
                 if mid & outside or (new_mask >> i & 1) + (new_mask >> j & 1) < need:
                     continue
@@ -432,9 +477,17 @@ class _MonotoneSearch:
             self._record_conflict((i, j))
             return False
         # pairs newly obligated by v's membership
-        row = self.mid[v]
+        row_v = self.mid[v]
         for u in self._new_partners(v, new_mask):
-            mid = row[u]
+            mid = row_v[u]
+            if mid.__class__ is tuple:
+                for a_bit, row in mid:
+                    if a_bit & outside and row & outside:
+                        break
+                else:
+                    self._record_conflict((v, u))
+                    return False
+                continue
             if mid:
                 if mid & outside:
                     continue
@@ -452,7 +505,7 @@ class _MonotoneSearch:
         if variant is Variant.MUTUAL:
             return _bits_indices(new_mask & self.far[v])
         if variant is Variant.OUTER:
-            return _bits_indices(self.far[v])
+            return self.far_lists[v]
         # total: v's pairs were already obligated and are unaffected by
         # v joining X (v is an endpoint, never internal to its own pairs)
         return []
@@ -464,10 +517,22 @@ class _MonotoneSearch:
     # -- search ----------------------------------------------------------
 
     def run(self) -> tuple[int, int, bool]:
+        # Root symmetry. Every family is vertex-transitive: S_n permuting
+        # the ground set acts transitively on the vertices of K(n, k) and
+        # J(n, k), and on each side of the bipartite Kneser graph, whose
+        # complementation A -> [n] \ A swaps the two sides (A is a subset
+        # of B iff the complement of B is a subset of that of A). Each
+        # variant is defined by distances alone, so an automorphism maps
+        # a valid set to a valid set of the same size, and any nonempty
+        # optimum has an image that contains vertex 0. The root therefore
+        # only includes vertex 0; if that fails, every singleton fails by
+        # transitivity and the optimum is the empty set.
         v = self.idx.v
         complete = True
         try:
-            self._dfs(0, (1 << v) - 1)
+            self.counters.tick()
+            if self.can_add(0, 0):
+                self._dfs(1, (1 << v) - 2)
         except BudgetExhausted:
             complete = False
         return self.best_size, self.best_mask, complete

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,35 @@ def test_tau_honours_the_seconds_budget():
     hit = set(out["transversal"])
     assert len(hit) == out["tau"]
     assert all(hit.intersection(e) for e in edges)
+
+
+# unbudgeted, these take about 8 s, over 30 s, 6.7 s and 15 s
+_SLOW_VERBS = {
+    "compute": ("compute", "--family", "bipartite-kneser:n=6,k=2", "--param", "mu"),
+    "explore": ("explore", "--family", "bipartite-kneser:n=7,k=2", "--param", "mu"),
+    "c-star": ("covering", "--n", "9", "--k", "3", "--c-star"),
+    "turan": ("turan", "--pattern", "c4sus:k=3", "--n", "7"),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_startup_s():
+    """Wall time of a CLI run that does almost no work."""
+    t0 = time.monotonic()
+    p = run_cli("compute", "--family", "kneser:n=5,k=2", "--param", "mu-total")
+    assert p.returncode == 0, p.stderr
+    return time.monotonic() - t0
+
+
+@pytest.mark.parametrize("verb", sorted(_SLOW_VERBS))
+def test_seconds_budget_stops_each_verb(verb, cli_startup_s):
+    budget = 0.3
+    t0 = time.monotonic()
+    p = run_cli(*_SLOW_VERBS[verb], "--budget-seconds", str(budget))
+    elapsed = time.monotonic() - t0
+    assert p.returncode == 3, p.stderr
+    # generous slack: co-tenants on a shared host can stall any process
+    assert elapsed < cli_startup_s + budget + 1.5, (elapsed, cli_startup_s)
 
 
 def test_tau_zero_node_budget_stops_at_once():

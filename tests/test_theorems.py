@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import mvlab.cli
 from mvlab import hypergraphs, theorems
-from mvlab.budget import Bounds, Budget
+from mvlab.budget import Bounds, Budget, BudgetExhausted
 from mvlab.errors import ConstraintError, DomainError, PreconditionError
 from mvlab.theorems import (
     FormulaId,
@@ -298,6 +298,33 @@ def test_verify_tau_calls_honour_the_budget(monkeypatch):
     assert (ii.params["part"], ii.verdict) == ("ii", "skipped")
     assert ii.certificates[0]["optimal"] is False
     assert caps and set(caps) == {1}
+
+
+def test_budget_cut_equivalence_sweep_keeps_its_identity(monkeypatch, capsys):
+    # the cut row names its sweep, its claim and its full params
+    cut = Budget(max_nodes=0)
+    (r,) = verify("lemma-transversal-equiv", {"n": 5, "k": 2}, budget=cut)
+    assert (r.verdict, r.reason) == ("skipped", "oracle beyond budget")
+    assert (r.oracle, r.claim) == ("equivalence-sweep", "equivalence")
+    assert r.params == {"n": 5, "k": 2, "samples": 200}
+    argv = ["verify", "--formula", "lemma-transversal-equiv", "--n", "5", "--k", "2",
+            "--budget-nodes", "0", "--format", "json"]
+    assert mvlab.cli.main(argv) == 3
+    (row,) = json.loads(capsys.readouterr().out)
+    assert (row["oracle"], row["claim"]) == ("equivalence-sweep", "equivalence")
+    assert row["params"] == {"k": 2, "n": 5, "samples": 200}
+
+    # a disagreement found before the cut still fails the row
+    def disagree_then_cut(n, k, x, budget):
+        if x:
+            raise BudgetExhausted
+        return False              # the empty set is a total visibility set
+
+    monkeypatch.setattr(theorems, "kneser_total_mv_check_fast", disagree_then_cut)
+    (r,) = verify("lemma-transversal-equiv", {"n": 5, "k": 2})
+    assert (r.verdict, r.oracle) == ("fail", "equivalence-sweep")
+    cert = r.certificates[0]
+    assert (cert["subsets_checked"], cert["disagreements"]) == (1, 1)
 
 
 def test_report_json_shape_and_determinism():

@@ -17,6 +17,7 @@ from mvlab.visibility import (
 )
 
 from oracles import (
+    bipartite_kneser_nx,
     brute_gp,
     brute_parameter,
     johnson_nx,
@@ -146,15 +147,15 @@ def test_budget_degrades_to_incomplete():
 
 
 def test_canonicalisation_stops_within_the_budget():
-    # the value search finishes in 277 nodes; making its optimum colex-least
-    # needs more than the 300 allowed, so the found optimum is kept
+    # the value search finishes in 163 nodes; making its optimum colex-least
+    # takes the run to 269, past the 200 allowed, so the found optimum is kept
     g = johnson(5, 2)
-    cert = max_visibility_number(g, Variant.TOTAL, Budget(max_nodes=300))
+    cert = max_visibility_number(g, Variant.TOTAL, Budget(max_nodes=200))
     assert cert.value == 6 and cert.status == "exact"
     assert is_visibility_set(g, cert.witness, Variant.TOTAL).ok
     assert cert.witness_canonical is False
     assert cert.as_json()["witness_canonical"] is False
-    assert cert.nodes_expanded <= 300
+    assert cert.nodes_expanded <= 200
     unbudgeted = max_visibility_number(g, Variant.TOTAL)
     assert unbudgeted.witness_canonical
     assert "witness_canonical" not in unbudgeted.as_json()
@@ -170,6 +171,23 @@ def test_variant_parsing_and_rejects():
 def test_bipartite_total_zero_small():
     g = bipartite_kneser(5, 2)
     assert max_visibility_number(g, Variant.TOTAL).value == 0
+
+
+_NX = {"kneser": kneser_nx, "johnson": johnson_nx, "bipartite-kneser": bipartite_kneser_nx}
+
+
+@pytest.mark.parametrize("param", ("mu", "mu-total", "mu-outer", "gp"))
+@pytest.mark.parametrize("graph", (kneser(5, 2), kneser(6, 2), johnson(5, 2),
+                                   bipartite_kneser(5, 2)), ids=format_family)
+def test_root_fixed_search_matches_brute_force(graph, param):
+    # the value search fixes vertex 0 in X; brute force fixes nothing
+    nx_graph = _NX[graph.kind.value](graph.n, graph.k)
+    expected = brute_gp(nx_graph) if param == "gp" else brute_parameter(nx_graph, param)
+    cert = max_visibility_number(graph, PARAM_TO_VARIANT[param])
+    assert cert.exact and cert.value == expected
+    if expected == 0:
+        # including vertex 0 fails at the root, so no other node is expanded
+        assert cert.witness == () and cert.nodes_expanded == 1
 
 
 def test_rejects_non_vertices():
@@ -189,7 +207,7 @@ def test_certificate_json_canonical_order():
 
 
 # diameter 2 (Kneser n >= 3k-1, J(6,2)) and a bipartite graph with pairs
-# at distance 2, 3 and 4, so the mask test and the layered test both run
+# at distance 2, 3 and 4, so the mask, the rows and the layered test all run
 MIXED_GRAPHS = (kneser(7, 2), johnson(6, 2), bipartite_kneser(5, 2))
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -204,15 +222,52 @@ def test_midpoint_mask_matches_pair_visible(graph, data):
     i = data.draw(st.integers(0, v - 1), label="i")
     j = data.draw(st.integers(0, v - 1).filter(lambda j: j != i), label="j")
     d = idx.ctx.dist[i][j]
-    assert mid[i][j] == mid[j][i]
-    assert (mid[i][j] != 0) == (d == 2)
+    slot = mid[i][j]
+    assert slot == mid[j][i]
+    # a nonzero mask at distance 2, rows at distance 3, 0 otherwise
+    assert isinstance(slot, tuple) == (d == 3)
+    assert (isinstance(slot, int) and slot != 0) == (d == 2)
     if d == 2:
-        assert mid[i][j] == idx.ctx.adj[i] & idx.ctx.adj[j]
-        assert bool(mid[i][j] & ~x) == idx.pair_visible(i, j, x)
-    # every triple that lists the pair carries the same mask
+        assert slot == idx.ctx.adj[i] & idx.ctx.adj[j]
+        assert bool(slot & ~x) == idx.pair_visible(i, j, x)
+    elif d == 3:
+        assert _rows_visible(slot, x) == idx.pair_visible(i, j, x)
+    else:
+        assert slot == 0
+    # every triple that lists the pair carries the same slot
     w = data.draw(st.integers(0, v - 1), label="w")
     for a, b, m in through[w]:
         assert a < b and m == mid[a][b]
+
+
+def _rows_visible(rows, x: int) -> bool:
+    """The distance-3 test of pairs_through: some a outside X whose row
+    meets the complement of X."""
+    return any(a_bit & ~x and row & ~x for a_bit, row in rows)
+
+
+@PROPERTY
+@given(st.sampled_from((bipartite_kneser(6, 2), bipartite_kneser(7, 2))), st.data())
+def test_distance_three_rows_match_the_reference(graph, data):
+    idx = visibility_index(graph)
+    _, mid = idx.pairs_through()
+    adj, dist, layers = idx.ctx.adj, idx.ctx.dist, idx.ctx.layers
+    pairs = [(i, j) for i in range(idx.v) for j in range(i + 1, idx.v)
+             if dist[i][j] == 3]
+    i, j = data.draw(st.sampled_from(pairs), label="pair")
+    rows = mid[i][j]
+    # one row per a next to i and two from j: its neighbours next to j
+    assert sum(a_bit for a_bit, _ in rows) == adj[i] & layers[j][2]
+    internal = 0
+    for a_bit, row in rows:
+        assert row == adj[a_bit.bit_length() - 1] & adj[j]
+        internal |= a_bit | row
+    # X mostly inside the pair's internal vertices, so both answers occur
+    x = (data.draw(st.integers(0, (1 << idx.v) - 1), label="inside") & internal
+         | data.draw(st.integers(0, (1 << idx.v) - 1), label="anywhere"))
+    expected = reference_pair_visible(adj, dist, i, j, x)
+    assert _rows_visible(rows, x) == expected
+    assert idx.pair_visible(i, j, x) == expected
 
 
 # diameters 2, 3, 3 and 7
