@@ -19,6 +19,11 @@ Vertices are k-subsets (and, for the bipartite family, (n-k)-subsets) of
 Enumeration order is colex within each size class (k-sets first for the
 bipartite family), which makes vertex index = colex rank and keeps every
 certificate deterministic.
+
+``GraphContext`` builds each adjacency row from the holder masks of the
+ground elements (the vertices that contain each one), and runs a BFS that
+goes bottom-up once its frontier outnumbers the unseen vertices: on
+K(25,2), degree 253 of 300, the last layer takes 46 tests, not 253 ORs.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
+from operator import and_, or_
 from typing import Iterator
 
 from .errors import ConstraintError, DomainError
@@ -136,8 +142,7 @@ class FamilyGraph:
     def diameter(self) -> int:
         if self.kind is FamilyKind.KNESER and self.n >= 3 * self.k - 1:
             return 2
-        ctx = graph_context(self)
-        return max(max(row) for row in ctx.dist)
+        return max(len(layers) for layers in graph_context(self).layers) - 1
 
     # ------------------------------------------------------------------
     # automorphism
@@ -273,6 +278,11 @@ class GraphContext:
     is the bitmask of the vertices at distance d from vertex i, for d from
     0 (vertex i alone) to the eccentricity of i. The layers are the BFS
     frontiers that ``dist`` is read from, so they partition the vertices.
+
+    A row costs a few big-int operations on the element holder masks. Each
+    BFS tests the unseen vertices' rows against the frontier once that is
+    the smaller side, else ORs the frontier's rows, and stops once every
+    vertex is seen, so its last frontier is never expanded.
     """
 
     __slots__ = ("graph", "masks", "index", "adj", "dist", "layers")
@@ -284,46 +294,73 @@ class GraphContext:
         # bipartite vertices can repeat a mask only if k == n-k, which the
         # family invariant excludes, so the mask alone is a valid key
         self.index = {m: i for i, m in enumerate(masks)}
+        self.adj = _adjacency_rows(graph, masks)
         v = len(masks)
-        adj = []
-        for i, mi in enumerate(masks):
-            row = 0
-            for nb in _neighbor_masks(graph, mi):
-                row |= 1 << self.index[nb]
-            adj.append(row)
-        self.adj = adj
-        rows = [self._bfs_row(i, v) for i in range(v)]
-        self.dist = [row for row, _ in rows]
-        self.layers = [layers for _, layers in rows]
+        self.layers = [self._bfs_layers(i, v) for i in range(v)]
+        self.dist = [_distance_row(layers, v) for layers in self.layers]
 
-    def _bfs_row(self, src: int, v: int) -> tuple[bytearray, list[int]]:
-        row = bytearray([255]) * v
-        row[src] = 0
+    def _bfs_layers(self, src: int, v: int) -> list[int]:
+        adj = self.adj
         frontier = 1 << src
         layers = [frontier]
-        seen = frontier
-        d = 0
-        while frontier:
-            d += 1
+        unseen = ((1 << v) - 1) ^ frontier
+        while unseen:
             nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= self.adj[low.bit_length() - 1]
-                f ^= low
-            nxt &= ~seen
-            seen |= nxt
-            f = nxt
-            while f:
-                low = f & -f
-                row[low.bit_length() - 1] = d
-                f ^= low
-            if nxt:
-                layers.append(nxt)
+            if frontier.bit_count() > unseen.bit_count():
+                for low in iter_bits(unseen):
+                    if adj[low.bit_length() - 1] & frontier:
+                        nxt |= low
+            else:
+                for low in iter_bits(frontier):
+                    nxt |= adj[low.bit_length() - 1]
+                nxt &= unseen
+            if not nxt:
+                raise DomainError("graph is disconnected")  # not reachable in-range
+            layers.append(nxt)
+            unseen ^= nxt
             frontier = nxt
-        if 255 in row:
-            raise DomainError("graph is disconnected")  # not reachable in-range
-        return row, layers
+        return layers
+
+
+def _adjacency_rows(graph: FamilyGraph, masks: tuple[int, ...]) -> list[int]:
+    """Rows from the holder mask of each ground element (keyed by its bit):
+    the vertices that contain the element."""
+    holders = dict.fromkeys(iter_bits(graph.full_mask), 0)
+    for i, m in enumerate(masks):
+        for e in iter_bits(m):
+            holders[e] |= 1 << i
+
+    def union(elements: int) -> int:
+        return reduce(or_, map(holders.__getitem__, iter_bits(elements)), 0)
+
+    def common(elements: int) -> int:
+        return reduce(and_, map(holders.__getitem__, iter_bits(elements)))
+
+    everyone = (1 << len(masks)) - 1
+    if graph.kind is FamilyKind.KNESER:
+        return [everyone ^ union(m) for m in masks]
+    if graph.kind is FamilyKind.JOHNSON:
+        # the sets that keep all but one element of A, less A itself
+        return [reduce(or_, (common(m ^ e) for e in iter_bits(m))) ^ (1 << i)
+                for i, m in enumerate(masks)]
+    # bipartite: k-sets take the low indices, (n-k)-sets the high ones
+    half = len(masks) // 2
+    small_side = (1 << half) - 1
+    big_side = everyone ^ small_side
+    return [big_side & common(m) if i < half
+            else small_side & ~union(graph.full_mask ^ m)
+            for i, m in enumerate(masks)]
+
+
+def _distance_row(layers: list[int], v: int) -> bytearray:
+    """``dist`` row from BFS layers: each layer's bit string, with '1'
+    read as its distance, summed as one big-endian integer per layer."""
+    total = 0
+    for d in range(1, len(layers)):
+        digits = format(layers[d], f"0{v}b").encode()
+        total += int.from_bytes(digits.translate(bytes.maketrans(b"01", bytes((0, d)))),
+                                "big")
+    return bytearray(total.to_bytes(v, "little"))
 
 
 @lru_cache(maxsize=None)

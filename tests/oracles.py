@@ -20,6 +20,12 @@ import itertools
 
 import networkx as nx
 
+# Values pinned by the tests; each is checked there against a brute-force
+# oracle below or against a closed form.
+C4_FREE_MAX = {4: 4, 5: 6, 6: 7, 7: 9}   # ex(n, C4)
+K4_FREE_MAX = {4: 5, 5: 8, 6: 12, 7: 16}  # ex(n, K4)
+COVERING_NUMBERS = [(7, 5, 3, 5), (8, 6, 3, 4), (7, 5, 4, 9), (6, 4, 3, 6), (6, 3, 2, 6)]
+
 
 def kneser_nx(n: int, k: int) -> nx.Graph:
     g = nx.Graph()

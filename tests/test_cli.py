@@ -15,8 +15,13 @@ import mvlab.cli
 from mvlab.hypergraphs import parse_hypergraph
 
 
+SRC = str(Path(mvlab.cli.__file__).resolve().parents[1])
+
+
 def run_cli(*args, env_extra=None, stdin_text=None):
+    # the child imports the same mvlab as this process, however pytest was started
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

@@ -13,16 +13,10 @@ from mvlab.covering import (
 from mvlab.errors import ConstraintError
 from mvlab.hypergraphs import transversal_number
 
-from oracles import brute_covering
+from oracles import COVERING_NUMBERS, brute_covering
 
 
-@pytest.mark.parametrize("n,k,t,expected", [
-    (7, 5, 3, 5),
-    (8, 6, 3, 4),
-    (7, 5, 4, 9),
-    (6, 4, 3, 6),
-    (6, 3, 2, 6),
-])
+@pytest.mark.parametrize("n,k,t,expected", COVERING_NUMBERS)
 def test_covering_number_matches_brute(n, k, t, expected):
     cert = covering_number(n, k, t)
     assert cert.exact

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import networkx as nx
@@ -6,6 +7,7 @@ import pytest
 from mvlab.errors import ConstraintError, DomainError
 from mvlab.families import (
     FamilyKind,
+    _adjacent_masks,
     bipartite_kneser,
     format_family,
     graph_context,
@@ -152,3 +154,26 @@ def test_layers_partition_the_vertices_by_distance(graph):
             union |= layer
             assert layer == sum(1 << j for j in range(v) if ctx.dist[i][j] == d)
         assert union == (1 << v) - 1
+
+
+@pytest.mark.parametrize("graph", (kneser(5, 2), kneser(7, 2), kneser(7, 3), kneser(8, 3),
+                                   kneser(9, 4), johnson(6, 2), johnson(7, 3),
+                                   bipartite_kneser(5, 2), bipartite_kneser(7, 2),
+                                   bipartite_kneser(7, 3)),
+                         ids=format_family)
+def test_context_matches_pairwise_scan_and_networkx(graph):
+    ctx = graph_context(graph)
+    masks = ctx.masks
+    v = len(masks)
+    edges = [(i, j) for i, j in itertools.combinations(range(v), 2)
+             if _adjacent_masks(graph, masks[i], masks[j])]
+    rows = [0] * v
+    for i, j in edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    assert ctx.adj == rows
+    ref = nx.Graph(edges)
+    lengths = dict(nx.all_pairs_shortest_path_length(ref))
+    assert all(isinstance(row, bytearray) for row in ctx.dist)
+    assert [list(row) for row in ctx.dist] == [[lengths[i][j] for j in range(v)]
+                                               for i in range(v)]

@@ -17,10 +17,7 @@ from mvlab.turan import (
     turan_k4_closed,
 )
 
-from oracles import brute_graph_turan, brute_uniform_turan_c4sus
-
-C4_FREE_MAX = {4: 4, 5: 6, 6: 7, 7: 9}
-K4_FREE_MAX = {4: 5, 5: 8, 6: 12, 7: 16}
+from oracles import C4_FREE_MAX, K4_FREE_MAX, brute_graph_turan, brute_uniform_turan_c4sus
 
 
 @pytest.mark.parametrize("n", (4, 5))
