@@ -133,23 +133,21 @@ def _emit_result(out: dict, exact: bool, fmt: str) -> int:
 
 
 def _search_family(args):
-    """The --family graph and its --param maximum, searched on the budget."""
-    graph = parse_family(args.family)
-    return graph, max_visibility_number(graph, PARAM_TO_VARIANT[args.param],
-                                        _budget(args))
+    """The --param maximum of the --family graph, searched on the budget."""
+    return max_visibility_number(parse_family(args.family),
+                                 PARAM_TO_VARIANT[args.param], _budget(args))
 
 
 def _cmd_compute(args) -> int:
-    _, cert = _search_family(args)
+    cert = _search_family(args)
     return _emit_result(cert.as_json(), cert.exact, args.format)
 
 
 def _cmd_explore(args) -> int:
-    graph, cert = _search_family(args)
+    cert = _search_family(args)
+    graph, bounds = cert.graph, cert.bounds
     out = cert.as_json()
-    lo = cert.value
-    hi = cert.value if cert.exact else graph.vertex_count
-    out["bounds"] = [lo, hi]
+    out["bounds"] = [bounds.lo, bounds.hi]
     out["note"] = "exploratory search; no published value is asserted here"
     if graph.kind is FamilyKind.JOHNSON and args.param == "mu-total":
         out["asymptotic_guide"] = {

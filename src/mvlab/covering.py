@@ -181,7 +181,7 @@ class CStarCertificate(IntervalResult):
     nodes_expanded: int
 
     def as_json(self) -> dict:
-        return {
+        out = {
             "n": self.n,
             "k": self.k,
             "value": self.bounds.as_json(),
@@ -190,6 +190,9 @@ class CStarCertificate(IntervalResult):
             "witness_tau": self.witness_tau.tau,
             "nodes_expanded": self.nodes_expanded,
         }
+        if not self.witness_tau.optimal:
+            out["witness_tau_optimal"] = False
+        return out
 
 
 def c_star(n: int, k: int, budget: Budget | None = None) -> CStarCertificate:
@@ -198,7 +201,9 @@ def c_star(n: int, k: int, budget: Budget | None = None) -> CStarCertificate:
     Requires n >= 3k and k >= 2 (below 3k no k-uniform system on [n]
     reaches transversal number 2k). Computed as C(n, n-k, 2k-1) on the
     complement side; the witness returned is the k-uniform edge system,
-    re-validated by the transversal kernel.
+    re-validated by the transversal kernel on a budget of its own. When
+    that budget cuts the check, ``witness_tau.optimal`` is False and
+    ``witness_tau.tau`` only bounds the transversal number from above.
     """
     if k < 2:
         raise ConstraintError(f"c_star needs k >= 2, got {k}")
@@ -210,7 +215,7 @@ def c_star(n: int, k: int, budget: Budget | None = None) -> CStarCertificate:
     cert = covering_number(n, n - k, 2 * k - 1, budget, seed_blocks=seed_blocks)
     edges = tuple(sorted(full ^ b for b in cert.blocks))
     witness = Hypergraph(n, edges)
-    tau_cert = transversal_number(witness)
+    tau_cert = transversal_number(witness, budget)
     return CStarCertificate(n, k, cert.lo, cert.hi, witness, tau_cert, cert.nodes_expanded)
 
 
@@ -235,7 +240,9 @@ def min_edges_with_tau(n: int, k: int, tau_target: int,
     target, every tau solved by the transversal kernel. Deliberately
     independent of the covering engine; used to check the duality
     C(n, n-k, t) = min edges with tau >= t+1. Returns (m, witness,
-    nodes). Raises BudgetExhausted on an exhausted budget (this is a
+    nodes). The kernel calls tick this search's counters, so ``budget``
+    (``DEFAULT_BUDGET`` when None) bounds them too and ``nodes`` counts
+    their nodes. Raises BudgetExhausted on an exhausted budget (this is a
     reference routine, not a production path; it has no interval shape
     to degrade to).
     """
@@ -255,7 +262,11 @@ def min_edges_with_tau(n: int, k: int, tau_target: int,
 
     def dfs(start: int, chosen: list[int], m: int) -> bool:
         counters.tick()
-        current_tau = solve_tau(chosen)[0] if chosen else 0
+        current_tau = 0
+        if chosen:
+            current_tau, _, _, complete = solve_tau(chosen, counters)
+            if not complete:     # cut inside the kernel: tau is only an upper bound
+                raise BudgetExhausted
         slack = m - len(chosen)
         if current_tau + slack < tau_target:
             return False

@@ -144,17 +144,6 @@ class FamilyGraph:
             return 2
         return max(len(layers) for layers in graph_context(self).layers) - 1
 
-    # ------------------------------------------------------------------
-    # automorphism
-
-    def complement_automorphism(self, s: KSubset) -> KSubset:
-        """Complementation, an automorphism of the bipartite family only."""
-        if self.kind is not FamilyKind.BIPARTITE_KNESER:
-            raise DomainError(
-                "complementation is an automorphism of bipartite-kneser only")
-        self._require_vertex(s)
-        return KSubset(self.n, self.full_mask ^ s.bits)
-
 
 # ----------------------------------------------------------------------
 # constructors and the family spec string format

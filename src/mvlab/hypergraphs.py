@@ -19,12 +19,10 @@ canonical (edges colex-sorted), so write -> read -> write is bit-exact.
 
 from __future__ import annotations
 
-import sys
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .budget import _TIME_CHECK_STRIDE, Budget
+from .budget import Budget, BudgetExhausted, SearchCounters
 from .errors import DomainError
 from .subsets import KSubset, MAX_GROUND_SET, iter_bits, mask_of, members_of
 
@@ -63,9 +61,6 @@ class Hypergraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def edge_sets(self) -> list[KSubset]:
-        return [KSubset(self.n, e) for e in self.edges]
 
     def edge_members(self) -> list[tuple[int, ...]]:
         return [members_of(e) for e in self.edges]
@@ -149,21 +144,18 @@ def _greedy_upper(edges: list[int]) -> int:
     return chosen
 
 
-def solve_tau(edges, node_cap: int | None = None, deadline: float | None = None):
+def solve_tau(edges, counters: SearchCounters):
     """Exact minimum transversal of bitmask edges.
 
-    Returns (tau, witness_mask, nodes_expanded, complete). ``node_cap``
-    None means no cap; otherwise at most ``node_cap`` nodes are expanded.
-    ``deadline`` None means no clock; otherwise the search stops once
-    ``time.monotonic()`` passes it, read every ``_TIME_CHECK_STRIDE``
-    nodes. ``complete`` is False only when the cap or the deadline stopped
-    the search, in which case tau is the best known upper bound and
-    witness_mask attains it.
+    Returns (tau, witness_mask, nodes_expanded, complete). Every node
+    ticks ``counters``, so a call inside another search shares that
+    search's budget; ``nodes_expanded`` counts this call's nodes only.
+    ``complete`` is False only when the budget stopped the search, in
+    which case tau is the best known upper bound and witness_mask attains
+    it.
 
     Each branch bans the vertices its elder siblings took (see the comment
-    above). Against the plain branching this replaced, complete runs expand
-    far fewer nodes, so their ``nodes_expanded`` changed; their tau and
-    witness did not.
+    above).
     """
     # dedupe and drop superset edges
     uniq = sorted(set(int(e) for e in edges))
@@ -184,52 +176,46 @@ def solve_tau(edges, node_cap: int | None = None, deadline: float | None = None)
 
     best_mask = _greedy_upper(minimal)
     best_size = best_mask.bit_count()
-    nodes = 0
+    start = counters.nodes
     complete = True
-    # one integer test per node: ``stop`` is the node cap, or the next clock
-    # reading when that comes first
-    cap = sys.maxsize if node_cap is None else node_cap
-    stop = cap if deadline is None else min(cap, _TIME_CHECK_STRIDE)
 
     # iterative stack: (uncovered edges, chosen mask, banned mask)
     stack = [(minimal, 0, 0)]
-    while stack:
-        if nodes >= stop:
-            if nodes >= cap or time.monotonic() > deadline:
-                complete = False
-                break
-            stop = min(cap, nodes + _TIME_CHECK_STRIDE)
-        uncovered, chosen, banned = stack.pop()
-        nodes += 1
-        size = chosen.bit_count()
-        if not uncovered:
-            if size < best_size:
-                best_size = size
-                best_mask = chosen
-            continue
-        # greedy matching over the unbanned parts; a wholly banned edge
-        # leaves no transversal below this node
-        allowed = ~banned
-        bound = size
-        used = 0
-        for e in uncovered:
-            e &= allowed
-            if not e:
-                bound = best_size
-                break
-            if not e & used:
-                used |= e
-                bound += 1
-        if bound >= best_size:
-            continue
-        branch = uncovered[0] & allowed
-        # push in descending bit order so the stack pops ascending bits
-        # first; each child bans its elder siblings' (lower) bits
-        for bit in reversed(list(iter_bits(branch))):
-            rest = [e for e in uncovered if not e & bit]
-            stack.append((rest, chosen | bit, banned | branch & (bit - 1)))
+    try:
+        while stack:
+            counters.tick()
+            uncovered, chosen, banned = stack.pop()
+            size = chosen.bit_count()
+            if not uncovered:
+                if size < best_size:
+                    best_size = size
+                    best_mask = chosen
+                continue
+            # greedy matching over the unbanned parts; a wholly banned edge
+            # leaves no transversal below this node
+            allowed = ~banned
+            bound = size
+            used = 0
+            for e in uncovered:
+                e &= allowed
+                if not e:
+                    bound = best_size
+                    break
+                if not e & used:
+                    used |= e
+                    bound += 1
+            if bound >= best_size:
+                continue
+            branch = uncovered[0] & allowed
+            # push in descending bit order so the stack pops ascending bits
+            # first; each child bans its elder siblings' (lower) bits
+            for bit in reversed(list(iter_bits(branch))):
+                rest = [e for e in uncovered if not e & bit]
+                stack.append((rest, chosen | bit, banned | branch & (bit - 1)))
+    except BudgetExhausted:
+        complete = False
 
-    return best_size, best_mask, nodes, complete
+    return best_size, best_mask, counters.nodes - start, complete
 
 
 @dataclass(frozen=True)
@@ -259,18 +245,13 @@ class TransversalCertificate:
 
 def transversal_number(h: Hypergraph,
                        budget: Budget | None = None) -> TransversalCertificate:
-    """Exact minimum transversal via ``solve_tau``, uncapped unless a
-    ``budget`` is given, whose node cap and seconds then bound the search.
+    """Exact minimum transversal via ``solve_tau``, within ``budget``
+    (``DEFAULT_BUDGET`` when None).
 
     Every edge is nonempty by construction, so a transversal always
     exists; tau = 0 iff there are no edges.
     """
-    if budget is None:
-        node_cap = deadline = None
-    else:
-        node_cap = budget.max_nodes
-        deadline = time.monotonic() + budget.max_seconds
-    tau, mask, nodes, complete = solve_tau(list(h.edges), node_cap, deadline)
+    tau, mask, nodes, complete = solve_tau(list(h.edges), SearchCounters(budget))
     return TransversalCertificate(
         hypergraph=h,
         tau=tau,

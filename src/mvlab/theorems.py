@@ -160,8 +160,10 @@ def mut_bipartite_formula(n: int, k: int, budget: Budget | None = None) -> Bound
 
 def _mu_bipartite_lb(n: int, k: int, budget: Budget | None
                      ) -> tuple[Bounds, Bounds, CoveringCertificate | None]:
-    """``mu_bipartite_lower_bound`` with the total-visibility bounds and the
-    covering certificate it was taken from (see ``_mut_bipartite``)."""
+    """max{C(n,k), 2 C(n,k) - 2 C(n, n-k, 2k)}, a proven lower bound on
+    the mutual visibility number of the containment graph, with the
+    total-visibility bounds and the covering certificate it was taken from
+    (see ``_mut_bipartite``)."""
     if k < 2:
         raise ConstraintError(f"need k >= 2, got {k}")
     if n < 3 * k + 1:
@@ -170,12 +172,6 @@ def _mu_bipartite_lb(n: int, k: int, budget: Budget | None
     base = comb(n, k)
     other, cov = _mut_bipartite(n, k, budget)
     return Bounds(max(base, other.lo), max(base, other.hi)), other, cov
-
-
-def mu_bipartite_lower_bound(n: int, k: int, budget: Budget | None = None) -> Bounds:
-    """max{C(n,k), 2 C(n,k) - 2 C(n, n-k, 2k)}, a proven lower bound on
-    the mutual visibility number of the containment graph."""
-    return _mu_bipartite_lb(n, k, budget)[0]
 
 
 def mut_johnson_value(n: int, k: int, budget: Budget | None = None) -> Bounds:
@@ -424,8 +420,7 @@ def _row(formula: FormulaId, params: dict, f: Bounds, o: _Oracle,
 def _definitional(graph: FamilyGraph, variant: Variant, budget: Budget | None
                   ) -> _Oracle:
     cert = max_visibility_number(graph, variant, budget)
-    hi = cert.value if cert.exact else graph.vertex_count
-    return _Oracle("definitional-search", Bounds(cert.value, hi), (cert.as_json(),))
+    return _Oracle("definitional-search", cert.bounds, (cert.as_json(),))
 
 
 def _singleton_sweep(graph: FamilyGraph) -> _Oracle:
@@ -758,37 +753,22 @@ def _v_sandwich_dual_outer(inst: dict, budget: Budget | None,
                                certificates=tuple(certs))]
 
 
-_VERIFIERS = {
-    FormulaId.MUT_KNESER: _v_mut_kneser,
-    FormulaId.MU_KNESER: _v_mu_kneser,
-    FormulaId.MUT_BIPARTITE: _v_mut_bipartite,
-    FormulaId.MU_BIPARTITE_LB: _v_mu_bipartite_lb,
-    FormulaId.MUT_JOHNSON: _v_mut_johnson,
-    FormulaId.MU_JOHNSON_SANDWICH: _v_mu_johnson_sandwich,
-    FormulaId.MU_JOHNSON_K2: _v_mu_johnson_k2,
-    FormulaId.MU_KNESER_GP_LB: _v_mu_kneser_gp_lb,
-    FormulaId.KNESER2_ALL_PARAMS: _v_kneser2_all_params,
-    FormulaId.LEMMA_BINOM: _v_lemma_binom,
-    FormulaId.LEMMA_CSTAR: _v_lemma_cstar,
-    FormulaId.LEMMA_TRANSVERSAL_EQUIV: _v_lemma_transversal_equiv,
-    FormulaId.SANDWICH_DUAL_OUTER: _v_sandwich_dual_outer,
-}
-
-# parameters each formula requires ("n" may be a single int or a range)
-_NEEDS: dict[FormulaId, tuple[str, ...]] = {
-    FormulaId.MUT_KNESER: ("n", "k"),
-    FormulaId.MU_KNESER: ("n", "k"),
-    FormulaId.MUT_BIPARTITE: ("n", "k"),
-    FormulaId.MU_BIPARTITE_LB: ("n", "k"),
-    FormulaId.MUT_JOHNSON: ("n", "k"),
-    FormulaId.MU_JOHNSON_SANDWICH: ("n", "k"),
-    FormulaId.MU_JOHNSON_K2: ("n",),
-    FormulaId.MU_KNESER_GP_LB: ("n", "k"),
-    FormulaId.KNESER2_ALL_PARAMS: ("n",),
-    FormulaId.LEMMA_BINOM: ("n",),
-    FormulaId.LEMMA_CSTAR: ("n", "k"),
-    FormulaId.LEMMA_TRANSVERSAL_EQUIV: ("n", "k"),
-    FormulaId.SANDWICH_DUAL_OUTER: ("family",),
+# each formula's verifier and the parameters it requires ("n" may be a
+# single int or a range)
+_VERIFIERS: dict[FormulaId, tuple[Callable, tuple[str, ...]]] = {
+    FormulaId.MUT_KNESER: (_v_mut_kneser, ("n", "k")),
+    FormulaId.MU_KNESER: (_v_mu_kneser, ("n", "k")),
+    FormulaId.MUT_BIPARTITE: (_v_mut_bipartite, ("n", "k")),
+    FormulaId.MU_BIPARTITE_LB: (_v_mu_bipartite_lb, ("n", "k")),
+    FormulaId.MUT_JOHNSON: (_v_mut_johnson, ("n", "k")),
+    FormulaId.MU_JOHNSON_SANDWICH: (_v_mu_johnson_sandwich, ("n", "k")),
+    FormulaId.MU_JOHNSON_K2: (_v_mu_johnson_k2, ("n",)),
+    FormulaId.MU_KNESER_GP_LB: (_v_mu_kneser_gp_lb, ("n", "k")),
+    FormulaId.KNESER2_ALL_PARAMS: (_v_kneser2_all_params, ("n",)),
+    FormulaId.LEMMA_BINOM: (_v_lemma_binom, ("n",)),
+    FormulaId.LEMMA_CSTAR: (_v_lemma_cstar, ("n", "k")),
+    FormulaId.LEMMA_TRANSVERSAL_EQUIV: (_v_lemma_transversal_equiv, ("n", "k")),
+    FormulaId.SANDWICH_DUAL_OUTER: (_v_sandwich_dual_outer, ("family",)),
 }
 
 
@@ -816,7 +796,7 @@ def parse_range(value) -> tuple[int, int]:
 
 
 def _instances(formula: FormulaId, params: dict) -> list[dict]:
-    needed = _NEEDS[formula]
+    _, needed = _VERIFIERS[formula]
     for key in needed:
         if key not in params:
             raise DomainError(f"formula {formula.value} requires parameter {key!r}")
@@ -845,11 +825,12 @@ def verify(formula: FormulaId | str, params: dict | None = None,
     except ValueError:
         raise DomainError(f"unknown formula {formula!r}; "
                           f"expected one of {', '.join(all_formula_ids())}") from None
+    verifier, _ = _VERIFIERS[fid]
     out: list[VerificationReport] = []
     for inst in _instances(fid, params or {}):
         t0 = time.perf_counter()
         try:
-            rows = _VERIFIERS[fid](inst, budget, seed)
+            rows = verifier(inst, budget, seed)
         except PreconditionError as e:
             rows = [_report(fid, inst, None, None, "none", reason=f"precondition: {e}")]
         except BudgetExhausted:

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .budget import Budget, BudgetExhausted, SearchCounters
+from .budget import Bounds, Budget, BudgetExhausted, SearchCounters
 from .errors import ConstraintError, DomainError, PreconditionError
 from .families import FamilyGraph, format_family, graph_context, kneser
 from .hypergraphs import hypergraph, transversal_number
@@ -93,29 +93,6 @@ MONOTONE_VARIANTS = frozenset(
 
 
 @dataclass(frozen=True)
-class VertexSet:
-    """A validated, canonically ordered set of vertices of one graph."""
-
-    graph: FamilyGraph
-    members: tuple[KSubset, ...]
-
-    def __len__(self):
-        return len(self.members)
-
-    def member_lists(self) -> list[list[int]]:
-        return [list(s.members()) for s in self.members]
-
-
-def vertex_set(graph: FamilyGraph, members: Iterable[KSubset]) -> VertexSet:
-    uniq = {(s.size, s.bits): s for s in members}
-    for s in uniq.values():
-        if not graph.is_vertex(s):
-            raise DomainError(f"{s!r} is not a vertex of {format_family(graph)}")
-    ordered = tuple(uniq[key] for key in sorted(uniq))
-    return VertexSet(graph, ordered)
-
-
-@dataclass(frozen=True)
 class CheckResult:
     ok: bool
     blocking: tuple[KSubset, ...] | None  # failing pair (or triple for gp)
@@ -139,6 +116,12 @@ class VisibilityCertificate:
     @property
     def exact(self) -> bool:
         return self.status == "exact"
+
+    @property
+    def bounds(self) -> Bounds:
+        """The proven enclosure: the value when exact, else [value, |V|]."""
+        return Bounds(self.value,
+                      self.value if self.exact else self.graph.vertex_count)
 
     def as_json(self) -> dict:
         out = {
@@ -271,18 +254,6 @@ def visibility_index(graph: FamilyGraph) -> VisibilityIndex:
 
 # ----------------------------------------------------------------------
 # predicates
-
-
-def is_x_visible(graph: FamilyGraph, x_members: Iterable[KSubset],
-                 u: KSubset, v: KSubset) -> bool:
-    """Is the pair u, v X-visible (shortest path avoiding X internally)?"""
-    idx = visibility_index(graph)
-    iu, iv = idx.index_of(u), idx.index_of(v)
-    obstacles = 0
-    for s in x_members:
-        obstacles |= 1 << idx.index_of(s)
-    obstacles &= ~((1 << iu) | (1 << iv))
-    return idx.pair_visible(iu, iv, obstacles)
 
 
 def _blocked_pair(idx: VisibilityIndex, variant: Variant,
@@ -647,9 +618,9 @@ def kneser_total_mv_check_fast(n: int, k: int, x_members: Iterable[KSubset],
     transversal number >= 2k. In particular X = all vertices fails for
     n >= 2k+1 (the empty outside family has transversal number 0).
 
-    The transversal search runs under ``budget`` (uncapped when None). A
-    cut search still answers False when its upper bound is below 2k;
-    otherwise it cannot decide and raises BudgetExhausted.
+    The transversal search runs under ``budget`` (``DEFAULT_BUDGET`` when
+    None). A cut search still answers False when its upper bound is below
+    2k; otherwise it cannot decide and raises BudgetExhausted.
     """
     graph = kneser(n, k)
     if n < 3 * k - 1:

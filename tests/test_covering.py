@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from mvlab import covering
 from mvlab.budget import Budget, BudgetExhausted
 from mvlab.covering import (
     c_star,
@@ -84,6 +85,31 @@ def test_c_star_preconditions():
 def test_min_edges_with_tau_raises_on_budget():
     with pytest.raises(BudgetExhausted):
         min_edges_with_tau(7, 2, 4, Budget(max_nodes=3, max_seconds=60.0))
+
+
+def test_kernel_calls_take_the_caller_budget(monkeypatch):
+    # c_star re-checks its witness on the caller's budget, and says so when
+    # the budget cut that check
+    cut = c_star(8, 2, Budget(max_nodes=0))
+    assert cut.witness_tau.optimal is False
+    assert cut.as_json()["witness_tau_optimal"] is False
+    assert "witness_tau_optimal" not in c_star(8, 2).as_json()
+
+    # every kernel call inside min_edges_with_tau ticks that search's counters
+    calls = []
+    inner = covering.solve_tau
+
+    def recorded(edges, counters):
+        result = inner(edges, counters)
+        calls.append((counters, result[2]))
+        return result
+
+    monkeypatch.setattr(covering, "solve_tau", recorded)
+    m, _, nodes = min_edges_with_tau(7, 2, 4)
+    assert m == 5 and calls
+    counters = calls[0][0]
+    assert all(c is counters for c, _ in calls) and counters.nodes == nodes
+    assert 0 < sum(spent for _, spent in calls) < nodes
 
 
 def test_covering_interval_on_tiny_budget():

@@ -1,12 +1,11 @@
 import itertools
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvlab.budget import _TIME_CHECK_STRIDE, Budget
+from mvlab.budget import _TIME_CHECK_STRIDE, Budget, SearchCounters
 from mvlab.errors import DomainError
 from mvlab.hypergraphs import (
     format_hypergraph,
@@ -63,7 +62,7 @@ def test_sibling_bans_keep_tau_and_witness(instance):
     # compared: the matching bound over unbanned parts can be weaker than
     # over whole edges, so a few instances expand a node or two more
     n, masks = instance
-    tau, mask, _, complete = solve_tau(masks)
+    tau, mask, _, complete = solve_tau(masks, SearchCounters(None))
     assert complete
     assert (tau, mask) == reference_solve_tau(masks)
     edges = [tuple(x + 1 for x in range(n) if e >> x & 1) for e in masks]
@@ -79,11 +78,12 @@ def test_kernel_node_cap_degrades_identically():
     # under every cap: an attained transversal, the true tau once complete
     masks = [0b111, 0b1010, 0b10100, 0b1001000, 0b10000001]
     h = hypergraph(8, masks)
-    true_tau, _, _, complete = solve_tau(masks)
+    true_tau, _, _, complete = solve_tau(masks, SearchCounters(None))
     assert complete and true_tau == brute_tau(h.edge_members(), 8)
     for cap in (0, 1, 2, 3, 5, 8):
-        tau, mask, nodes, complete = solve_tau(masks, cap)
-        assert nodes <= cap
+        counters = SearchCounters(Budget(max_nodes=cap))
+        tau, mask, nodes, complete = solve_tau(masks, counters)
+        assert nodes == counters.nodes <= cap
         assert is_transversal(h, mask) and mask.bit_count() == tau
         if complete:
             assert tau == true_tau
@@ -97,9 +97,9 @@ def test_kernel_reads_the_clock_every_stride():
     rng = random.Random(11)
     masks = list({sum(1 << x for x in rng.sample(range(36), 4)) for _ in range(200)})
     h = hypergraph(36, masks)
-    past = time.monotonic() - 1.0
-    for cap, spent in ((None, _TIME_CHECK_STRIDE), (100, 100)):
-        tau, mask, nodes, complete = solve_tau(masks, cap, past)
+    for cap, spent in ((10_000_000, _TIME_CHECK_STRIDE), (100, 100)):
+        counters = SearchCounters(Budget(max_nodes=cap, max_seconds=-1.0))
+        tau, mask, nodes, complete = solve_tau(masks, counters)
         assert (nodes, complete) == (spent, False)
         assert is_transversal(h, mask) and mask.bit_count() == tau
     cert = transversal_number(h, Budget(max_nodes=10_000_000, max_seconds=0.0))

@@ -285,9 +285,9 @@ def test_verify_tau_calls_honour_the_budget(monkeypatch):
     caps = []
     inner = hypergraphs.solve_tau
 
-    def recorded(edges, node_cap=None, deadline=None):
-        caps.append(node_cap)
-        return inner(edges, node_cap, deadline)
+    def recorded(edges, counters):
+        caps.append(counters.budget.max_nodes)
+        return inner(edges, counters)
 
     monkeypatch.setattr(hypergraphs, "solve_tau", recorded)
     budget = Budget(max_nodes=1, max_seconds=0.01)
