@@ -5,7 +5,10 @@ every t-subset. The solver is an exact set-cover branch and bound:
 branch on the colex-least uncovered t-set over the blocks containing it
 (forbidding earlier siblings to partition the space), prune with
 used + ceil(uncovered / C(k, t)) against the incumbent, seed the
-incumbent greedily (callers may inject a stronger seed).
+incumbent greedily (callers may inject a stronger seed). Building each
+block's coverage table is one node, so the budget bounds that setup too;
+a cut there returns [counting bound, C(n, k)] with every k-subset as the
+blocks.
 
 Complementation links coverings to transversals: a k-uniform system on
 [n] has transversal number >= t+1 iff the complements of its edges (as
@@ -84,18 +87,27 @@ def covering_number(n: int, k: int, t: int, budget: Budget | None = None,
         blocks = tuple(k_subset_masks(n, k))
         return CoveringCertificate(n, k, t, len(blocks), len(blocks), blocks, 0)
 
+    lower = steiner_lower_bound(n, k, t)
+    counters = SearchCounters(budget)
     universe = list(k_subset_masks(n, t))
     uidx = {m: i for i, m in enumerate(universe)}
     blocks = list(k_subset_masks(n, k))
     cover = []  # coverage bitmask over universe indices, per block
     blocks_for: list[list[int]] = [[] for _ in universe]
-    for bi, b in enumerate(blocks):
-        c = 0
-        for tm in k_subsets_of_mask(b, t):
-            i = uidx[tm]
-            c |= 1 << i
-            blocks_for[i].append(bi)
-        cover.append(c)
+    try:
+        # building a block's coverage is one node of the search
+        for bi, b in enumerate(blocks):
+            counters.tick()
+            c = 0
+            for tm in k_subsets_of_mask(b, t):
+                i = uidx[tm]
+                c |= 1 << i
+                blocks_for[i].append(bi)
+            cover.append(c)
+    except BudgetExhausted:
+        # cut during setup: all k-subsets still cover every t-subset
+        return CoveringCertificate(n, k, t, lower, len(blocks), tuple(blocks),
+                                   counters.nodes)
     full = (1 << len(universe)) - 1
     per_block = comb(k, t)
 
@@ -112,9 +124,6 @@ def covering_number(n: int, k: int, t: int, budget: Budget | None = None,
         best = _greedy_cover(cover, full)
     best_size = len(best)
 
-    lower = steiner_lower_bound(n, k, t)
-    counters = SearchCounters(budget)
-    nblocks = len(blocks)
     sols: list[list[int]] = [best]
 
     def rec(uncov: int, chosen: list[int], forbidden: int) -> None:

@@ -24,12 +24,28 @@ normalization). Each candidate edge gets one table row of its splits
 (link dict of the apex, low and high bit of the pair), one link dict per
 apex, built the first time the search reaches the edge; testing, adding
 and removing an edge at a node read that row and compute nothing else.
-On budget exhaustion the
-result degrades to an interval [best found, candidate-count bound]; for
-the plain C4 (k = 2) the upper end is also capped by Reiman's bound
-floor((n/4)(1 + sqrt(4n - 3))), which bounds the reported interval only,
-never the search. The n^(k-1/2)/k! asymptotic guide can be reported
-alongside but is never a bound.
+
+The search also breaks the symmetry of each adjacent swap (m m+1) with a
+lex-leader rule (Crawford, Ginsberg, Luks and Roy, KR 1996). The
+back-link of a vertex v is the set of rests R with R + {v} included. For
+a (k-1)-subset R of [m-1], the candidate R + {m+1} may be included only
+if R + {m} is included or the back-links of m and m+1 already differ on
+a rest colex-before R; the exclude branch is always explored. Read as a
+0/1 word in colex order, a system and its image under the swap first
+differ where the back-link of m (the edges with top m) and the back-link
+of m+1 on [m-1] first differ, so a system that is not lex-smaller than
+its image passes every test for m. Hence the lex-greatest system of each
+relabelling orbit satisfies every rule; relabelling keeps
+pattern-freeness and edge count, so no optimum is lost. The witness does
+not change either: the first maximum system the include-first search
+finds is the lex-greatest maximum system, hence the lex-leader of its
+orbit, and the rule never prunes it.
+
+On budget exhaustion the result degrades to an interval [best found,
+candidate-count bound]; for the plain C4 (k = 2) the upper end is also
+capped by Reiman's bound floor((n/4)(1 + sqrt(4n - 3))), which bounds the
+reported interval only, never the search. The n^(k-1/2)/k! asymptotic
+guide can be reported alongside but is never a bound.
 """
 
 from __future__ import annotations
@@ -40,7 +56,7 @@ from math import factorial, isqrt
 from .budget import Budget, BudgetExhausted, IntervalResult, SearchCounters
 from .errors import ConstraintError, DomainError
 from .hypergraphs import Hypergraph, hypergraph
-from .subsets import iter_bits, k_subset_masks, members_of
+from .subsets import colex_rank, iter_bits, k_subset_masks, members_of
 
 
 @dataclass(frozen=True)
@@ -215,23 +231,31 @@ def _pair_splits(edge: int) -> list[int]:
 
 
 class _SplitRows(dict):
-    """Row i lists the (link, lo, hi) splits of candidate edge i, where link
-    is the adjacency dict of the apex ``edge ^ (lo | hi)``; every edge
-    through an apex shares its one dict, so a row is all the search needs to
-    test, add and remove an edge. A row is built when the search first
-    reaches its edge, so a budget-cut search on a large [n] builds only the
-    rows it visits."""
+    """Row i of candidate edge i is ``(splits, top, bit, m)``. ``splits``
+    lists its (link, lo, hi) splits, where link is the adjacency dict of the
+    apex ``edge ^ (lo | hi)``; every edge through an apex shares its one
+    dict, so the splits are all the search needs to test, add and remove the
+    edge. ``top`` is the edge's largest vertex and ``bit`` is 1 << r, r the
+    colex rank of its rest ``edge - {top}``: the edge's place in the
+    back-link of ``top``. ``m`` is top - 1 when the rest avoids top - 1, so
+    that the swap rule for m and m + 1 governs the edge, and 0 otherwise.
+    A row is built when the search first reaches its edge, so a budget-cut
+    search on a large [n] builds only the rows it visits."""
 
     def __init__(self, candidates: list[int]):
         super().__init__()
         self.candidates = candidates
         self.links: dict[int, dict[int, int]] = {}
 
-    def __missing__(self, i: int) -> list[tuple[dict[int, int], int, int]]:
+    def __missing__(self, i: int) -> tuple[list[tuple[dict[int, int], int, int]], int, int, int]:
         edge = self.candidates[i]
         links = self.links
-        row = self[i] = [(links.setdefault(edge ^ pair, {}), pair & -pair, pair & (pair - 1))
-                         for pair in _pair_splits(edge)]
+        splits = [(links.setdefault(edge ^ pair, {}), pair & -pair, pair & (pair - 1))
+                  for pair in _pair_splits(edge)]
+        top = edge.bit_length()
+        rest = edge ^ 1 << (top - 1)
+        m = 0 if rest >> (top - 2) & 1 else top - 1
+        row = self[i] = (splits, top, 1 << colex_rank(rest), m)
         return row
 
 
@@ -281,21 +305,27 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
     tick = counters.tick
     find = _completes_c4 if pattern.name == "c4sus" else _completes_k4
     rows = _SplitRows(candidates)
+    # back[v] holds 1 << rank(R) for each included edge R + {v} with top v
+    back = [0] * (n + 1)
     edges: list[int] = []
     best: list[int] = []
     best_size = 0
 
     def push(i: int) -> None:
-        for adj, lo, hi in rows[i]:
+        splits, top, bit, _ = rows[i]
+        for adj, lo, hi in splits:
             adj[lo] = adj.get(lo, 0) | hi
             adj[hi] = adj.get(hi, 0) | lo
+        back[top] |= bit
         edges.append(candidates[i])
 
     def pop(i: int) -> None:
         # lo-hi was absent from this link before push(i), so clearing the
         # two bits restores it exactly
         edges.pop()
-        for adj, lo, hi in rows[i]:
+        splits, top, bit, _ = rows[i]
+        back[top] ^= bit
+        for adj, lo, hi in splits:
             rest = adj[lo] ^ hi
             if rest:
                 adj[lo] = rest
@@ -321,15 +351,19 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
                 best_size = size
                 best = list(edges)
             if i < total and size + (total - i) > best_size:
-                for adj, lo, hi in rows[i]:
-                    if adj and find(adj, lo, hi):
-                        break
-                else:
-                    push(i)
-                    stack.append(i)
-                    i += 1
-                    tick()
-                    continue
+                splits, _, bit, m = rows[i]
+                # the swap rule: R + {m+1} goes in only if R + {m} is in or
+                # the back-links of m and m+1 differ below R
+                if not m or back[m] & bit or (back[m] ^ back[m + 1]) & (bit - 1):
+                    for adj, lo, hi in splits:
+                        if adj and find(adj, lo, hi):
+                            break
+                    else:
+                        push(i)
+                        stack.append(i)
+                        i += 1
+                        tick()
+                        continue
             elif stack:
                 i = stack.pop()
                 pop(i)

@@ -6,9 +6,12 @@ graphs come from fresh generators, visibility is decided by enumerating
 the internal-vertex sets of all geodesics, and optima come from subset
 enumeration. Exponential in instance size; callers keep instances tiny.
 
-Two references are exceptions. ``reference_solve_tau`` is the package's
+Three references are exceptions. ``reference_solve_tau`` is the package's
 former transversal kernel, plain branching without sibling bans, kept to
-pin that the banned kernel returns the same optimum and witness. The
+pin that the banned kernel returns the same optimum and witness.
+``reference_ex_uniform`` is the package's former Turan search, without
+the swap rule, kept to pin that the rule changes neither the optimum nor
+the witness and never lowers a budget-cut lower end. The
 reference visibility predicate at the end takes the package's adjacency
 rows and distance table as input (the families tests check those against
 networkx) and decides each pair on its own.
@@ -22,7 +25,9 @@ import networkx as nx
 
 # Values pinned by the tests; each is checked there against a brute-force
 # oracle below or against a closed form.
-C4_FREE_MAX = {4: 4, 5: 6, 6: 7, 7: 9}   # ex(n, C4)
+# ex(n, C4) for n = 8..10 is from Clapham, Flockhart and Sheehan, "Graphs
+# without four-cycles" (JGT 1989)
+C4_FREE_MAX = {4: 4, 5: 6, 6: 7, 7: 9, 8: 11, 9: 13, 10: 16}  # ex(n, C4)
 K4_FREE_MAX = {4: 5, 5: 8, 6: 12, 7: 16}  # ex(n, K4)
 COVERING_NUMBERS = [(7, 5, 3, 5), (8, 6, 3, 4), (7, 5, 4, 9), (6, 4, 3, 6), (6, 3, 2, 6)]
 
@@ -287,6 +292,80 @@ def brute_uniform_turan_c4sus(n: int, k: int) -> int:
         if not _has_c4_suspension(chosen, k):
             best = x.bit_count()
     return best
+
+
+class _Cut(Exception):
+    pass
+
+
+def reference_ex_uniform(n: int, k: int, pattern: str, max_nodes: int = 10_000_000
+                         ) -> tuple[int, int, list[tuple[int, ...]], int]:
+    """(lo, hi, witness, nodes) for the largest k-uniform system on [n]
+    (n >= k + 2) free of the suspended ``pattern``, "c4sus" or "k4sus".
+
+    The package's former search: include-first branch and bound over the
+    colex-ordered k-sets, backtracking when |current| + |remaining| <=
+    incumbent, with {1..k} fixed as included and no other symmetry
+    breaking. Nodes are counted as the package counts them: one for the
+    root, then one per include or exclude step. A run that would pass
+    ``max_nodes`` stops, and its hi is the number of k-sets."""
+    cands = sorted(itertools.combinations(range(1, n + 1), k), key=lambda c: c[::-1])
+    total = len(cands)
+    links: dict[tuple[int, ...], dict[int, set[int]]] = {}
+    # the (link graph of the apex, a, b) splits of each k-set
+    rows = [[(links.setdefault(tuple(x for x in e if x != a and x != b), {}), a, b)
+             for a, b in itertools.combinations(e, 2)] for e in cands]
+    for row in rows:
+        for link, a, b in row:
+            link[a], link[b] = set(), set()
+
+    def closes(link, a, b):
+        # the pair a-b is not yet in the link graph
+        na, nb = link[a], link[b]
+        if pattern == "c4sus":   # a-b-x-y-a
+            return any(link[x] & na for x in nb)
+        common = na & nb          # a, b, x, y mutually adjacent
+        return any(link[x] & common for x in common)
+
+    def toggle(i):
+        for link, a, b in rows[i]:
+            link[a] ^= {b}
+            link[b] ^= {a}
+
+    edges = [cands[0]]
+    toggle(0)
+    best = list(edges)
+    nodes = 0
+
+    def tick():
+        nonlocal nodes
+        if nodes >= max_nodes:
+            raise _Cut
+        nodes += 1
+
+    def dfs(i):
+        nonlocal best
+        if len(edges) > len(best):
+            best = list(edges)
+        if i == total or len(edges) + total - i <= len(best):
+            return
+        if not any(closes(link, a, b) for link, a, b in rows[i]):
+            edges.append(cands[i])
+            toggle(i)
+            tick()
+            dfs(i + 1)
+            toggle(i)
+            edges.pop()
+        tick()
+        dfs(i + 1)
+
+    try:
+        tick()
+        dfs(1)
+        hi = len(best)
+    except _Cut:
+        hi = total
+    return len(best), hi, best, nodes
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,13 @@ from mvlab.turan import (
     turan_k4_closed,
 )
 
-from oracles import C4_FREE_MAX, K4_FREE_MAX, brute_graph_turan, brute_uniform_turan_c4sus
+from oracles import (
+    C4_FREE_MAX,
+    K4_FREE_MAX,
+    brute_graph_turan,
+    brute_uniform_turan_c4sus,
+    reference_ex_uniform,
+)
 
 
 @pytest.mark.parametrize("n", (4, 5))
@@ -26,7 +32,7 @@ def test_c4_free_graph_counts_match_brute(n):
     assert r.exact and r.value == C4_FREE_MAX[n] == brute_graph_turan(n, "c4")
 
 
-@pytest.mark.parametrize("n", (6, 7))
+@pytest.mark.parametrize("n", (6, 7, 8, 9, 10))
 def test_c4_free_graph_counts_larger(n):
     r = ex_uniform(n, 2, build_c4_suspension(2))
     assert r.exact and r.value == C4_FREE_MAX[n]
@@ -124,15 +130,18 @@ def test_trivial_small_n():
 # Search trees pinned at their node counts and witnesses: a change to the
 # branching order, the bound or the node accounting fails these.
 PINNED_TREES = (
-    (7, 2, build_c4_suspension(2), None, 9, 9, 52514,
+    (7, 2, build_c4_suspension(2), None, 9, 9, 1854,
      [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5), (1, 6), (1, 7), (6, 7)]),
-    (6, 2, build_k4_suspension(2), None, 12, 12, 301,
+    (6, 2, build_k4_suspension(2), None, 12, 12, 110,
      [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (3, 5), (4, 5), (2, 6),
       (3, 6), (4, 6), (5, 6)]),
     (7, 3, build_c4_suspension(3), 5000, 15, 35, 5000,
      [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5), (3, 4, 5), (1, 2, 6),
       (3, 4, 6), (1, 5, 6), (2, 5, 6), (3, 5, 6), (4, 5, 6), (1, 2, 7), (3, 4, 7),
       (5, 6, 7)]),
+    (8, 2, build_c4_suspension(2), None, 11, 11, 9397,
+     [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5), (2, 6), (2, 7), (6, 7), (4, 8),
+      (6, 8)]),
 )
 
 
@@ -142,6 +151,34 @@ def test_search_tree_is_pinned(n, k, pat, cap, lo, hi, nodes, witness):
     r = ex_uniform(n, k, pat, budget)
     assert (r.lo, r.hi, r.nodes_expanded) == (lo, hi, nodes)
     assert r.witness.edge_members() == witness
+
+
+# the former search, without the swap rule: k = 2 up to n = 8, k = 3 up to 6
+REFERENCE_CASES = ([(n, 2, name) for name in ("c4sus", "k4sus") for n in range(4, 9)]
+                   + [(n, 3, name) for name in ("c4sus", "k4sus") for n in (5, 6)])
+
+
+@pytest.mark.parametrize("n,k,name", REFERENCE_CASES)
+def test_swap_rule_keeps_the_optimum_and_witness(n, k, name):
+    r = ex_uniform(n, k, parse_pattern(f"{name}:k={k}"))
+    lo, hi, witness, _ = reference_ex_uniform(n, k, name)
+    assert (r.lo, r.hi, r.witness.edge_members()) == (lo, hi, witness)
+
+
+def test_reference_search_is_the_former_search():
+    # the node counts the search was pinned at before the swap rule
+    assert reference_ex_uniform(7, 2, "c4sus")[3] == 52514
+    assert reference_ex_uniform(6, 2, "k4sus")[3] == 301
+
+
+@pytest.mark.parametrize("n,k,name", [(n, 2, name) for name in ("c4sus", "k4sus")
+                                      for n in (6, 7, 8, 9)]
+                         + [(n, 3, name) for name in ("c4sus", "k4sus") for n in (6, 7)])
+def test_swap_rule_never_lowers_a_cut_lower_end(n, k, name):
+    pattern = parse_pattern(f"{name}:k={k}")
+    for cap in (0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 20000):
+        r = ex_uniform(n, k, pattern, Budget(max_nodes=cap))
+        assert r.lo >= reference_ex_uniform(n, k, name, cap)[0], cap
 
 
 def test_reiman_bound_matches_its_real_form():
