@@ -64,6 +64,13 @@ class SearchCounters:
             if time.monotonic() - self._t0 > self.budget.max_seconds:
                 raise BudgetExhausted
 
+    def tick_and_time(self) -> None:
+        """``tick``, then read the clock now rather than at the next stride:
+        for steps that each cost as much as thousands of nodes."""
+        self.tick()
+        if time.monotonic() - self._t0 > self.budget.max_seconds:
+            raise BudgetExhausted
+
 
 @dataclass(frozen=True)
 class Bounds:

@@ -6,9 +6,10 @@ branch on the colex-least uncovered t-set over the blocks containing it
 (forbidding earlier siblings to partition the space), prune with
 used + ceil(uncovered / C(k, t)) against the incumbent, seed the
 incumbent greedily (callers may inject a stronger seed). Building each
-block's coverage table is one node, so the budget bounds that setup too;
-a cut there returns [counting bound, C(n, k)] with every k-subset as the
-blocks.
+block's coverage table is one node with a clock reading, so the budget
+bounds that setup too; a cut there returns [counting bound, |seed|] with
+the caller's seed when it is a valid cover, checked without the tables,
+and [counting bound, C(n, k)] with every k-subset otherwise.
 
 Complementation links coverings to transversals: a k-uniform system on
 [n] has transversal number >= t+1 iff the complements of its edges (as
@@ -38,7 +39,7 @@ from .hypergraphs import (
     solve_tau,
     transversal_number,
 )
-from .subsets import k_subset_masks, k_subsets_of_mask, members_of
+from .subsets import colex_rank, k_subset_masks, k_subsets_of_mask, members_of
 
 
 def steiner_lower_bound(n: int, k: int, t: int) -> int:
@@ -90,14 +91,16 @@ def covering_number(n: int, k: int, t: int, budget: Budget | None = None,
     lower = steiner_lower_bound(n, k, t)
     counters = SearchCounters(budget)
     universe = list(k_subset_masks(n, t))
+    seed = _valid_seed(seed_blocks, n, k, universe)
     uidx = {m: i for i, m in enumerate(universe)}
     blocks = list(k_subset_masks(n, k))
     cover = []  # coverage bitmask over universe indices, per block
     blocks_for: list[list[int]] = [[] for _ in universe]
     try:
-        # building a block's coverage is one node of the search
+        # building a block's coverage is one node of the search, and costs
+        # enough to read the clock at each
         for bi, b in enumerate(blocks):
-            counters.tick()
+            counters.tick_and_time()
             c = 0
             for tm in k_subsets_of_mask(b, t):
                 i = uidx[tm]
@@ -105,22 +108,17 @@ def covering_number(n: int, k: int, t: int, budget: Budget | None = None,
                 blocks_for[i].append(bi)
             cover.append(c)
     except BudgetExhausted:
-        # cut during setup: all k-subsets still cover every t-subset
-        return CoveringCertificate(n, k, t, lower, len(blocks), tuple(blocks),
+        # cut during setup: the seed, else all k-subsets, covers every t-subset
+        hi_blocks = seed if seed and len(seed) < len(blocks) else blocks
+        return CoveringCertificate(n, k, t, lower, len(hi_blocks), tuple(hi_blocks),
                                    counters.nodes)
     full = (1 << len(universe)) - 1
     per_block = comb(k, t)
 
-    # incumbent: caller seed if valid, else greedy
-    best: list[int] | None = None
-    if seed_blocks:
-        seed_idx = [blocks.index(b) for b in seed_blocks if b in blocks]
-        got = 0
-        for bi in seed_idx:
-            got |= cover[bi]
-        if got == full:
-            best = sorted(seed_idx)
-    if best is None:
+    # incumbent: caller seed if valid, else greedy (block index = colex rank)
+    if seed:
+        best = [colex_rank(b) for b in seed]
+    else:
         best = _greedy_cover(cover, full)
     best_size = len(best)
 
@@ -158,6 +156,19 @@ def covering_number(n: int, k: int, t: int, budget: Budget | None = None,
     lo = min(lo, hi)
     witness = tuple(sorted(blocks[bi] for bi in best))
     return CoveringCertificate(n, k, t, lo, hi, witness, counters.nodes)
+
+
+def _valid_seed(seed_blocks: tuple[int, ...] | None, n: int, k: int,
+                universe: list[int]) -> list[int] | None:
+    """The seed's k-subsets of [n], sorted, if they cover every t-subset
+    in ``universe``, else None. Checked without the coverage tables, so a
+    search cut while building them can still return the seed."""
+    if not seed_blocks:
+        return None
+    seed = sorted({b for b in seed_blocks if b.bit_count() == k and not b >> n})
+    if all(any(tm & b == tm for b in seed) for tm in universe):
+        return seed
+    return None
 
 
 def _greedy_cover(cover: list[int], full: int) -> list[int]:

@@ -144,7 +144,7 @@ def _greedy_upper(edges: list[int]) -> int:
     return chosen
 
 
-def solve_tau(edges, counters: SearchCounters):
+def solve_tau(edges, counters: SearchCounters, ceiling: int | None = None):
     """Exact minimum transversal of bitmask edges.
 
     Returns (tau, witness_mask, nodes_expanded, complete). Every node
@@ -156,6 +156,18 @@ def solve_tau(edges, counters: SearchCounters):
 
     Each branch bans the vertices its elder siblings took (see the comment
     above).
+
+    With a ``ceiling`` the search only looks for transversals smaller
+    than it, which decides "tau < ceiling?":
+    - a greedy matching of ``ceiling`` minimal edges proves tau >= ceiling
+      before any node, and the call returns (ceiling, 0, 0, True);
+    - else the incumbent starts at min(greedy, ceiling), with mask 0 when
+      the greedy transversal is larger;
+    - a complete result below the ceiling is tau, with the witness of the
+      call without one, after no more nodes: the ceiling only prunes
+      subtrees whose leaves all reach it, so the incumbent below it moves
+      as without it;
+    - a complete result at the ceiling only proves tau >= ceiling.
     """
     # dedupe and drop superset edges
     uniq = sorted(set(int(e) for e in edges))
@@ -174,8 +186,19 @@ def solve_tau(edges, counters: SearchCounters):
         return 0, 0, 0, True
     minimal.sort(key=lambda e: (e.bit_count(), e))
 
+    if ceiling is not None:
+        used = matched = 0
+        for e in minimal:
+            if not e & used:
+                used |= e
+                matched += 1
+        if matched >= ceiling:
+            return ceiling, 0, 0, True
+
     best_mask = _greedy_upper(minimal)
     best_size = best_mask.bit_count()
+    if ceiling is not None and best_size > ceiling:
+        best_size, best_mask = ceiling, 0
     start = counters.nodes
     complete = True
 

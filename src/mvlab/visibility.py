@@ -18,16 +18,17 @@ that expands only through vertices outside X, keeping at step d only
 ``layers[s][d]``, reaches a vertex iff some shortest path to it avoids X
 internally. ``is_visibility_set`` runs it once per obligated source, in
 ascending order, and reports the lowest target missed: the
-lexicographically first blocking pair. ``pair_visible`` walks the same
-frontiers for one pair. Adjacent pairs are always visible. A pair at
-distance 2 is X-visible iff a common neighbour lies outside X, so the
-search precomputes that midpoint mask and tests ``mid & ~X``. A pair
-i, j at distance 3 is X-visible iff some a outside X, next to i and two
-steps from j, has a neighbour outside X next to j; the search
-precomputes one row of those neighbours per a. Only pairs at distance 4
-or more take ``pair_visible``, none in the diameter-2 regime (Kneser
-graphs with n >= 3k-1, and J(n, 2)) nor in bipartite Kneser graphs of
-diameter 3.
+lexicographically first blocking pair. In the last layer that holds
+targets of s the BFS stops as soon as every target is reached.
+``pair_visible`` walks the same frontiers for one pair. Adjacent pairs
+are always visible. A pair at distance 2 is X-visible iff a common
+neighbour lies outside X, so the search precomputes that midpoint mask
+and tests ``mid & ~X``. A pair i, j at distance 3 is X-visible iff some
+a outside X, next to i and two steps from j, has a neighbour outside X
+next to j; the search precomputes one row of those neighbours per a.
+Only pairs at distance 4 or more take ``pair_visible``, none in the
+diameter-2 regime (Kneser graphs with n >= 3k-1, and J(n, 2)) nor in
+bipartite Kneser graphs of diameter 3.
 
 Maximum sizes are found by exact branch and bound for the
 subset-monotone variants (mutual, total, outer, general-position:
@@ -50,7 +51,8 @@ set iff the k-sets outside X, viewed as a k-uniform hypergraph, have
 transversal number at least 2k: a pair of outside edges with a small
 transversal would leave some pair of vertices with every common
 neighbor inside X. ``kneser_total_mv_check_fast`` implements that
-reduction; the definitional check must and does agree (swept in tests).
+reduction, deciding "tau >= 2k?" with the tau kernel's ceiling rather than
+computing tau; the definitional check must and does agree (swept in tests).
 """
 
 from __future__ import annotations
@@ -59,10 +61,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
+from . import hypergraphs
 from .budget import Bounds, Budget, BudgetExhausted, SearchCounters
 from .errors import ConstraintError, DomainError, PreconditionError
 from .families import FamilyGraph, format_family, graph_context, kneser
-from .hypergraphs import hypergraph, transversal_number
 from .subsets import KSubset, k_subset_masks
 
 # definitional max search builds an all-pairs DAG-membership table; keep it
@@ -262,7 +264,12 @@ def _blocked_pair(idx: VisibilityIndex, variant: Variant,
     obliges to be X-visible and that is not, or None. One bitset BFS per
     source s: the reach at distance d is N(reach at d - 1, minus X) cut
     to the vertices at distance d from s, and a target is visible iff it
-    is reached in its own layer. Adjacent targets are not tested."""
+    is reached in its own layer. Adjacent targets are not tested.
+
+    Intermediate layers take the whole reach, since the next layer grows
+    from it. In the final layer, the last one holding targets of s, the
+    BFS only strikes targets off and leaves s once none is left; a target
+    still standing when the frontier runs out is missed, as before."""
     adj, layers = idx.ctx.adj, idx.ctx.layers
     full = (1 << idx.v) - 1
     # the partners a source must see when it is in X, and when it is not
@@ -279,6 +286,16 @@ def _blocked_pair(idx: VisibilityIndex, variant: Variant,
             if not remaining:
                 break
             f = reach & free
+            if not remaining & ~layer:
+                # the final layer: strike targets off until none is left
+                while f:
+                    low = f & -f
+                    remaining &= ~adj[low.bit_length() - 1]
+                    if not remaining:
+                        break
+                    f ^= low
+                missed |= remaining
+                break
             reach = 0
             while f:
                 low = f & -f
@@ -618,9 +635,12 @@ def kneser_total_mv_check_fast(n: int, k: int, x_members: Iterable[KSubset],
     transversal number >= 2k. In particular X = all vertices fails for
     n >= 2k+1 (the empty outside family has transversal number 0).
 
-    The transversal search runs under ``budget`` (``DEFAULT_BUDGET`` when
-    None). A cut search still answers False when its upper bound is below
-    2k; otherwise it cannot decide and raises BudgetExhausted.
+    Only "tau >= 2k?" is asked, so the tau kernel runs with ceiling 2k:
+    a greedy matching of 2k outside edges answers True before any node,
+    and otherwise the search looks only for transversals below 2k. It runs
+    under ``budget`` (``DEFAULT_BUDGET`` when None). A cut search still
+    answers False when its upper bound is below 2k; otherwise it cannot
+    decide and raises BudgetExhausted.
     """
     graph = kneser(n, k)
     if n < 3 * k - 1:
@@ -632,11 +652,10 @@ def kneser_total_mv_check_fast(n: int, k: int, x_members: Iterable[KSubset],
             raise DomainError(f"{s!r} is not a vertex of {format_family(graph)}")
         x_bits.add(s.bits)
     outside = [m for m in k_subset_masks(n, k) if m not in x_bits]
-    if not outside:
+    tau, _, _, complete = hypergraphs.solve_tau(
+        outside, SearchCounters(budget), ceiling=2 * k)
+    if tau < 2 * k:
         return False
-    cert = transversal_number(hypergraph(n, outside), budget)
-    if cert.tau < 2 * k:
-        return False
-    if not cert.optimal:
+    if not complete:
         raise BudgetExhausted
     return True

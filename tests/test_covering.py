@@ -1,10 +1,11 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from mvlab import covering
-from mvlab.budget import Budget, BudgetExhausted
+from mvlab import budget, covering
+from mvlab.budget import Bounds, Budget, BudgetExhausted
 from mvlab.covering import (
     c_star,
     covering_number,
@@ -13,6 +14,8 @@ from mvlab.covering import (
 )
 from mvlab.errors import ConstraintError
 from mvlab.hypergraphs import transversal_number
+from mvlab.subsets import k_subset_masks
+from mvlab.theorems import verify
 
 from oracles import COVERING_NUMBERS, brute_covering
 
@@ -117,6 +120,29 @@ def test_covering_interval_on_tiny_budget():
     assert not cert.exact
     assert cert.lo <= 9 <= cert.hi
     assert cert.status == "interval"
+
+
+def test_setup_cut_keeps_a_valid_seed():
+    # part i is C(21, 18, 5); a zero budget cuts its 1,330-block setup, and
+    # the 6 disjoint edges of the c-star seed still bound it from above
+    (i, _, iii) = verify("lemma-cstar", {"n": 21, "k": 3}, budget=Budget(max_nodes=0))
+    assert i.params["part"] == "i" and i.oracle_value == Bounds(3, 6)
+    assert iii.params["part"] == "iii" and iii.oracle_value == Bounds(3, 7)
+    # a seed that misses a t-subset is dropped: all blocks bound it instead
+    blocks = tuple(itertools.islice(k_subset_masks(7, 5), 3))
+    cert = covering_number(7, 5, 4, Budget(max_nodes=0), seed_blocks=blocks)
+    assert (cert.lo, cert.hi, cert.nodes_expanded) == (7, 21, 0)
+
+
+def test_setup_reads_the_clock_per_block(monkeypatch):
+    # a fake clock one second further on at each reading: 84 blocks are far
+    # below the tick stride, yet the first block built overruns 0.5 s
+    readings = iter(range(1_000_000))
+    clock = SimpleNamespace(monotonic=lambda: float(next(readings)))
+    monkeypatch.setattr(budget, "time", clock)
+    cert = covering_number(9, 6, 4, Budget(max_seconds=0.5))
+    assert cert.status == "interval" and cert.nodes_expanded == 1
+    assert cert.hi == math.comb(9, 6)
 
 
 def test_covering_certificate_json_shape():

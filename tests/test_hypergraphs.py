@@ -69,6 +69,42 @@ def test_sibling_bans_keep_tau_and_witness(instance):
     assert tau == brute_tau(edges, n)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_mixed_hypergraphs(), st.data())
+def test_ceiling_decides_tau_below_it(instance, data):
+    # below the ceiling the answer is the plain call's tau and witness, after
+    # no more nodes; at it, tau >= ceiling is proven, even by a cut search
+    _, masks = instance
+    tau, witness = reference_solve_tau(masks)
+    plain = solve_tau(masks, SearchCounters(None))
+    assert plain[:2] == (tau, witness)
+    for c in range(tau + 2):
+        got, mask, nodes, complete = solve_tau(masks, SearchCounters(None), ceiling=c)
+        assert complete and (got < c) == (tau < c) and nodes <= plain[2]
+        if tau < c:
+            assert (got, mask) == (tau, witness)
+        else:
+            assert got == c
+        cap = data.draw(st.integers(0, nodes), label="cap")
+        got, mask, nodes, complete = solve_tau(
+            masks, SearchCounters(Budget(max_nodes=cap)), ceiling=c)
+        assert nodes <= cap and got <= c
+        if got < c:
+            assert all(e & mask for e in masks) and mask.bit_count() == got
+        if complete:
+            assert (got < c) == (tau < c)
+
+
+def test_a_matching_at_the_ceiling_decides_before_any_node():
+    # K6: a perfect matching of 3 edges proves tau >= 3 with no node; tau = 5
+    k6 = [(1 << i) | (1 << j) for i in range(6) for j in range(i + 1, 6)]
+    cut = SearchCounters(Budget(max_nodes=0))
+    assert solve_tau(k6, cut, ceiling=3) == (3, 0, 0, True)
+    assert solve_tau(k6, cut, ceiling=4) == (4, 0, 0, False)
+    assert solve_tau(k6, SearchCounters(None), ceiling=4)[::3] == (4, True)
+    assert solve_tau(k6, SearchCounters(None), ceiling=6)[::3] == (5, True)
+
+
 def test_tau_zero_iff_no_edges():
     cert = transversal_number(hypergraph(5, []))
     assert cert.tau == 0 and cert.transversal.size == 0

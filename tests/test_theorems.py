@@ -285,13 +285,15 @@ def test_verify_tau_calls_honour_the_budget(monkeypatch):
     caps = []
     inner = hypergraphs.solve_tau
 
-    def recorded(edges, counters):
+    def recorded(edges, counters, ceiling=None):
         caps.append(counters.budget.max_nodes)
-        return inner(edges, counters)
+        return inner(edges, counters, ceiling)
 
     monkeypatch.setattr(hypergraphs, "solve_tau", recorded)
     budget = Budget(max_nodes=1, max_seconds=0.01)
-    (r,) = verify("lemma-transversal-equiv", {"n": 12, "k": 2, "samples": 50},
+    # X = {} leaves all of K6 outside: its matching 3 < 2k = 4 leaves the
+    # reduction to the search, and tau = 5 needs more than one node
+    (r,) = verify("lemma-transversal-equiv", {"n": 6, "k": 2, "samples": 50},
                   budget=budget)
     assert (r.verdict, r.reason) == ("skipped", "oracle beyond budget")
     (ii,) = verify("lemma-cstar", {"n": 16, "k": 3}, budget=budget)

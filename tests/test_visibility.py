@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,19 +111,51 @@ def test_sandwich_inequalities():
         assert vals["mu-total"] <= vals["mu-outer"] <= vals["mu"]
 
 
-def test_fast_total_check_agrees_with_definitional():
-    import random
-
+def _reduction_pools():
+    # kneser(6, 2) at density 1/2 with every singleton; every subset of
+    # kneser(5, 2); seeded samples of kneser(7, 2), kneser(8, 3) and
+    # kneser(9, 2) at densities from sparse (X passes) to dense (X fails).
+    # Only kneser(9, 2) has 2k disjoint outside edges, so only there can a
+    # cut budget still answer True
     g = kneser(6, 2)
     vs = g.vertices()
     rng = random.Random(11)
     pools = [[], list(vs)] + [[v] for v in vs]
     for _ in range(80):
         pools.append([v for v in vs if rng.random() < 0.5])
-    for x in pools:
-        fast = kneser_total_mv_check_fast(6, 2, x)
-        slow = is_visibility_set(g, x, Variant.TOTAL).ok
-        assert fast == slow
+    yield g, pools
+    g = kneser(5, 2)
+    vs = g.vertices()
+    yield g, [[v for i, v in enumerate(vs) if bits >> i & 1]
+              for bits in range(1 << len(vs))]
+    rng = random.Random(13)
+    for g, count in ((kneser(7, 2), 300), (kneser(8, 3), 60), (kneser(9, 2), 100)):
+        vs = g.vertices()
+        pools = [[], list(vs)]
+        for _ in range(count):
+            p = rng.choice((0.02, 0.05, 0.1, 0.3, 0.6))
+            pools.append([v for v in vs if rng.random() < p])
+        yield g, pools
+
+
+def test_fast_total_check_agrees_with_definitional():
+    # the reduction with ceiling 2k agrees with the definitional check, and a
+    # cut budget yields the right answer or BudgetExhausted, never a wrong one
+    answers = {True: 0, False: 0}
+    cut = {True: 0, False: 0, None: 0}
+    for g, pools in _reduction_pools():
+        for x in pools:
+            expected = is_visibility_set(g, x, Variant.TOTAL).ok
+            assert kneser_total_mv_check_fast(g.n, g.k, x) is expected
+            answers[expected] += 1
+            for nodes in (0, 1):
+                try:
+                    got = kneser_total_mv_check_fast(g.n, g.k, x, Budget(max_nodes=nodes))
+                except BudgetExhausted:
+                    got = None
+                assert got in (expected, None)
+                cut[got] += 1
+    assert min(answers.values()) > 50 and min(cut.values()) > 0
 
 
 def test_fast_total_check_under_a_cut_budget():
@@ -281,7 +315,12 @@ PAIR_VARIANTS = (Variant.MUTUAL, Variant.TOTAL, Variant.OUTER, Variant.DUAL)
 def test_predicate_matches_the_pairwise_reference(graph, variant, data):
     idx = visibility_index(graph)
     adj, dist = idx.ctx.adj, idx.ctx.dist
+    # a small X mostly passes, so each source's final layer exits once its
+    # targets are reached; its complement leaves targets when the frontier
+    # runs dry
     members = data.draw(st.sets(st.integers(0, idx.v - 1)), label="X")
+    if data.draw(st.booleans(), label="complement"):
+        members = set(range(idx.v)) - members
     x = sum(1 << i for i in members)
     res = is_visibility_set(graph, idx.subset(members), variant)
     expected = reference_blocking_pair(adj, dist, variant.value, x)
