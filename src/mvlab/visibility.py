@@ -21,30 +21,39 @@ ascending order, and reports the lowest target missed: the
 lexicographically first blocking pair. In the last layer that holds
 targets of s the BFS stops as soon as every target is reached.
 ``pair_visible`` walks the same frontiers for one pair. Adjacent pairs
-are always visible. A pair at distance 2 is X-visible iff a common
-neighbour lies outside X, so the search precomputes that midpoint mask
-and tests ``mid & ~X``. A pair i, j at distance 3 is X-visible iff some
-a outside X, next to i and two steps from j, has a neighbour outside X
-next to j; the search precomputes one row of those neighbours per a.
-Only pairs at distance 4 or more take ``pair_visible``, none in the
-diameter-2 regime (Kneser graphs with n >= 3k-1, and J(n, 2)) nor in
-bipartite Kneser graphs of diameter 3.
+are always visible.
+
+The search needs no frontier walk below distance 4. A pair at distance
+2 is X-visible iff a common neighbour lies outside X, so each obligation
+there is a forbidden vertex set F that X must not contain: the pair and
+its common neighbours for mutual, the common neighbours alone for total,
+one endpoint and the common neighbours for outer (once per endpoint).
+The index keeps, per vertex, the deduplicated sets that contain it. A
+pair i, j at distance 3 is X-visible iff some a outside X, next to i and
+two steps from j, has a neighbour outside X next to j; the index keeps
+one row of those neighbours per a. Only pairs at distance 4 or more take
+``pair_visible``, none in the diameter-2 regime (Kneser graphs with
+n >= 3k-1, and J(n, 2)) nor in bipartite Kneser graphs of diameter 3.
 
 Maximum sizes are found by exact branch and bound for the
 subset-monotone variants (mutual, total, outer, general-position:
 any subset of a valid set is valid, so an infeasible inclusion prunes
-the whole branch). All three families are vertex-transitive, so the
-value search fixes vertex 0 in X at its root, a symmetry reduction in
-the sense of orbital branching (Ostrowski, Linderoth, Rossi and
-Smriglio, Math. Programming 2011). The dual variant is NOT
-subset-monotone - removing a vertex from X moves it outside and creates
-new obligated pairs - so it is solved by exhaustive enumeration, which
-caps the graph size it can handle. Witnesses are canonicalized to the colex-least optimum by one
-more search: with the optimum size known, it decides vertices from the
-highest index down, "exclude" first, and stops at its first leaf of that
-size. The canonicalization runs on the caller's budget; if that runs out
-first, the optimum the value search found is returned instead, still
-exact, and the certificate records ``witness_canonical=False``.
+the whole branch). When v joins X, a forbidden set with one member left
+outside X forces that member out of every descendant (forward checking),
+so the bound |X| + |undecided| counts only vertices that may still join.
+All three families are vertex-transitive, so the value search fixes
+vertex 0 in X at its root, a symmetry reduction in the sense of orbital
+branching (Ostrowski, Linderoth, Rossi and Smriglio, Math. Programming
+2011). The dual variant is NOT subset-monotone - removing a vertex from
+X moves it outside and creates new obligated pairs - so it is solved by
+exhaustive enumeration, which caps the graph size it can handle.
+Witnesses are canonicalized to the colex-least optimum by one more
+search: with the optimum size known, it decides vertices from the
+highest index down, "exclude" first, passes over vertices already forced
+out, and stops at its first leaf of that size. The canonicalization
+runs on the caller's budget; if that runs out first, the optimum the
+value search found is returned instead, still exact, and the
+certificate records ``witness_canonical=False``.
 
 For Kneser graphs with n >= 3k-1 (diameter 2), X is a total visibility
 set iff the k-sets outside X, viewed as a k-uniform hypergraph, have
@@ -151,13 +160,14 @@ Mid = int | tuple[tuple[int, int], ...]
 class VisibilityIndex:
     """Vertex-indexed view of a graph and the search's feasibility tables."""
 
-    __slots__ = ("graph", "ctx", "v", "_through")
+    __slots__ = ("graph", "ctx", "v", "_through", "_forbidden")
 
     def __init__(self, graph: FamilyGraph):
         self.graph = graph
         self.ctx = graph_context(graph)
         self.v = len(self.ctx.masks)
         self._through: tuple[list[list[tuple[int, int, Mid]]], list[list[Mid]]] | None = None
+        self._forbidden: dict[Variant, list[list[int]]] = {}
 
     def index_of(self, s: KSubset) -> int:
         i = self.ctx.index.get(s.bits) if s.n == self.graph.n else None
@@ -199,18 +209,22 @@ class VisibilityIndex:
     def pairs_through(self) -> tuple[list[list[tuple[int, int, Mid]]], list[list[Mid]]]:
         """The search's feasibility tables, built in one pass over the pairs.
 
-        ``through[w]`` lists a triple (i, j, mid), i < j, for each pair
-        whose shortest-path DAG contains w as an internal vertex, and
-        ``mid[i][j]`` (symmetric) holds the same ``mid``. It decides the
-        pair without a frontier walk where the distance allows:
+        ``mid[i][j]`` (symmetric) holds a pair's slot, which decides it
+        without a frontier walk where the distance allows:
 
         - distance 2: the mask of the common neighbours. The pair is
-          X-visible iff ``mid & ~X``.
+          X-visible iff ``mid & ~X``; ``forbidden`` turns these masks into
+          the variant's forbidden sets.
         - distance 3: a tuple of rows (1 << a, row), one for each a at
           distance 1 from i and 2 from j, where row masks a's neighbours at
           distance 2 from i and 1 from j. The pair is X-visible iff some
           row has ``a_bit & ~X and row & ~X``.
-        - any other distance: 0, and the pair takes ``pair_visible``."""
+        - any other distance: 0, and the pair takes ``pair_visible``.
+
+        ``through[w]`` lists a triple (i, j, mid), i < j, for each pair at
+        distance 3 or more whose shortest-path DAG contains w as an
+        internal vertex. Pairs at distance 2 are left out: the forbidden
+        sets cover them."""
         if self._through is None:
             v = self.v
             adj, dist, layers = self.ctx.adj, self.ctx.dist, self.ctx.layers
@@ -222,18 +236,19 @@ class VisibilityIndex:
                     d = di[j]
                     if d < 2:
                         continue
-                    # the internal vertices: s from i and d - s from j
                     lj = layers[j]
-                    m = 0
-                    for s in range(1, d):
-                        m |= li[s] & lj[d - s]
                     if d == 2:
-                        row[j] = mid[j][i] = m
-                    elif d == 3:
+                        row[j] = mid[j][i] = li[1] & lj[1]
+                        continue
+                    if d == 3:
                         far_side = li[2] & lj[1]
                         row[j] = mid[j][i] = tuple(
                             (1 << a, adj[a] & far_side)
                             for a in _bits_indices(li[1] & lj[2]))
+                    # the internal vertices: s from i and d - s from j
+                    m = 0
+                    for s in range(1, d):
+                        m |= li[s] & lj[d - s]
                     entry = (i, j, row[j])
                     while m:
                         low = m & -m
@@ -241,6 +256,41 @@ class VisibilityIndex:
                         m ^= low
             self._through = (through, mid)
         return self._through
+
+    def forbidden(self, variant: Variant) -> list[list[int]]:
+        """The variant's distance-2 obligations as forbidden vertex sets,
+        one list per vertex: ``forbidden(variant)[w]`` holds each distinct
+        F that contains w, as a mask shared by the lists of its members.
+
+        A pair i, j at distance 2 with common neighbours M is X-visible iff
+        X does not contain M, so X breaks an obligated pair iff it contains
+        a whole F: {i, j} | M for mutual, M for total, and both {i} | M
+        and {j} | M for outer. So with X valid, v may join X only if no
+        F - {v} lies inside X, and once F - X is a single vertex u, u can
+        never join X. A singleton F makes its vertex never addable."""
+        lists = self._forbidden.get(variant)
+        if lists is None:
+            _, mid = self.pairs_through()
+            dist = self.ctx.dist
+            sets: dict[int, None] = {}
+            for i in range(self.v):
+                di, row = dist[i], mid[i]
+                for j in range(i + 1, self.v):
+                    if di[j] != 2:
+                        continue
+                    m = row[j]
+                    if variant is Variant.MUTUAL:
+                        sets[m | 1 << i | 1 << j] = None
+                    elif variant is Variant.TOTAL:
+                        sets[m] = None
+                    else:
+                        sets[m | 1 << i] = sets[m | 1 << j] = None
+            lists = [[] for _ in range(self.v)]
+            for f in sets:
+                for w in _bits_indices(f):
+                    lists[w].append(f)
+            self._forbidden[variant] = lists
+        return lists
 
 
 _INDEX_CACHE: dict[FamilyGraph, VisibilityIndex] = {}
@@ -377,16 +427,23 @@ def max_visibility_number(graph: FamilyGraph, variant: Variant | str,
 
 
 class _MonotoneSearch:
-    """Include/exclude DFS for the subset-monotone variants.
+    """Include/exclude DFS for the subset-monotone variants, with forward
+    checking (Haralick and Elliott, Artificial Intelligence 1980).
 
     Feasibility is maintained incrementally: when v joins the candidate
-    set, only pairs involving v (new obligations) and pairs whose
-    shortest-path DAG contains v (v as a new obstacle) are re-verified.
-    Pairs at distance 2 and 3 are decided from their slots in
-    ``pairs_through`` (a midpoint mask, distance-3 rows), farther pairs
-    by ``pair_visible``. Branch order follows the conflict heuristic:
-    vertices appearing in more discovered blocking pairs are decided
-    first.
+    set, only the constraints that v touches are re-verified. Pairs at
+    distance 2 are the index's forbidden sets (``VisibilityIndex.forbidden``):
+    ``can_add`` scans v's list, rejects v when some F - {v} lies inside
+    X, and collects in ``forced`` every vertex u with F - X - {v} = {u},
+    which can join no descendant of X + v. Pairs at distance 3 or more
+    with v inside (v as a new obstacle) or with v as an endpoint (new
+    obligations) are decided from their ``pairs_through`` slots: rows at
+    distance 3, ``pair_visible`` beyond.
+
+    The DFS drops forced vertices from the undecided mask, so its bound
+    |X| + |undecided| counts only vertices that may still join X. Branch
+    order follows the conflict heuristic: vertices in more discovered
+    blocking pairs, and more often forced out, are decided first.
 
     ``run`` uses root symmetry: the root only includes vertex 0, which
     vertex-transitivity allows (comment in ``run``). The colex-least
@@ -399,14 +456,16 @@ class _MonotoneSearch:
         self.idx = idx
         self.variant = variant
         self.counters = counters
-        # a pair is obligated once this many of its endpoints are in X
-        self.need = {Variant.MUTUAL: 2, Variant.OUTER: 1}.get(variant, 0)
+        # the vertices the last accepting can_add ruled out of X's supersets
+        self.forced = 0
         if variant is not Variant.GENERAL_POSITION:
+            self.forbid = idx.forbidden(variant)
             self.through, self.mid = idx.pairs_through()
-            # far[w]: the vertices other than w and not adjacent to it, the
-            # only partners whose pair with w has an internal vertex
+            # far[w]: the vertices at distance 3 or more from w (the rings
+            # are disjoint, so their sum is their union); closer partners
+            # are adjacent or covered by the forbidden sets
             full = (1 << idx.v) - 1
-            self.far = [full & ~(a | 1 << w) for w, a in enumerate(idx.ctx.adj)]
+            self.far = [full & ~sum(ring[:3]) for ring in idx.ctx.layers]
             if variant is Variant.OUTER:
                 # the outer partners of v are all of far[v], on every call
                 self.far_lists = [_bits_indices(f) for f in self.far]
@@ -437,58 +496,60 @@ class _MonotoneSearch:
                         return False
             return True
 
-        # the pair's slot decides it (pairs_through): rows at distance 3, a
-        # midpoint mask at distance 2; farther pairs (0) take the layered
-        # test. A mask slot tests ``mid & outside`` before the obligation
-        # count, which is dearer; a rows slot tests the count first.
+        # distance 2: the forbidden sets through v; what F leaves outside
+        # X + v must not be empty, and a single vertex there is forced out
         outside = ~new_mask
-        need = self.need
+        forced = 0
+        for f in self.forbid[v]:
+            r = f & outside
+            if not r:
+                self._record_conflict((v,))
+                return False
+            if not r & (r - 1):
+                forced |= r
+        # farther pairs with v as a new internal obstacle: those the
+        # variant obliges, each decided by its rows (distance 3) or the
+        # layered test
+        pairs = self.through[v]
+        if variant is Variant.MUTUAL:
+            pairs = [p for p in pairs if new_mask >> p[0] & 1 and new_mask >> p[1] & 1]
+        elif variant is Variant.OUTER:
+            pairs = [p for p in pairs if new_mask >> p[0] & 1 or new_mask >> p[1] & 1]
         pair_visible = idx.pair_visible
-        # pairs with v as a new internal obstacle
-        for i, j, mid in self.through[v]:
-            if mid.__class__ is tuple:
-                if (new_mask >> i & 1) + (new_mask >> j & 1) < need:
-                    continue
+        for i, j, mid in pairs:
+            if mid:
                 for a_bit, row in mid:
                     if a_bit & outside and row & outside:
                         break
                 else:
                     self._record_conflict((i, j))
                     return False
-                continue
-            if mid:
-                if mid & outside or (new_mask >> i & 1) + (new_mask >> j & 1) < need:
-                    continue
-            elif ((new_mask >> i & 1) + (new_mask >> j & 1) < need
-                  or pair_visible(i, j, new_mask)):
-                continue
-            self._record_conflict((i, j))
-            return False
-        # pairs newly obligated by v's membership
+            elif not pair_visible(i, j, new_mask):
+                self._record_conflict((i, j))
+                return False
+        # farther pairs newly obligated by v's membership
         row_v = self.mid[v]
         for u in self._new_partners(v, new_mask):
             mid = row_v[u]
-            if mid.__class__ is tuple:
+            if mid:
                 for a_bit, row in mid:
                     if a_bit & outside and row & outside:
                         break
                 else:
                     self._record_conflict((v, u))
                     return False
-                continue
-            if mid:
-                if mid & outside:
-                    continue
-            elif pair_visible(v, u, new_mask):
-                continue
-            self._record_conflict((v, u))
-            return False
+            elif not pair_visible(v, u, new_mask):
+                self._record_conflict((v, u))
+                return False
+        # each forced vertex counts as one conflict
+        if forced:
+            self._record_conflict(_bits_indices(forced))
+        self.forced = forced
         return True
 
     def _new_partners(self, v: int, new_mask: int) -> list[int]:
-        """The partners u whose pair with v becomes obligated when v joins
-        X, in increasing order. Adjacent pairs are left out: they have no
-        internal vertex, so they are always visible."""
+        """The partners u at distance 3 or more whose pair with v becomes
+        obligated when v joins X, in increasing order."""
         variant = self.variant
         if variant is Variant.MUTUAL:
             return _bits_indices(new_mask & self.far[v])
@@ -498,7 +559,7 @@ class _MonotoneSearch:
         # v joining X (v is an endpoint, never internal to its own pairs)
         return []
 
-    def _record_conflict(self, vertices: tuple[int, ...]) -> None:
+    def _record_conflict(self, vertices: Iterable[int]) -> None:
         for w in vertices:
             self.conflicts[w] += 1
 
@@ -520,7 +581,7 @@ class _MonotoneSearch:
         try:
             self.counters.tick()
             if self.can_add(0, 0):
-                self._dfs(1, (1 << v) - 2)
+                self._dfs(1, ((1 << v) - 2) & ~self.forced)
         except BudgetExhausted:
             complete = False
         return self.best_size, self.best_mask, complete
@@ -538,7 +599,7 @@ class _MonotoneSearch:
         v = self._pick(undecided_mask)
         rest = undecided_mask & ~(1 << v)
         if self.can_add(v, chosen_mask):
-            self._dfs(chosen_mask | (1 << v), rest)
+            self._dfs(chosen_mask | (1 << v), rest & ~self.forced)
         self._dfs(chosen_mask, rest)
 
     def _pick(self, undecided_mask: int) -> int:
@@ -574,8 +635,13 @@ def _colex_least_witness(idx: VisibilityIndex, variant: Variant, target: int,
     """Among optimal witnesses, the one whose vertex-index mask is the
     smallest integer (colex-least), found by one depth-first search: it
     decides vertices from the highest index down, tries "exclude" first,
-    and prunes a branch that can no longer reach ``target``, so its first
-    leaf of size ``target`` is the colex-least optimum.
+    and stops at its first leaf of size ``target``.
+
+    It carries ``avail``, the undecided vertices that may still join X: an
+    include drops the vertices ``can_add`` forced out. A branch with
+    size + |avail| < target is pruned, and an unavailable vertex is
+    passed over without a node. Both cut only branches with no leaf of
+    size ``target``, so the first leaf is still the colex-least optimum.
 
     Returns (mask, canonical). When the budget runs out first, the
     optimum ``found_mask`` that the value search returned comes back
@@ -584,20 +650,22 @@ def _colex_least_witness(idx: VisibilityIndex, variant: Variant, target: int,
     tick = counters.tick
     can_add = search.can_add
 
-    def dfs(w: int, chosen_mask: int, size: int) -> int | None:
-        # vertices w, w-1, ..., 0 are still undecided
+    def dfs(chosen_mask: int, size: int, avail: int) -> int | None:
+        # the vertices outside avail are decided or forced out
         tick()
         if size == target:
             return chosen_mask
-        if size + w + 1 < target:
+        if size + avail.bit_count() < target:
             return None
-        found = dfs(w - 1, chosen_mask, size)
+        w = avail.bit_length() - 1
+        rest = avail ^ (1 << w)
+        found = dfs(chosen_mask, size, rest)
         if found is None and can_add(w, chosen_mask):
-            found = dfs(w - 1, chosen_mask | (1 << w), size + 1)
+            found = dfs(chosen_mask | (1 << w), size + 1, rest & ~search.forced)
         return found
 
     try:
-        return dfs(idx.v - 1, 0, 0), True
+        return dfs(0, 0, (1 << idx.v) - 1), True
     except BudgetExhausted:
         return found_mask, False
 

@@ -96,46 +96,70 @@ def _collinear_triple_masks(g: nx.Graph) -> list[int]:
     return out
 
 
-def brute_parameter(g: nx.Graph, variant: str) -> int:
-    """Maximum size of a visibility set, by enumerating all 2^N subsets."""
+# is a pair obligated to be X-visible, given whether each endpoint is in X?
+_OBLIGED = {
+    "mutual": lambda a, b: a and b,
+    "total": lambda a, b: True,
+    "dual": lambda a, b: a == b,
+    "outer": lambda a, b: a or b,
+}
+_PARAM_VARIANT = {"mu": "mutual", "mu-total": "total", "mu-dual": "dual",
+                  "mu-outer": "outer"}
+
+# the subset-monotone properties: every subset of a valid set is valid
+MONOTONE_PARAMS = ("mu", "mu-total", "mu-outer", "gp")
+
+
+def oracle_predicate(g: nx.Graph, param: str):
+    """(vertex count, is_valid) where is_valid(x) decides whether the
+    vertex bitmask x (in ``list(g)`` order) has the property: a
+    visibility parameter ("mu", "mu-total", "mu-dual", "mu-outer") or "gp"
+    for general position."""
+    if param == "gp":
+        triples = _collinear_triple_masks(g)
+        return len(g), lambda x: all(t & x != t for t in triples)
+    needs = _OBLIGED[_PARAM_VARIANT[param]]
     nodes, pairs = _pair_geodesic_masks(g)
-    total = 1 << len(nodes)
-    best = 0
-    for x in range(total):
-        size = x.bit_count()
-        if size <= best:
-            continue
-        ok = True
+
+    def is_valid(x: int) -> bool:
         for bu, bv, masks in pairs:
-            inside = (bu & x != 0), (bv & x != 0)
-            if variant == "mu":
-                need = inside[0] and inside[1]
-            elif variant == "mu-total":
-                need = True
-            elif variant == "mu-dual":
-                need = inside[0] == inside[1]
-            elif variant == "mu-outer":
-                need = inside[0] or inside[1]
-            else:
-                raise ValueError(variant)
-            if need and not any(m & x == 0 for m in masks):
-                ok = False
-                break
-        if ok:
+            if (needs(bu & x != 0, bv & x != 0)
+                    and not any(m & x == 0 for m in masks)):
+                return False
+        return True
+
+    return len(nodes), is_valid
+
+
+def _largest_valid(count: int, is_valid, monotone: bool) -> int:
+    """The largest size of a valid vertex set, by subsets of increasing
+    size. Only existence matters at each size, so a size ends at its first
+    valid set. For a subset-monotone property no set of size s + 1 is
+    valid once none of size s is, so the walk stops there; otherwise
+    every size is tried."""
+    bits = [1 << i for i in range(count)]
+    best = 0
+    for size in range(1, count + 1):
+        if any(is_valid(sum(c)) for c in itertools.combinations(bits, size)):
             best = size
+        elif monotone:
+            break
     return best
+
+
+def brute_parameter(g: nx.Graph, variant: str) -> int:
+    """Maximum size of a visibility set, by subset enumeration. mu,
+    mu-total and mu-outer are subset-monotone, so the enumeration stops
+    at the first size with no valid set; mu-dual is not, and tries every
+    size."""
+    return _largest_valid(*oracle_predicate(g, variant), variant in MONOTONE_PARAMS)
 
 
 def brute_gp(g: nx.Graph) -> int:
-    triples = _collinear_triple_masks(g)
-    nodes = list(g)
-    best = 0
-    for x in range(1 << len(nodes)):
-        if x.bit_count() <= best:
-            continue
-        if all(t & x != t for t in triples):
-            best = x.bit_count()
-    return best
+    """Maximum size of a general-position set, by subsets of increasing
+    size up to the first size with none: general position is
+    subset-monotone."""
+    return _largest_valid(*oracle_predicate(g, "gp"), True)
 
 
 def brute_tau(edges: list[tuple[int, ...]], n: int) -> int:
@@ -370,14 +394,6 @@ def reference_ex_uniform(n: int, k: int, pattern: str, max_nodes: int = 10_000_0
 
 # ----------------------------------------------------------------------
 # reference visibility predicate, one pair at a time
-
-# is the pair obligated, given whether each endpoint is in X?
-_OBLIGED = {
-    "mutual": lambda a, b: a and b,
-    "total": lambda a, b: True,
-    "dual": lambda a, b: a == b,
-    "outer": lambda a, b: a or b,
-}
 
 
 def reference_pair_visible(adj: list[int], dist, u: int, v: int, x_mask: int) -> bool:

@@ -19,11 +19,13 @@ from mvlab.visibility import (
 )
 
 from oracles import (
+    MONOTONE_PARAMS,
     bipartite_kneser_nx,
     brute_gp,
     brute_parameter,
     johnson_nx,
     kneser_nx,
+    oracle_predicate,
     reference_blocking_pair,
     reference_pair_visible,
 )
@@ -46,6 +48,22 @@ def test_johnson_4_2_parameters_match_brute_force(param, expected):
     cert = max_visibility_number(g, PARAM_TO_VARIANT[param])
     assert cert.exact and cert.value == expected
     assert brute_parameter(johnson_nx(4, 2), param) == expected
+
+
+def _hereditary(graph, param) -> bool:
+    """Does every one-smaller subset of a valid set stay valid?"""
+    count, is_valid = oracle_predicate(graph, param)
+    return all(is_valid(x & ~(1 << i))
+               for x in range(1 << count) if is_valid(x)
+               for i in range(count) if x >> i & 1)
+
+
+def test_oracle_properties_are_subset_monotone():
+    # the oracles stop at the first size with no valid set, which is sound
+    # only for subset-monotone properties; the dual property is not one
+    for graph in (kneser_nx(5, 2), johnson_nx(4, 2)):
+        assert all(_hereditary(graph, param) for param in MONOTONE_PARAMS)
+    assert not _hereditary(johnson_nx(4, 2), "mu-dual")
 
 
 def test_general_position_values():
@@ -181,15 +199,15 @@ def test_budget_degrades_to_incomplete():
 
 
 def test_canonicalisation_stops_within_the_budget():
-    # the value search finishes in 163 nodes; making its optimum colex-least
-    # takes the run to 269, past the 200 allowed, so the found optimum is kept
+    # the value search finishes in 92 nodes; making its optimum colex-least
+    # takes the run to 177, past the 120 allowed, so the found optimum is kept
     g = johnson(5, 2)
-    cert = max_visibility_number(g, Variant.TOTAL, Budget(max_nodes=200))
+    cert = max_visibility_number(g, Variant.TOTAL, Budget(max_nodes=120))
     assert cert.value == 6 and cert.status == "exact"
     assert is_visibility_set(g, cert.witness, Variant.TOTAL).ok
     assert cert.witness_canonical is False
     assert cert.as_json()["witness_canonical"] is False
-    assert cert.nodes_expanded <= 200
+    assert cert.nodes_expanded <= 120
     unbudgeted = max_visibility_number(g, Variant.TOTAL)
     assert unbudgeted.witness_canonical
     assert "witness_canonical" not in unbudgeted.as_json()
@@ -378,3 +396,63 @@ def test_witness_is_the_first_optimum_in_mask_order(graph, variant):
                  and is_visibility_set(graph, idx.subset(
                      i for i in range(idx.v) if mask >> i & 1), variant).ok)
     assert found == first
+
+
+@PROPERTY
+@given(st.sampled_from(MIXED_GRAPHS),
+       st.sampled_from((Variant.MUTUAL, Variant.TOTAL, Variant.OUTER)),
+       st.data())
+def test_forced_vertices_are_exactly_the_blocked_ones(graph, variant, data):
+    # grow X in a random order; every vertex can_add forces out must fail
+    # the definitional check once added. At diameter 2 every constraint is
+    # a forbidden set, so the forced vertices are all the blocked ones
+    idx = visibility_index(graph)
+    search = _MonotoneSearch(idx, variant, SearchCounters(None))
+    order = data.draw(st.permutations(range(idx.v)), label="order")
+    size = data.draw(st.integers(0, idx.v), label="size")
+    chosen = forced = 0
+    for v in order[:size]:
+        if not search.can_add(v, chosen):
+            continue
+        chosen |= 1 << v
+        forced |= search.forced
+        members = [i for i in range(idx.v) if chosen >> i & 1]
+        for u in range(idx.v):
+            if search.forced >> u & 1:
+                assert not chosen >> u & 1
+                assert not is_visibility_set(graph, idx.subset(members + [u]),
+                                             variant).ok
+    if graph.diameter() > 2:
+        return
+    members = [i for i in range(idx.v) if chosen >> i & 1]
+    for u in range(idx.v):
+        if chosen >> u & 1:
+            continue
+        never = not is_visibility_set(graph, idx.subset([u]), variant).ok
+        blocked = not is_visibility_set(graph, idx.subset(members + [u]), variant).ok
+        assert blocked == bool(forced >> u & 1 or never)
+
+
+# (value, colex-least witness), pinned from the search before it forward
+# checked; each witness vertex is spelled as its members
+PINNED_OPTIMA = (
+    (kneser(7, 2), "mu", 16, "13 23 14 24 15 25 35 45 16 26 36 46 17 27 37 47"),
+    (kneser(8, 2), "mu-outer", 24,
+     "13 23 14 24 15 25 35 45 16 26 36 46 17 27 37 47 57 67 18 28 38 48 58 68"),
+    (johnson(7, 2), "mu-total", 9, "12 13 14 15 45 16 36 17 27"),
+    (johnson(6, 3), "mu", 15,
+     "124 134 234 125 135 235 245 345 126 136 236 146 346 156 256"),
+    (bipartite_kneser(5, 2), "mu", 8, "12 13 14 24 34 15 25 35"),
+    (bipartite_kneser(6, 2), "mu", 16,
+     "23 24 34 25 35 45 26 36 46 56 1235 1245 1345 1236 1246 1346"),
+)
+
+
+@pytest.mark.parametrize("graph,param,value,witness", PINNED_OPTIMA,
+                         ids=[f"{format_family(g)}-{p}" for g, p, *_ in PINNED_OPTIMA])
+def test_pinned_optima_and_witnesses(graph, param, value, witness):
+    cert = max_visibility_number(graph, PARAM_TO_VARIANT[param])
+    assert cert.exact and cert.witness_canonical
+    assert cert.value == value
+    assert [s.members() for s in cert.witness] == [
+        tuple(int(c) for c in w) for w in witness.split()]
