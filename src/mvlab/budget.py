@@ -8,8 +8,8 @@ the best proven bounds and witness. Defaults follow the CLI contract:
 A Budget bounds each search, not each command: every search counts its
 own nodes and times itself from its own start. A command that runs
 several searches may spend it once per search; for example,
-``verify --formula mut-johnson --n 6..9 --k 3 --budget-seconds 0.3`` runs
-four and takes about 1.2 s. A search that calls another as a step (the
+``verify --formula mut-johnson --n 9..12 --k 3 --budget-seconds 0.3`` runs
+four Turan searches, each cut at 0.3 s, and takes about 1.4 s. A search that calls another as a step (the
 tau kernel inside ``min_edges_with_tau``) passes its own SearchCounters
 down, so the step spends the caller's budget and counts in its nodes.
 """

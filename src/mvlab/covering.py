@@ -5,11 +5,13 @@ every t-subset. The solver is an exact set-cover branch and bound:
 branch on the colex-least uncovered t-set over the blocks containing it
 (forbidding earlier siblings to partition the space), prune with
 used + ceil(uncovered / C(k, t)) against the incumbent, seed the
-incumbent greedily (callers may inject a stronger seed). Building each
-block's coverage table is one node with a clock reading, so the budget
-bounds that setup too; a cut there returns [counting bound, |seed|] with
-the caller's seed when it is a valid cover, checked without the tables,
-and [counting bound, C(n, k)] with every k-subset otherwise.
+incumbent greedily (callers may inject a stronger seed), and stop once
+the incumbent meets Schonheim's lower bound L(n, k, t), which is also the
+lower end of a cut search. Building each block's coverage table is one
+node with a clock reading, so the budget bounds that setup too; a cut
+there returns [L(n, k, t), |seed|] with the caller's seed when it is a
+valid cover, checked without the tables, and [L(n, k, t), C(n, k)] with
+every k-subset otherwise.
 
 Complementation links coverings to transversals: a k-uniform system on
 [n] has transversal number >= t+1 iff the complements of its edges (as
@@ -46,6 +48,19 @@ def steiner_lower_bound(n: int, k: int, t: int) -> int:
     """ceil(C(n,t) / C(k,t)), the counting lower bound for C(n, k, t)."""
     _validate_cover_params(n, k, t)
     return ceil(comb(n, t) / comb(k, t))
+
+
+def schonheim_bound(n: int, k: int, t: int) -> int:
+    """Schonheim's lower bound for C(n, k, t): L(n, k, t) =
+    ceil(n/k L(n-1, k-1, t-1)) with L(., ., 0) = 1. A block through a fixed
+    point covers, once the point is dropped, (t-1)-sets of the other n - 1
+    points with a (k-1)-block, so each point lies in at least
+    L(n-1, k-1, t-1) blocks. Never below the counting bound."""
+    _validate_cover_params(n, k, t)
+    lower = 1
+    for d in range(t - 1, -1, -1):
+        lower = -(-(n - d) * lower // (k - d))
+    return lower
 
 
 def _validate_cover_params(n: int, k: int, t: int) -> None:
@@ -88,10 +103,13 @@ def covering_number(n: int, k: int, t: int, budget: Budget | None = None,
         blocks = tuple(k_subset_masks(n, k))
         return CoveringCertificate(n, k, t, len(blocks), len(blocks), blocks, 0)
 
-    lower = steiner_lower_bound(n, k, t)
+    lower = schonheim_bound(n, k, t)
     counters = SearchCounters(budget)
     universe = list(k_subset_masks(n, t))
     seed = _valid_seed(seed_blocks, n, k, universe)
+    if seed and len(seed) <= lower:
+        # the seed meets the lower end, so it is optimal: nothing to search
+        return CoveringCertificate(n, k, t, lower, lower, tuple(seed), 0)
     uidx = {m: i for i, m in enumerate(universe)}
     blocks = list(k_subset_masks(n, k))
     cover = []  # coverage bitmask over universe indices, per block
@@ -125,8 +143,10 @@ def covering_number(n: int, k: int, t: int, budget: Budget | None = None,
     sols: list[list[int]] = [best]
 
     def rec(uncov: int, chosen: list[int], forbidden: int) -> None:
-        counters.tick()
         nonlocal best_size
+        if best_size <= lower:   # the incumbent meets the lower end
+            return
+        counters.tick()
         if not uncov:
             if len(chosen) < best_size:
                 best_size = len(chosen)
@@ -152,8 +172,7 @@ def covering_number(n: int, k: int, t: int, budget: Budget | None = None,
 
     best = sols[0]
     hi = len(best)
-    lo = hi if status_exact else max(lower, 0)
-    lo = min(lo, hi)
+    lo = hi if status_exact else min(lower, hi)
     witness = tuple(sorted(blocks[bi] for bi in best))
     return CoveringCertificate(n, k, t, lo, hi, witness, counters.nodes)
 

@@ -16,7 +16,7 @@ vertex pair with two common neighbors) resp. K4 (as a subgraph).
 
 ex_uniform(n, k, pattern) is the exact maximum edge count of a
 pattern-free k-uniform system on [n], by include/exclude branch and
-bound over the colex-ordered candidate edges with the bound
+bound over the colex-ordered candidate edges, pruning a node once
 |current| + |remaining candidates| <= incumbent. Since relabeling is a
 pattern-automorphism of [n] and the optimum is nonempty, the search
 fixes the first candidate edge {1..k} as included (root symmetry
@@ -39,19 +39,39 @@ relabelling orbit satisfies every rule; relabelling keeps
 pattern-freeness and edge count, so no optimum is lost. The witness does
 not change either: the first maximum system the include-first search
 finds is the lex-greatest maximum system, hence the lex-leader of its
-orbit, and the rule never prunes it.
+orbit, and neither the rule nor a bound prunes it.
+
+For k >= 3 the search also bounds vertex degrees through the link
+recursion (Katona, Nemetz and Simonovits 1964; Furedi, "Turan type
+problems", 1991): the link of a vertex of a pattern-free k-system is a
+pattern-free (k-1)-system on the other n - 1 vertices, so no degree
+exceeds D = ex_cap(n - 1, k - 1) and, summing degrees,
+ex_k(n) <= floor(n D / k). ``ex_cap`` applies this down to k = 2, where
+it takes the exact ex(m, C4) for m <= 10, Reiman's bound above, and
+floor(m^2 / 3) for K4. At a node, vertex y can still reach degree
+deg_y + rem_y, rem_y counting the undecided candidates through y, so the
+node's systems have at most floor(sum_y min(D, deg_y + rem_y) / k) edges.
+The search keeps that sum as n D minus a ``deficit``: passing over a
+candidate (by exclusion, the swap rule or a pattern block) adds 1 for
+each member y with deg_y + rem_y <= D before the pass, and including one
+changes no deg_y + rem_y. A node is pruned once deficit > n D - k (best +
+1), so the search ends exact as soon as the incumbent reaches
+floor(n D / k). k = 2 has no such bound: its trees are those of the
+include/exclude search alone, and it never reads the ex(m, C4) table,
+so the table can be re-derived with it.
 
 On budget exhaustion the result degrades to an interval [best found,
-candidate-count bound]; for the plain C4 (k = 2) the upper end is also
-capped by Reiman's bound floor((n/4)(1 + sqrt(4n - 3))), which bounds the
-reported interval only, never the search. The n^(k-1/2)/k! asymptotic
-guide can be reported alongside but is never a bound.
+upper bound]. For k >= 3 the upper end is ex_cap(n, k); for the plain C4
+(k = 2) it is Reiman's bound floor((n/4)(1 + sqrt(4n - 3))), and for K4
+(k = 2) the candidate count. These caps bound the reported interval, and
+for k >= 3 the search through D; the n^(k-1/2)/k! asymptotic guide can
+be reported alongside but is never a bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, isqrt
+from math import comb, factorial, isqrt
 
 from .budget import Budget, BudgetExhausted, IntervalResult, SearchCounters
 from .errors import ConstraintError, DomainError
@@ -231,23 +251,32 @@ def _pair_splits(edge: int) -> list[int]:
 
 
 class _SplitRows(dict):
-    """Row i of candidate edge i is ``(splits, top, bit, m)``. ``splits``
-    lists its (link, lo, hi) splits, where link is the adjacency dict of the
-    apex ``edge ^ (lo | hi)``; every edge through an apex shares its one
-    dict, so the splits are all the search needs to test, add and remove the
-    edge. ``top`` is the edge's largest vertex and ``bit`` is 1 << r, r the
-    colex rank of its rest ``edge - {top}``: the edge's place in the
-    back-link of ``top``. ``m`` is top - 1 when the rest avoids top - 1, so
-    that the swap rule for m and m + 1 governs the edge, and 0 otherwise.
-    A row is built when the search first reaches its edge, so a budget-cut
-    search on a large [n] builds only the rows it visits."""
+    """Row i of candidate edge i is ``(splits, top, bit, m, degs)``.
+    ``splits`` lists its (link, lo, hi) splits, where link is the adjacency
+    dict of the apex ``edge ^ (lo | hi)``; every edge through an apex shares
+    its one dict, so the splits are all the search needs to test, add and
+    remove the edge. ``top`` is the edge's largest vertex and ``bit`` is
+    1 << r, r the colex rank of its rest ``edge - {top}``: the edge's place
+    in the back-link of ``top``. ``m`` is top - 1 when the rest avoids
+    top - 1, so that the swap rule for m and m + 1 governs the edge, and 0
+    otherwise. ``degs`` pairs each member y (0-based) with D - rem_y, where
+    D is the degree cap and rem_y the number of candidates from i on that
+    contain y; it is empty without a cap. A row is built when the search
+    first reaches its edge, so a budget-cut search on a large [n] builds
+    only the rows it visits. The search reaches candidate i + 1 only
+    through candidate i, so rows are built in index order and rem_y is a
+    running count."""
 
-    def __init__(self, candidates: list[int]):
+    def __init__(self, candidates: list[int], n: int, k: int, cap: int | None):
         super().__init__()
         self.candidates = candidates
         self.links: dict[int, dict[int, int]] = {}
+        self.cap = cap
+        # through[y]: candidates through y from the next row to be built on
+        self.through = [comb(n - 1, k - 1)] * n
 
-    def __missing__(self, i: int) -> tuple[list[tuple[dict[int, int], int, int]], int, int, int]:
+    def __missing__(self, i: int) -> tuple[list[tuple[dict[int, int], int, int]],
+                                           int, int, int, tuple[tuple[int, int], ...]]:
         edge = self.candidates[i]
         links = self.links
         splits = [(links.setdefault(edge ^ pair, {}), pair & -pair, pair & (pair - 1))
@@ -255,7 +284,14 @@ class _SplitRows(dict):
         top = edge.bit_length()
         rest = edge ^ 1 << (top - 1)
         m = 0 if rest >> (top - 2) & 1 else top - 1
-        row = self[i] = (splits, top, 1 << colex_rank(rest), m)
+        degs: tuple[tuple[int, int], ...] = ()
+        if self.cap is not None:
+            through = self.through
+            ys = [b.bit_length() - 1 for b in iter_bits(edge)]
+            degs = tuple((y, self.cap - through[y]) for y in ys)
+            for y in ys:
+                through[y] -= 1
+        row = self[i] = (splits, top, 1 << colex_rank(rest), m, degs)
         return row
 
 
@@ -304,27 +340,34 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
     counters = SearchCounters(budget)
     tick = counters.tick
     find = _completes_c4 if pattern.name == "c4sus" else _completes_k4
-    rows = _SplitRows(candidates)
+    # the degree cap D: each vertex link is pattern-free on the other n - 1
+    cap = ex_cap(n - 1, k - 1, pattern.name) if k >= 3 else None
+    rows = _SplitRows(candidates, n, k, cap)
     # back[v] holds 1 << rank(R) for each included edge R + {v} with top v
     back = [0] * (n + 1)
+    deg = [0] * n
     edges: list[int] = []
     best: list[int] = []
     best_size = 0
 
     def push(i: int) -> None:
-        splits, top, bit, _ = rows[i]
+        splits, top, bit, _, degs = rows[i]
         for adj, lo, hi in splits:
             adj[lo] = adj.get(lo, 0) | hi
             adj[hi] = adj.get(hi, 0) | lo
         back[top] |= bit
+        for y, _ in degs:
+            deg[y] += 1
         edges.append(candidates[i])
 
     def pop(i: int) -> None:
         # lo-hi was absent from this link before push(i), so clearing the
         # two bits restores it exactly
         edges.pop()
-        splits, top, bit, _ = rows[i]
+        splits, top, bit, _, degs = rows[i]
         back[top] ^= bit
+        for y, _ in degs:
+            deg[y] -= 1
         for adj, lo, hi in splits:
             rest = adj[lo] ^ hi
             if rest:
@@ -338,20 +381,27 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
                 del adj[hi]
 
     def dfs(i: int) -> None:
-        # ``stack`` holds the included candidates below the root, so the
-        # depth is not bounded by the recursion limit. The exclude branch
-        # is the next turn of the loop: it ticks its node and tests its
-        # bound, and cannot raise the incumbent (it holds the same edges)
+        # ``stack`` holds the included candidates below the root, each with
+        # the deficit it was included at, so the depth is not bounded by the
+        # recursion limit. The exclude branch is the next turn of the loop:
+        # it ticks its node and tests its bounds, and cannot raise the
+        # incumbent (it holds the same edges). Without a cap the deficit
+        # and its limit stay 0
         nonlocal best, best_size
-        stack: list[int] = []
+        stack: list[tuple[int, int]] = []
+        deficit = limit = 0
+        if cap is not None:
+            limit = n * cap - k * (best_size + 1)
         tick()
         while True:
             size = len(edges)
             if size > best_size:
                 best_size = size
                 best = list(edges)
-            if i < total and size + (total - i) > best_size:
-                splits, _, bit, m = rows[i]
+                if cap is not None:
+                    limit = n * cap - k * (size + 1)
+            if i < total and size + (total - i) > best_size and deficit <= limit:
+                splits, _, bit, m, degs = rows[i]
                 # the swap rule: R + {m+1} goes in only if R + {m} is in or
                 # the back-links of m and m+1 differ below R
                 if not m or back[m] & bit or (back[m] ^ back[m + 1]) & (bit - 1):
@@ -360,15 +410,20 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
                             break
                     else:
                         push(i)
-                        stack.append(i)
+                        stack.append((i, deficit))
                         i += 1
                         tick()
                         continue
             elif stack:
-                i = stack.pop()
+                i, deficit = stack.pop()
                 pop(i)
+                degs = rows[i][4]
             else:
                 return
+            # pass over candidate i
+            for y, t in degs:
+                if deg[y] <= t:
+                    deficit += 1
             i += 1
             tick()
 
@@ -384,7 +439,9 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
 
     if complete:
         hi = best_size
-    elif pattern.name == "c4sus" and k == 2:
+    elif k >= 3:
+        hi = ex_cap(n, k, pattern.name)
+    elif pattern.name == "c4sus":
         hi = min(total, reiman_c4_bound(n))
     else:
         hi = total
@@ -400,6 +457,28 @@ def turan_k4_closed(n: int) -> int:
     if n < 1:
         raise ConstraintError(f"need n >= 1, got {n}")
     return n * n // 3
+
+
+# ex(m, C4) for m = 0..10: Clapham, Flockhart and Sheehan, "Graphs without
+# four-cycles" (JGT 1989)
+_C4_FREE_MAX = (0, 0, 1, 3, 4, 6, 7, 9, 11, 13, 16)
+
+
+def ex_cap(m: int, j: int, name: str) -> int:
+    """A proven upper bound on ex_j(m), the most edges of a j-uniform system
+    on [m] (j >= 2) free of the suspended pattern ``name``: for j = 2 the
+    exact ex(m, C4) for m <= 10 and Reiman's bound above, or Turan's
+    floor(m^2 / 3) for K4; for j >= 3 the link recursion
+    floor(m ex_cap(m - 1, j - 1) / j). Every j = 2 value is at most C(m, 2),
+    and floor(m C(m - 1, j - 1) / j) = C(m, j), so no value passes the
+    candidate count."""
+    if m < j:
+        return 0
+    if j == 2:
+        if name == "k4sus":
+            return turan_k4_closed(m)
+        return _C4_FREE_MAX[m] if m < len(_C4_FREE_MAX) else reiman_c4_bound(m)
+    return m * ex_cap(m - 1, j - 1, name) // j
 
 
 def reiman_c4_bound(n: int) -> int:

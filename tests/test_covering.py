@@ -10,6 +10,7 @@ from mvlab.covering import (
     c_star,
     covering_number,
     min_edges_with_tau,
+    schonheim_bound,
     steiner_lower_bound,
 )
 from mvlab.errors import ConstraintError
@@ -41,6 +42,31 @@ def test_covering_shortcuts():
 def test_steiner_bound_is_a_lower_bound():
     for n, k, t in ((7, 5, 3), (8, 6, 3), (7, 5, 4), (6, 4, 3)):
         assert steiner_lower_bound(n, k, t) <= covering_number(n, k, t).value
+
+
+# the exact values pinned in this file: COVERING_NUMBERS, the shortcuts and
+# c_star(n, 2) = C(n, n - 2, 3)
+EXACT_COVERINGS = (COVERING_NUMBERS + [(6, 6, 3, 1), (5, 3, 3, 10)]
+                   + [(n, n - 2, 3, v) for n, v in
+                      ((6, 6), (7, 5), (8, 4), (9, 4), (10, 4), (11, 4), (12, 4))])
+
+
+def test_schonheim_bound():
+    assert schonheim_bound(9, 6, 5) == 27 and schonheim_bound(10, 7, 5) == 16
+    for n, k, t, value in EXACT_COVERINGS:
+        assert steiner_lower_bound(n, k, t) <= schonheim_bound(n, k, t) <= value
+
+
+# without the stop these searches took 238 and 146 nodes; the setup takes
+# C(n, k) of them
+@pytest.mark.parametrize("n,k,t,nodes", [(7, 5, 4, 21), (6, 3, 2, 89)])
+def test_covering_stops_at_the_schonheim_bound(n, k, t, nodes):
+    # L(7, 5, 4) = 9 and L(6, 3, 2) = 6 are met, so the search ends once its
+    # incumbent reaches them: at (7, 5, 4) the greedy seed does, before any
+    # search node
+    cert = covering_number(n, k, t)
+    assert cert.exact and cert.value == schonheim_bound(n, k, t)
+    assert cert.nodes_expanded == nodes
 
 
 def test_covering_param_validation():
@@ -123,15 +149,20 @@ def test_covering_interval_on_tiny_budget():
 
 
 def test_setup_cut_keeps_a_valid_seed():
-    # part i is C(21, 18, 5); a zero budget cuts its 1,330-block setup, and
-    # the 6 disjoint edges of the c-star seed still bound it from above
+    # parts i and iii are C(21, 18, 5) and C(21, 18, 6): the 6 and 7
+    # disjoint edges of their c-star seeds meet Schonheim's bound, so even a
+    # zero budget proves them exact, without the 1,330-block setup
     (i, _, iii) = verify("lemma-cstar", {"n": 21, "k": 3}, budget=Budget(max_nodes=0))
-    assert i.params["part"] == "i" and i.oracle_value == Bounds(3, 6)
-    assert iii.params["part"] == "iii" and iii.oracle_value == Bounds(3, 7)
+    assert i.params["part"] == "i" and i.oracle_value == Bounds(6, 6)
+    assert iii.params["part"] == "iii" and iii.oracle_value == Bounds(7, 7)
+    # a valid seed above the lower end bounds a cut setup from above
+    blocks = tuple(k_subset_masks(7, 5))[1:]
+    cert = covering_number(7, 5, 4, Budget(max_nodes=0), seed_blocks=blocks)
+    assert (cert.lo, cert.hi, cert.blocks, cert.nodes_expanded) == (9, 20, blocks, 0)
     # a seed that misses a t-subset is dropped: all blocks bound it instead
     blocks = tuple(itertools.islice(k_subset_masks(7, 5), 3))
     cert = covering_number(7, 5, 4, Budget(max_nodes=0), seed_blocks=blocks)
-    assert (cert.lo, cert.hi, cert.nodes_expanded) == (7, 21, 0)
+    assert (cert.lo, cert.hi, cert.nodes_expanded) == (9, 21, 0)
 
 
 def test_setup_reads_the_clock_per_block(monkeypatch):

@@ -23,7 +23,8 @@ from oracles import C4_FREE_MAX, COVERING_NUMBERS, K4_FREE_MAX
 
 TURAN_CASES = ([(n, 2, build_c4_suspension(2), v) for n, v in C4_FREE_MAX.items()]
                + [(n, 2, build_k4_suspension(2), v) for n, v in K4_FREE_MAX.items()]
-               + [(5, 3, build_c4_suspension(3), 6)])
+               + [(5, 3, build_c4_suspension(3), 6), (7, 3, build_c4_suspension(3), 15),
+                  (7, 3, build_k4_suspension(3), 28)])
 TAU_CASES = [(7 * k - 5, k, 2 * k) for k in (3, 4)]  # tau(H(n, k)) = 2k
 
 node_budgets = st.integers(min_value=0, max_value=4000)

@@ -138,6 +138,13 @@ def test_mut_johnson_dual_route_agreement():
     assert [r.oracle_value.lo for r in reports] == [4, 6, 7]
 
 
+def test_mut_johnson_k3_formula_values_are_exact():
+    # the degree bound closes both Turan searches: ex_3(7) = 15, ex_3(8) = 24
+    reports = verify("mut-johnson", {"n": (7, 8), "k": 3})
+    assert _verdicts(reports) == ["pass"] * 2
+    assert [r.formula_value for r in reports] == [Bounds(15, 15), Bounds(24, 24)]
+
+
 def test_mu_johnson_k2_and_sandwich():
     reports = verify("mu-johnson-k2", {"n": (4, 5)})
     assert _verdicts(reports) == ["pass"] * 2

@@ -1,4 +1,5 @@
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -9,6 +10,7 @@ from mvlab.turan import (
     build_c4_suspension,
     build_k4_suspension,
     contains_pattern,
+    ex_cap,
     ex_uniform,
     format_pattern,
     mubayi_asymptote,
@@ -129,19 +131,30 @@ def test_trivial_small_n():
 
 # Search trees pinned at their node counts and witnesses: a change to the
 # branching order, the bound or the node accounting fails these.
+C4SUS3_N7 = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5), (3, 4, 5), (1, 2, 6),
+             (3, 4, 6), (1, 5, 6), (2, 5, 6), (3, 5, 6), (4, 5, 6), (1, 2, 7), (3, 4, 7),
+             (5, 6, 7)]
 PINNED_TREES = (
     (7, 2, build_c4_suspension(2), None, 9, 9, 1854,
      [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5), (1, 6), (1, 7), (6, 7)]),
     (6, 2, build_k4_suspension(2), None, 12, 12, 110,
      [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (3, 5), (4, 5), (2, 6),
       (3, 6), (4, 6), (5, 6)]),
-    (7, 3, build_c4_suspension(3), 5000, 15, 35, 5000,
-     [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5), (3, 4, 5), (1, 2, 6),
-      (3, 4, 6), (1, 5, 6), (2, 5, 6), (3, 5, 6), (4, 5, 6), (1, 2, 7), (3, 4, 7),
-      (5, 6, 7)]),
+    (7, 3, build_c4_suspension(3), 5000, 15, 16, 5000, C4SUS3_N7),
     (8, 2, build_c4_suspension(2), None, 11, 11, 9397,
      [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5), (2, 6), (2, 7), (6, 7), (4, 8),
       (6, 8)]),
+    # the optima and witnesses of the search before the degree bound
+    (7, 3, build_c4_suspension(3), None, 15, 15, 156852, C4SUS3_N7),
+    (7, 3, build_k4_suspension(3), None, 28, 28, 2910,
+     [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5), (1, 3, 5), (2, 4, 5),
+      (3, 4, 5), (1, 2, 6), (2, 3, 6), (1, 4, 6), (3, 4, 6), (1, 5, 6), (2, 5, 6),
+      (3, 5, 6), (4, 5, 6), (1, 3, 7), (2, 3, 7), (1, 4, 7), (2, 4, 7), (1, 5, 7),
+      (2, 5, 7), (3, 5, 7), (4, 5, 7), (1, 6, 7), (2, 6, 7), (3, 6, 7), (4, 6, 7)]),
+    # floor(8 ex_cap(7, 2) / 3) = 24 edges close the search
+    (8, 3, build_c4_suspension(3), None, 24, 24, 79,
+     C4SUS3_N7 + [(1, 2, 8), (3, 4, 8), (5, 6, 8), (1, 7, 8), (2, 7, 8), (3, 7, 8),
+                  (4, 7, 8), (5, 7, 8), (6, 7, 8)]),
 )
 
 
@@ -151,6 +164,7 @@ def test_search_tree_is_pinned(n, k, pat, cap, lo, hi, nodes, witness):
     r = ex_uniform(n, k, pat, budget)
     assert (r.lo, r.hi, r.nodes_expanded) == (lo, hi, nodes)
     assert r.witness.edge_members() == witness
+    assert contains_pattern(r.witness, pat) is None
 
 
 # the former search, without the swap rule: k = 2 up to n = 8, k = 3 up to 6
@@ -163,6 +177,8 @@ def test_swap_rule_keeps_the_optimum_and_witness(n, k, name):
     r = ex_uniform(n, k, parse_pattern(f"{name}:k={k}"))
     lo, hi, witness, _ = reference_ex_uniform(n, k, name)
     assert (r.lo, r.hi, r.witness.edge_members()) == (lo, hi, witness)
+    # the link cap bounds every optimum the former search proves
+    assert hi <= ex_cap(n, k, name)
 
 
 def test_reference_search_is_the_former_search():
@@ -198,6 +214,25 @@ def test_budget_cut_c4_interval_takes_the_reiman_cap():
     assert r.nodes_expanded == 1000
 
 
+@pytest.mark.parametrize("m", range(1, 11))
+def test_ex_cap_table_is_the_k2_search(m):
+    # k = 2 has no degree bound, so the search re-derives the table exactly
+    assert ex_uniform(m, 2, build_c4_suspension(2)).value == ex_cap(m, 2, "c4sus")
+
+
+def test_ex_cap_never_passes_the_candidate_count():
+    for j in range(2, 6):
+        for m in range(13):
+            for name in ("c4sus", "k4sus"):
+                assert ex_cap(m, j, name) <= comb(m, j)
+
+
+def test_budget_cut_uniform_interval_takes_the_link_cap():
+    r = ex_uniform(9, 3, build_c4_suspension(3), Budget(max_nodes=1000))
+    assert not r.exact and r.nodes_expanded == 1000
+    assert r.hi == ex_cap(9, 3, "c4sus") == 33 < 84  # C(9, 3) candidates
+
+
 def test_budget_cut_search_builds_only_the_rows_it_visits():
     # 91,390 candidate 4-sets: a table of all their splits would take tens
     # of MB; a 500-node search reaches a few hundred of them
@@ -217,6 +252,6 @@ def test_deep_search_returns_an_interval():
     pat = build_c4_suspension(3)
     r = ex_uniform(50, 3, pat, Budget(max_nodes=300000))
     assert not r.exact and r.nodes_expanded == 300000
-    assert 1000 < r.lo <= r.hi == 19600  # C(50, 3) candidates
+    assert 1000 < r.lo <= r.hi == ex_cap(50, 3, "c4sus") == 3033
     assert len(r.witness.edges) == r.lo
     assert contains_pattern(r.witness, pat) is None
