@@ -9,9 +9,12 @@ A Budget bounds each search, not each command: every search counts its
 own nodes and times itself from its own start. A command that runs
 several searches may spend it once per search; for example,
 ``verify --formula mut-johnson --n 9..12 --k 3 --budget-seconds 0.3`` runs
-four Turan searches, each cut at 0.3 s, and takes about 1.4 s. A search that calls another as a step (the
-tau kernel inside ``min_edges_with_tau``) passes its own SearchCounters
-down, so the step spends the caller's budget and counts in its nodes.
+four Turan searches, each cut at 0.3 s, and takes about 1.4 s. A search
+that calls another as a step passes its own SearchCounters down, so the
+step spends the caller's budget and counts in its nodes: the tau kernel
+inside ``min_edges_with_tau``, and the sub-instance C(n-1, k-1, t-1) of a
+covering search, which may spend at most half of the nodes left and
+shares the caller's clock.
 """
 
 from __future__ import annotations

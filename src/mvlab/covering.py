@@ -4,14 +4,25 @@ C(n, k, t) is the minimum number of k-subsets of [n] (blocks) covering
 every t-subset. The solver is an exact set-cover branch and bound:
 branch on the colex-least uncovered t-set over the blocks containing it
 (forbidding earlier siblings to partition the space), prune with
-used + ceil(uncovered / C(k, t)) against the incumbent, seed the
-incumbent greedily (callers may inject a stronger seed), and stop once
-the incumbent meets Schonheim's lower bound L(n, k, t), which is also the
-lower end of a cut search. Building each block's coverage table is one
-node with a clock reading, so the budget bounds that setup too; a cut
-there returns [L(n, k, t), |seed|] with the caller's seed when it is a
-valid cover, checked without the tables, and [L(n, k, t), C(n, k)] with
-every k-subset otherwise.
+used + ceil(uncovered / C(k, t)) against the incumbent, and stop once the
+incumbent meets the lower end, which is also the lower end of a cut
+search. Each level runs three steps:
+
+1. Seeds. The smallest valid cover among the caller's seed, the partition
+   family (on the complement side, every (n-k)-set inside one of a few
+   disjoint parts, sized by convexity for the fewest blocks) and, when
+   (n-k, n-t) = (3, 4), Turan's cyclic construction. One that meets
+   Schonheim's bound L(n, k, t) is returned at once.
+2. Sub-instance. Each point lies in at least C(n-1, k-1, t-1) blocks, so
+   C(n, k, t) >= ceil(n/k C(n-1, k-1, t-1)). The same search runs on that
+   sub-instance with at most half of the nodes left, on the caller's
+   counters and clock, and its proven lower end raises L(n, k, t). It is
+   skipped where even its seed could not raise L, and at t = 2, where
+   C(n-1, k-1, 1) is Schonheim's bound itself.
+3. Search. Building each block's coverage table is one node with a clock
+   reading, so the budget bounds that setup too; a cut there returns
+   [lo, |seed|]. The incumbent is the seed, or the greedy cover when it
+   is smaller.
 
 Complementation links coverings to transversals: a k-uniform system on
 [n] has transversal number >= t+1 iff the complements of its edges (as
@@ -29,7 +40,7 @@ sets driven by the transversal kernel), is kept for duality checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, ceil
+from math import comb
 
 from .budget import Budget, BudgetExhausted, IntervalResult, SearchCounters
 from .constructions import build_h_nk
@@ -42,12 +53,6 @@ from .hypergraphs import (
     transversal_number,
 )
 from .subsets import colex_rank, k_subset_masks, k_subsets_of_mask, members_of
-
-
-def steiner_lower_bound(n: int, k: int, t: int) -> int:
-    """ceil(C(n,t) / C(k,t)), the counting lower bound for C(n, k, t)."""
-    _validate_cover_params(n, k, t)
-    return ceil(comb(n, t) / comb(k, t))
 
 
 def schonheim_bound(n: int, k: int, t: int) -> int:
@@ -102,14 +107,31 @@ def covering_number(n: int, k: int, t: int, budget: Budget | None = None,
     if k == t:
         blocks = tuple(k_subset_masks(n, k))
         return CoveringCertificate(n, k, t, len(blocks), len(blocks), blocks, 0)
-
-    lower = schonheim_bound(n, k, t)
     counters = SearchCounters(budget)
+    lo, blocks = _cover(n, k, t, counters, seed_blocks)
+    return CoveringCertificate(n, k, t, lo, len(blocks), tuple(blocks), counters.nodes)
+
+
+def _cover(n: int, k: int, t: int, counters: SearchCounters,
+           seed_blocks: tuple[int, ...] | None) -> tuple[int, list[int]]:
+    """A proven lower end for C(n, k, t), 1 <= t < k < n, and sorted blocks
+    attaining the upper end. Spends ``counters`` and returns when its budget
+    runs out, so the caller's node count holds all of this work."""
+    lower = schonheim_bound(n, k, t)
     universe = list(k_subset_masks(n, t))
-    seed = _valid_seed(seed_blocks, n, k, universe)
-    if seed and len(seed) <= lower:
+    # the smallest valid seed, the caller's on a tie: a check costs a pass
+    # over the t-sets, so seeds are checked smallest first
+    candidates = sorted(filter(None, (seed_blocks, *_built_in_seeds(n, k, t))), key=len)
+    seed = next(filter(None, (_valid_seed(s, n, k, universe) for s in candidates)))
+    if len(seed) <= lower:
         # the seed meets the lower end, so it is optimal: nothing to search
-        return CoveringCertificate(n, k, t, lower, lower, tuple(seed), 0)
+        return lower, seed
+    # C(n-1, k-1, 1) is Schonheim's bound itself, so a sub-instance raises
+    # the lower end only from t = 3 on, and only if its seed leaves room
+    if t > 2 and -(-n * min(map(len, _built_in_seeds(n - 1, k - 1, t - 1))) // k) > lower:
+        lower = max(lower, -(-n * _sub_instance_lower(n, k, t, counters) // k))
+        if len(seed) <= lower:
+            return lower, seed
     uidx = {m: i for i, m in enumerate(universe)}
     blocks = list(k_subset_masks(n, k))
     cover = []  # coverage bitmask over universe indices, per block
@@ -126,19 +148,19 @@ def covering_number(n: int, k: int, t: int, budget: Budget | None = None,
                 blocks_for[i].append(bi)
             cover.append(c)
     except BudgetExhausted:
-        # cut during setup: the seed, else all k-subsets, covers every t-subset
-        hi_blocks = seed if seed and len(seed) < len(blocks) else blocks
-        return CoveringCertificate(n, k, t, lower, len(hi_blocks), tuple(hi_blocks),
-                                   counters.nodes)
+        # cut during setup: the seed covers every t-subset
+        return lower, seed
     full = (1 << len(universe)) - 1
     per_block = comb(k, t)
 
-    # incumbent: caller seed if valid, else greedy (block index = colex rank)
-    if seed:
+    # incumbent: the seed, or the greedy cover when smaller (block index =
+    # colex rank)
+    best = _greedy_cover(cover, full)
+    if len(seed) <= len(best):
         best = [colex_rank(b) for b in seed]
-    else:
-        best = _greedy_cover(cover, full)
     best_size = len(best)
+    # the t-sets each block leaves uncovered, so a node takes one AND
+    uncovered_by = [full ^ c for c in cover]
 
     sols: list[list[int]] = [best]
 
@@ -152,7 +174,7 @@ def covering_number(n: int, k: int, t: int, budget: Budget | None = None,
                 best_size = len(chosen)
                 sols[0] = list(chosen)
             return
-        if len(chosen) + ceil(uncov.bit_count() / per_block) >= best_size:
+        if len(chosen) - (-uncov.bit_count() // per_block) >= best_size:
             return
         e = (uncov & -uncov).bit_length() - 1
         newly_forbidden = forbidden
@@ -160,7 +182,7 @@ def covering_number(n: int, k: int, t: int, budget: Budget | None = None,
             if (newly_forbidden >> bi) & 1:
                 continue
             chosen.append(bi)
-            rec(uncov & ~cover[bi], chosen, newly_forbidden)
+            rec(uncov & uncovered_by[bi], chosen, newly_forbidden)
             chosen.pop()
             newly_forbidden |= 1 << bi
 
@@ -171,10 +193,68 @@ def covering_number(n: int, k: int, t: int, budget: Budget | None = None,
         status_exact = False
 
     best = sols[0]
-    hi = len(best)
-    lo = hi if status_exact else min(lower, hi)
-    witness = tuple(sorted(blocks[bi] for bi in best))
-    return CoveringCertificate(n, k, t, lo, hi, witness, counters.nodes)
+    return (len(best) if status_exact else lower), sorted(blocks[bi] for bi in best)
+
+
+def _sub_instance_lower(n: int, k: int, t: int, counters: SearchCounters) -> int:
+    """The proven lower end of C(n-1, k-1, t-1), searched on at most half
+    the nodes ``counters`` has left and on its clock. Each point lies in at
+    least C(n-1, k-1, t-1) blocks of a C(n, k, t) cover, so n times this
+    value over k bounds C(n, k, t) from below."""
+    outer = counters.budget
+    share = (outer.max_nodes - counters.nodes) // 2
+    counters.budget = Budget(counters.nodes + share, outer.max_seconds)
+    try:
+        return _cover(n - 1, k - 1, t - 1, counters, None)[0]
+    finally:
+        counters.budget = outer
+
+
+def _built_in_seeds(n: int, k: int, t: int) -> list[tuple[int, ...]]:
+    """Constructed covers for C(n, k, t): the partition family, and Turan's
+    cyclic construction when blocks miss 3 points and t-sets miss 4."""
+    seeds = [_partition_seed(n, k, t)]
+    if (n - k, n - t) == (3, 4):
+        seeds.append(_turan_seed(n))
+    return seeds
+
+
+def _partition_seed(n: int, k: int, t: int) -> tuple[int, ...]:
+    """Complements of every a-set inside one of p disjoint parts, a = n - k.
+
+    Part i has d_i + a - 1 points with d_1 + ... + d_p = t + 1. A t-set
+    leaves an a-set of part i outside it unless it takes d_i points of that
+    part, and it cannot do so in every part, so each t-set lies in the
+    complement of some a-set of the family. The cost C(d + a - 1, a) is
+    convex in d and 0 at d = 0, so the most parts that fit in [n], each
+    with a near-equal d_i, give the fewest blocks."""
+    a = n - k
+    p = t + 1 if a == 1 else min(t + 1, (n - t - 1) // (a - 1))
+    full = (1 << n) - 1
+    out = []
+    start = 0
+    for i in range(p):
+        size = (t + 1) // p + (i < (t + 1) % p) + a - 1
+        part = ((1 << size) - 1) << start
+        out.extend(full ^ s for s in k_subsets_of_mask(part, a))
+        start += size
+    return tuple(out)
+
+
+def _turan_seed(n: int) -> tuple[int, ...]:
+    """Complements of Turan's triples on [n], split into three classes by
+    residue mod 3: a triple inside one class, or two points in class i and
+    one in class i + 1 (mod 3). Every 4-set of [n] holds one."""
+    full = (1 << n) - 1
+    out = []
+    for tri in k_subset_masks(n, 3):
+        per_class = [0, 0, 0]
+        for x in members_of(tri):
+            per_class[x % 3] += 1
+        if 3 in per_class or any(per_class[i] == 2 and per_class[(i + 1) % 3] == 1
+                                 for i in range(3)):
+            out.append(full ^ tri)
+    return tuple(out)
 
 
 def _valid_seed(seed_blocks: tuple[int, ...] | None, n: int, k: int,
@@ -259,11 +339,9 @@ def c_star(n: int, k: int, budget: Budget | None = None) -> CStarCertificate:
 
 
 def _c_star_seed(n: int, k: int) -> tuple[int, ...] | None:
-    """Upper-bound witness to seed the search: 2k disjoint edges when they
-    fit (n >= 2k^2), else the doubled construction when it applies."""
-    base = (1 << k) - 1
-    if n >= 2 * k * k:
-        return tuple(base << (k * i) for i in range(2 * k))
+    """The doubled construction, when it applies, to seed the search; the
+    search keeps the smaller of it and its own partition seed, which is 2k
+    disjoint edges from n = 2k^2 on."""
     if k >= 3 and n >= 7 * k - 5:
         return tuple(build_h_nk(n, k).edges)
     return None
@@ -294,7 +372,7 @@ def min_edges_with_tau(n: int, k: int, tau_target: int,
         raise ConstraintError(
             f"no k-uniform system on [{n}] has transversal number {tau_target}")
     candidates = list(k_subset_masks(n, k))
-    lb = max(tau_target, steiner_lower_bound(n, n - k, t) if t >= 1 else 1)
+    lb = max(tau_target, schonheim_bound(n, n - k, t) if t >= 1 else 1)
     cap = m_cap if m_cap is not None else len(candidates)
     counters = SearchCounters(budget)
     found: list[list[int]] = []

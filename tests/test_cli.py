@@ -184,7 +184,7 @@ def test_tau_honours_the_seconds_budget():
 _SLOW_VERBS = {
     "compute": ("compute", "--family", "bipartite-kneser:n=7,k=2", "--param", "mu"),
     "explore": ("explore", "--family", "bipartite-kneser:n=7,k=2", "--param", "mu"),
-    "c-star": ("covering", "--n", "9", "--k", "3", "--c-star"),
+    "c-star": ("covering", "--n", "11", "--k", "3", "--c-star"),
     "turan": ("turan", "--pattern", "c4sus:k=3", "--n", "9"),
 }
 

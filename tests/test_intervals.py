@@ -25,6 +25,9 @@ TURAN_CASES = ([(n, 2, build_c4_suspension(2), v) for n, v in C4_FREE_MAX.items(
                + [(n, 2, build_k4_suspension(2), v) for n, v in K4_FREE_MAX.items()]
                + [(5, 3, build_c4_suspension(3), 6), (7, 3, build_c4_suspension(3), 15),
                   (7, 3, build_k4_suspension(3), 28)])
+# every seed meets the lower end on COVERING_NUMBERS, so these add cases
+# that search: C(8, 5, 3) and C(8, 5, 4) through their sub-instances
+COVERING_CASES = COVERING_NUMBERS + [(7, 4, 3, 12), (8, 5, 3, 8), (8, 5, 4, 20)]
 TAU_CASES = [(7 * k - 5, k, 2 * k) for k in (3, 4)]  # tau(H(n, k)) = 2k
 
 node_budgets = st.integers(min_value=0, max_value=4000)
@@ -43,7 +46,7 @@ def test_turan_interval_holds_the_pinned_value(case, nodes):
 
 
 @_settings
-@given(case=st.sampled_from(COVERING_NUMBERS), nodes=node_budgets)
+@given(case=st.sampled_from(COVERING_CASES), nodes=node_budgets)
 def test_covering_interval_holds_the_pinned_value(case, nodes):
     n, k, t, value = case
     cert = covering_number(n, k, t, Budget(max_nodes=nodes))
