@@ -41,7 +41,6 @@ from .hypergraphs import (
     is_transversal,
     parse_hypergraph,
     transversal_number,
-    underlying_hypergraph,
 )
 from .subsets import KSubset
 from .theorems import FormulaId, VerificationReport, all_formula_ids, verify
@@ -118,6 +117,5 @@ __all__ = [
     "parse_pattern",
     "transversal_number",
     "turan_k4_closed",
-    "underlying_hypergraph",
     "verify",
 ]

@@ -348,8 +348,7 @@ def _c_star_seed(n: int, k: int) -> tuple[int, ...] | None:
 
 
 def min_edges_with_tau(n: int, k: int, tau_target: int,
-                       budget: Budget | None = None,
-                       m_cap: int | None = None) -> tuple[int, Hypergraph, int]:
+                       budget: Budget | None = None) -> tuple[int, Hypergraph, int]:
     """Reference search: least m with a k-uniform, m-edge system on [n] of
     transversal number >= tau_target.
 
@@ -373,7 +372,6 @@ def min_edges_with_tau(n: int, k: int, tau_target: int,
             f"no k-uniform system on [{n}] has transversal number {tau_target}")
     candidates = list(k_subset_masks(n, k))
     lb = max(tau_target, schonheim_bound(n, n - k, t) if t >= 1 else 1)
-    cap = m_cap if m_cap is not None else len(candidates)
     counters = SearchCounters(budget)
     found: list[list[int]] = []
 
@@ -400,10 +398,9 @@ def min_edges_with_tau(n: int, k: int, tau_target: int,
             chosen.pop()
         return False
 
-    for m in range(lb, cap + 1):
+    for m in range(lb, len(candidates) + 1):
         if dfs(0, [], m):
             witness = hypergraph(n, found[0])
             return m, witness, counters.nodes
     raise ConstraintError(
-        f"no k-uniform system on [{n}] with at most {cap} edges reaches "
-        f"transversal number {tau_target}")
+        f"no k-uniform system on [{n}] reaches transversal number {tau_target}")

@@ -5,25 +5,26 @@ Vertices are k-subsets (and, for the bipartite family, (n-k)-subsets) of
 
 - kneser: vertices are k-subsets, edges join disjoint sets. Supported for
   n >= 2k+1 and k >= 2 (the connected, non-complete regime). For
-  n >= 3k-1 the diameter is 2, so distances are 0/1/2 by inspection; for
-  2k+1 <= n < 3k-1 distances come from plain BFS.
+  n >= 3k-1 the diameter is 2.
 - bipartite-kneser: vertices are the k-subsets and the (n-k)-subsets,
   edges join comparable pairs (A subset of B). Supported for n >= 2k+1,
   k >= 2; the size classes are then distinct, so the class of a vertex is
   its cardinality. Complementation S -> [n] minus S is an automorphism
   swapping the classes.
 - johnson: vertices are k-subsets, edges join pairs with |A cap B| = k-1.
-  Supported for n >= k+2, k >= 2. Distance is k - |A cap B|; the BFS
-  oracle must and does agree (tested exhaustively on small cases).
+  Supported for n >= k+2, k >= 2. Distance is k - |A cap B|.
 
 Enumeration order is colex within each size class (k-sets first for the
 bipartite family), which makes vertex index = colex rank and keeps every
 certificate deterministic.
 
-``GraphContext`` builds each adjacency row from the holder masks of the
-ground elements (the vertices that contain each one), and runs a BFS that
-goes bottom-up once its frontier outnumbers the unseen vertices: on
-K(25,2), degree 253 of 300, the last layer takes 46 tests, not 253 ORs.
+Distances exist in one form only: the BFS layers of ``GraphContext``,
+``layers[s][d]`` being the vertices at distance d from s (the tests check
+them against networkx). ``GraphContext`` builds each adjacency row from
+the holder masks of the ground elements (the vertices that contain each
+one), and runs a BFS that goes bottom-up once its frontier outnumbers the
+unseen vertices: on K(25,2), degree 253 of 300, the last layer takes 46
+tests, not 253 ORs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from enum import Enum
 from functools import lru_cache, reduce
 from math import comb
 from operator import and_, or_
-from typing import Iterator
 
 from .errors import ConstraintError, DomainError
 from .subsets import (
@@ -42,11 +42,10 @@ from .subsets import (
     MAX_GROUND_SET,
     iter_bits,
     k_subset_masks,
-    k_subsets_of_mask,
 )
 
-# Adjacency bitmask rows and the all-pairs distance table are materialized
-# only below this vertex count; larger graphs stay implicit.
+# Adjacency bitmask rows and BFS layers are materialized only below this
+# vertex count.
 CONTEXT_VERTEX_CAP = 4096
 
 
@@ -103,47 +102,6 @@ class FamilyGraph:
             return s in (self.k, self.n - self.k)
         return s == self.k
 
-    def _require_vertex(self, v: KSubset) -> None:
-        if not self.is_vertex(v):
-            raise DomainError(f"{v!r} is not a vertex of {format_family(self)}")
-
-    # ------------------------------------------------------------------
-    # adjacency
-
-    def adjacent(self, a: KSubset, b: KSubset) -> bool:
-        self._require_vertex(a)
-        self._require_vertex(b)
-        if a.bits == b.bits:
-            return False
-        return _adjacent_masks(self, a.bits, b.bits)
-
-    def neighbors(self, a: KSubset) -> Iterator[KSubset]:
-        self._require_vertex(a)
-        for m in _neighbor_masks(self, a.bits):
-            yield KSubset(self.n, m)
-
-    # ------------------------------------------------------------------
-    # metric
-
-    def distance(self, a: KSubset, b: KSubset) -> int:
-        """Shortest-path distance; BFS-exact on every supported family."""
-        self._require_vertex(a)
-        self._require_vertex(b)
-        if a.bits == b.bits and a.size == b.size:
-            return 0
-        n, k = self.n, self.k
-        if self.kind is FamilyKind.JOHNSON:
-            return k - (a.bits & b.bits).bit_count()
-        if self.kind is FamilyKind.KNESER and n >= 3 * k - 1:
-            # diameter 2: intersecting pairs sit at distance exactly 2
-            return 1 if not a.bits & b.bits else 2
-        return _bfs_distance(self, a.bits, b.bits, a.size)
-
-    def diameter(self) -> int:
-        if self.kind is FamilyKind.KNESER and self.n >= 3 * self.k - 1:
-            return 2
-        return max(len(layers) for layers in graph_context(self).layers) - 1
-
 
 # ----------------------------------------------------------------------
 # constructors and the family spec string format
@@ -197,76 +155,19 @@ def _vertex_masks(graph: FamilyGraph) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _adjacent_masks(graph: FamilyGraph, a: int, b: int) -> bool:
-    kind = graph.kind
-    if kind is FamilyKind.KNESER:
-        return not a & b
-    if kind is FamilyKind.JOHNSON:
-        return (a & b).bit_count() == graph.k - 1
-    # bipartite: comparable pairs from opposite size classes
-    sa, sb = a.bit_count(), b.bit_count()
-    if sa == sb:
-        return False
-    small, big = (a, b) if sa < sb else (b, a)
-    return small & big == small
-
-
-def _neighbor_masks(graph: FamilyGraph, a: int) -> Iterator[int]:
-    n, k = graph.n, graph.k
-    full = graph.full_mask
-    kind = graph.kind
-    if kind is FamilyKind.KNESER:
-        yield from k_subsets_of_mask(full ^ a, k)
-    elif kind is FamilyKind.JOHNSON:
-        comp = full ^ a
-        a_bits = list(iter_bits(a))
-        comp_bits = list(iter_bits(comp))
-        for out_bit in a_bits:
-            base = a ^ out_bit
-            for in_bit in comp_bits:
-                yield base | in_bit
-    else:  # bipartite
-        if a.bit_count() == k:
-            for extra in k_subsets_of_mask(full ^ a, n - 2 * k):
-                yield a | extra
-        else:
-            yield from k_subsets_of_mask(a, k)
-
-
-def _bfs_distance(graph: FamilyGraph, a: int, b: int, a_size: int) -> int:
-    """BFS over the implicit graph; sets are keyed by (mask, size class)."""
-    target = (b, b.bit_count())
-    seen = {(a, a_size)}
-    frontier = [(a, a_size)]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for m, _ in frontier:
-            for nb in _neighbor_masks(graph, m):
-                key = (nb, nb.bit_count())
-                if key in seen:
-                    continue
-                if key == target:
-                    return d
-                seen.add(key)
-                nxt.append(key)
-        frontier = nxt
-    raise DomainError("vertices lie in different components")  # not reachable in-range
-
-
 # ----------------------------------------------------------------------
 # materialized context for the visibility machinery
 
 
 class GraphContext:
-    """Indexed vertices, adjacency bitmask rows and all-pairs distances.
+    """Indexed vertices, adjacency bitmask rows and BFS distance layers.
 
     Vertex i is ``masks[i]``; ``adj[i]`` is a bitmask over vertex indices;
-    ``dist[i]`` is a bytearray of distances from vertex i; ``layers[i][d]``
-    is the bitmask of the vertices at distance d from vertex i, for d from
-    0 (vertex i alone) to the eccentricity of i. The layers are the BFS
-    frontiers that ``dist`` is read from, so they partition the vertices.
+    ``layers[i][d]`` is the bitmask of the vertices at distance d from
+    vertex i, for d from 0 (vertex i alone) to the eccentricity of i. The
+    layers are the BFS frontiers, so they partition the vertices, and
+    they are the package's only record of distances: d(i, j) is the d
+    with bit j set in ``layers[i][d]``.
 
     A row costs a few big-int operations on the element holder masks. Each
     BFS tests the unseen vertices' rows against the frontier once that is
@@ -274,7 +175,7 @@ class GraphContext:
     vertex is seen, so its last frontier is never expanded.
     """
 
-    __slots__ = ("graph", "masks", "index", "adj", "dist", "layers")
+    __slots__ = ("graph", "masks", "index", "adj", "layers")
 
     def __init__(self, graph: FamilyGraph):
         self.graph = graph
@@ -286,7 +187,6 @@ class GraphContext:
         self.adj = _adjacency_rows(graph, masks)
         v = len(masks)
         self.layers = [self._bfs_layers(i, v) for i in range(v)]
-        self.dist = [_distance_row(layers, v) for layers in self.layers]
 
     def _bfs_layers(self, src: int, v: int) -> list[int]:
         adj = self.adj
@@ -339,17 +239,6 @@ def _adjacency_rows(graph: FamilyGraph, masks: tuple[int, ...]) -> list[int]:
     return [big_side & common(m) if i < half
             else small_side & ~union(graph.full_mask ^ m)
             for i, m in enumerate(masks)]
-
-
-def _distance_row(layers: list[int], v: int) -> bytearray:
-    """``dist`` row from BFS layers: each layer's bit string, with '1'
-    read as its distance, summed as one big-endian integer per layer."""
-    total = 0
-    for d in range(1, len(layers)):
-        digits = format(layers[d], f"0{v}b").encode()
-        total += int.from_bytes(digits.translate(bytes.maketrans(b"01", bytes((0, d)))),
-                                "big")
-    return bytearray(total.to_bytes(v, "little"))
 
 
 @lru_cache(maxsize=None)

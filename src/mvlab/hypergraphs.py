@@ -81,23 +81,6 @@ def hypergraph(n: int, edges: Iterable[Sequence[int] | int]) -> Hypergraph:
     return Hypergraph(n, tuple(sorted(masks)))
 
 
-def underlying_hypergraph(members: Iterable[KSubset]) -> Hypergraph:
-    """The set system whose edges are exactly the given vertex sets.
-
-    All sets must live on the same ground set; mixed ground sets are a
-    domain error. Duplicates collapse (the input is a set of vertices).
-    """
-    members = list(members)
-    if not members:
-        raise DomainError("underlying hypergraph of an empty family is undefined; "
-                          "pass the ground set explicitly via hypergraph(n, [])")
-    ns = {s.n for s in members}
-    if len(ns) != 1:
-        raise DomainError(f"mixed ground sets {sorted(ns)}")
-    n = ns.pop()
-    return hypergraph(n, [s.bits for s in members])
-
-
 # ----------------------------------------------------------------------
 # transversal number
 #

@@ -62,24 +62,6 @@ def colex_rank(bits: int) -> int:
     return rank
 
 
-def colex_unrank(rank: int, k: int) -> int:
-    """Inverse of colex_rank for k-sets: the rank-th k-set mask."""
-    if rank < 0 or k < 0:
-        raise DomainError("rank and k must be nonnegative")
-    bits = 0
-    remaining = rank
-    for i in range(k, 0, -1):
-        # largest c with C(c-1, i) <= remaining
-        c = i  # smallest possible element for position i is i itself
-        while comb(c, i) <= remaining:
-            c += 1
-        remaining -= comb(c - 1, i)
-        bits |= 1 << (c - 1)
-    if remaining != 0:
-        raise DomainError("rank is not a valid colex rank for size k")
-    return bits
-
-
 def k_subset_masks(n: int, k: int) -> Iterator[int]:
     """All k-subsets of [n] as masks, in colex (= numeric) order.
 

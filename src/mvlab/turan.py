@@ -61,11 +61,12 @@ include/exclude search alone, and it never reads the ex(m, C4) table,
 so the table can be re-derived with it.
 
 On budget exhaustion the result degrades to an interval [best found,
-upper bound]. For k >= 3 the upper end is ex_cap(n, k); for the plain C4
-(k = 2) it is Reiman's bound floor((n/4)(1 + sqrt(4n - 3))), and for K4
-(k = 2) the candidate count. These caps bound the reported interval, and
-for k >= 3 the search through D; the n^(k-1/2)/k! asymptotic guide can
-be reported alongside but is never a bound.
+ex_cap(n, k)], for every k. At k = 2 that is the exact ex(n, C4) for
+n <= 10 and Reiman's bound floor((n/4)(1 + sqrt(4n - 3))) above, or
+Turan's floor(n^2 / 3) for K4; only the reported upper end reads the
+table, never the k = 2 tree. These caps bound the reported interval,
+and for k >= 3 the search through D; the n^(k-1/2)/k! asymptotic guide
+can be reported alongside but is never a bound.
 """
 
 from __future__ import annotations
@@ -437,14 +438,7 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
     except BudgetExhausted:
         complete = False
 
-    if complete:
-        hi = best_size
-    elif k >= 3:
-        hi = ex_cap(n, k, pattern.name)
-    elif pattern.name == "c4sus":
-        hi = min(total, reiman_c4_bound(n))
-    else:
-        hi = total
+    hi = best_size if complete else ex_cap(n, k, pattern.name)
     return TuranResult(n, k, pattern, best_size, hi, hypergraph(n, best), counters.nodes)
 
 

@@ -23,11 +23,16 @@ targets of s the BFS stops as soon as every target is reached.
 ``pair_visible`` walks the same frontiers for one pair. Adjacent pairs
 are always visible.
 
+Distances are read off the same layers: d(s, t) is the d with t in
+``layers[s][d]``, and no distance table is kept.
+
 The search needs no frontier walk below distance 4. A pair at distance
 2 is X-visible iff a common neighbour lies outside X, so each obligation
 there is a forbidden vertex set F that X must not contain: the pair and
 its common neighbours for mutual, the common neighbours alone for total,
 one endpoint and the common neighbours for outer (once per endpoint).
+General position is all forbidden sets: the triples {i, j, w} with w
+inside an i,j-geodesic, at every distance, so it takes no pair checks.
 The index keeps, per vertex, the deduplicated sets that contain it. A
 pair i, j at distance 3 is X-visible iff some a outside X, next to i and
 two steps from j, has a neighbour outside X next to j; the index keeps
@@ -187,11 +192,11 @@ class VisibilityIndex:
         iv that are adjacent to the frontier at level l - 1; each is then
         exactly l from iu, so the frontiers are the shortest-path DAG."""
         ctx = self.ctx
-        d = ctx.dist[iu][iv]
+        to_v = ctx.layers[iv]
+        d = _layer_of(to_v, iu)
         if d <= 1:
             return True
         adj = ctx.adj
-        to_v = ctx.layers[iv]
         free = ~obstacles
         frontier = adj[iu] & to_v[d - 1] & free
         for level in range(2, d):
@@ -227,19 +232,20 @@ class VisibilityIndex:
         sets cover them."""
         if self._through is None:
             v = self.v
-            adj, dist, layers = self.ctx.adj, self.ctx.dist, self.ctx.layers
+            adj, layers = self.ctx.adj, self.ctx.layers
             through: list[list[tuple[int, int, Mid]]] = [[] for _ in range(v)]
             mid: list[list[Mid]] = [[0] * v for _ in range(v)]
+            # no supported graph is complete, and each is vertex-transitive,
+            # so every vertex has a layer 2
             for i in range(v):
-                di, li, row = dist[i], layers[i], mid[i]
-                for j in range(i + 1, v):
-                    d = di[j]
-                    if d < 2:
-                        continue
+                li, row = layers[i], mid[i]
+                above = -(2 << i)  # the vertices j > i
+                for j in _bits_indices(li[2] & above):
+                    row[j] = mid[j][i] = li[1] & layers[j][1]
+                # farther pairs in increasing j, the order of through[w]
+                for j, d in sorted((j, d) for d in range(3, len(li))
+                                   for j in _bits_indices(li[d] & above)):
                     lj = layers[j]
-                    if d == 2:
-                        row[j] = mid[j][i] = li[1] & lj[1]
-                        continue
                     if d == 3:
                         far_side = li[2] & lj[1]
                         row[j] = mid[j][i] = tuple(
@@ -267,24 +273,34 @@ class VisibilityIndex:
         a whole F: {i, j} | M for mutual, M for total, and both {i} | M
         and {j} | M for outer. So with X valid, v may join X only if no
         F - {v} lies inside X, and once F - X is a single vertex u, u can
-        never join X. A singleton F makes its vertex never addable."""
+        never join X. A singleton F makes its vertex never addable.
+
+        General position has no pair obligations: X fails iff it holds a
+        triple {i, j, w} with w inside an i,j-geodesic, so its sets are
+        those triples, at every distance. At distance 2, w ranges over M;
+        beyond, (i, j) is listed in ``through[w]``."""
         lists = self._forbidden.get(variant)
         if lists is None:
-            _, mid = self.pairs_through()
-            dist = self.ctx.dist
+            through, mid = self.pairs_through()
+            layers = self.ctx.layers
             sets: dict[int, None] = {}
             for i in range(self.v):
-                di, row = dist[i], mid[i]
-                for j in range(i + 1, self.v):
-                    if di[j] != 2:
-                        continue
+                row = mid[i]
+                for j in _bits_indices(layers[i][2] & -(2 << i)):
                     m = row[j]
                     if variant is Variant.MUTUAL:
                         sets[m | 1 << i | 1 << j] = None
                     elif variant is Variant.TOTAL:
                         sets[m] = None
-                    else:
+                    elif variant is Variant.OUTER:
                         sets[m | 1 << i] = sets[m | 1 << j] = None
+                    else:  # general position
+                        for w in _bits_indices(m):
+                            sets[1 << i | 1 << j | 1 << w] = None
+            if variant is Variant.GENERAL_POSITION:
+                for w, pairs in enumerate(through):
+                    for i, j, _ in pairs:
+                        sets[1 << i | 1 << j | 1 << w] = None
             lists = [[] for _ in range(self.v)]
             for f in sets:
                 for w in _bits_indices(f):
@@ -371,7 +387,9 @@ def is_visibility_set(graph: FamilyGraph, x_members: Iterable[KSubset],
         x_mask |= 1 << i
 
     if variant is Variant.GENERAL_POSITION:
-        dist = idx.ctx.dist
+        # the distances among the members of X, off their own layers
+        dist = {i: {j: d for d, layer in enumerate(idx.ctx.layers[i])
+                    for j in _bits_indices(layer & x_mask)} for i in x_idx}
         for a in range(len(x_idx)):
             for b in range(a + 1, len(x_idx)):
                 for c in range(b + 1, len(x_idx)):
@@ -432,13 +450,14 @@ class _MonotoneSearch:
 
     Feasibility is maintained incrementally: when v joins the candidate
     set, only the constraints that v touches are re-verified. Pairs at
-    distance 2 are the index's forbidden sets (``VisibilityIndex.forbidden``):
-    ``can_add`` scans v's list, rejects v when some F - {v} lies inside
-    X, and collects in ``forced`` every vertex u with F - X - {v} = {u},
-    which can join no descendant of X + v. Pairs at distance 3 or more
-    with v inside (v as a new obstacle) or with v as an endpoint (new
-    obligations) are decided from their ``pairs_through`` slots: rows at
-    distance 3, ``pair_visible`` beyond.
+    distance 2, and every general-position triple, are the index's
+    forbidden sets (``VisibilityIndex.forbidden``): ``can_add`` scans v's
+    list, rejects v when some F - {v} lies inside X, and collects in
+    ``forced`` every vertex u with F - X - {v} = {u}, which can join no
+    descendant of X + v. For the visibility variants, pairs at distance 3
+    or more with v inside (v as a new obstacle) or with v as an endpoint
+    (new obligations) are decided from their ``pairs_through`` slots: rows
+    at distance 3, ``pair_visible`` beyond.
 
     The DFS drops forced vertices from the undecided mask, so its bound
     |X| + |undecided| counts only vertices that may still join X. Branch
@@ -458,17 +477,18 @@ class _MonotoneSearch:
         self.counters = counters
         # the vertices the last accepting can_add ruled out of X's supersets
         self.forced = 0
-        if variant is not Variant.GENERAL_POSITION:
-            self.forbid = idx.forbidden(variant)
-            self.through, self.mid = idx.pairs_through()
-            # far[w]: the vertices at distance 3 or more from w (the rings
-            # are disjoint, so their sum is their union); closer partners
-            # are adjacent or covered by the forbidden sets
-            full = (1 << idx.v) - 1
-            self.far = [full & ~sum(ring[:3]) for ring in idx.ctx.layers]
-            if variant is Variant.OUTER:
-                # the outer partners of v are all of far[v], on every call
-                self.far_lists = [_bits_indices(f) for f in self.far]
+        self.forbid = idx.forbidden(variant)
+        through, self.mid = idx.pairs_through()
+        # general position obliges no pair: its triples are all forbidden
+        self.through = [()] * idx.v if variant is Variant.GENERAL_POSITION else through
+        # far[w]: the vertices at distance 3 or more from w (the rings are
+        # disjoint, so their sum is their union); closer partners are
+        # adjacent or covered by the forbidden sets
+        full = (1 << idx.v) - 1
+        self.far = [full & ~sum(ring[:3]) for ring in idx.ctx.layers]
+        if variant is Variant.OUTER:
+            # the outer partners of v are all of far[v], on every call
+            self.far_lists = [_bits_indices(f) for f in self.far]
         self.conflicts = [0] * idx.v
         self.best_size = 0
         self.best_mask = 0
@@ -480,24 +500,8 @@ class _MonotoneSearch:
         variant = self.variant
         new_mask = chosen_mask | (1 << v)
 
-        if variant is Variant.GENERAL_POSITION:
-            dist = idx.ctx.dist
-            dv = dist[v]
-            inside = _bits_indices(chosen_mask)
-            for ai in range(len(inside)):
-                a = inside[ai]
-                da = dist[a]
-                for bi in range(ai + 1, len(inside)):
-                    b = inside[bi]
-                    if (da[v] + dv[b] == da[b]
-                            or dv[a] + da[b] == dv[b]
-                            or dv[b] + dist[b][a] == dv[a]):
-                        self._record_conflict((v, a, b))
-                        return False
-            return True
-
-        # distance 2: the forbidden sets through v; what F leaves outside
-        # X + v must not be empty, and a single vertex there is forced out
+        # the forbidden sets through v; what F leaves outside X + v must
+        # not be empty, and a single vertex there is forced out
         outside = ~new_mask
         forced = 0
         for f in self.forbid[v]:
@@ -556,7 +560,8 @@ class _MonotoneSearch:
         if variant is Variant.OUTER:
             return self.far_lists[v]
         # total: v's pairs were already obligated and are unaffected by
-        # v joining X (v is an endpoint, never internal to its own pairs)
+        # v joining X (v is an endpoint, never internal to its own pairs);
+        # general position obliges no pair
         return []
 
     def _record_conflict(self, vertices: Iterable[int]) -> None:
@@ -613,6 +618,15 @@ class _MonotoneSearch:
                 best, best_score = w, score
             m ^= low
         return best
+
+
+def _layer_of(layers: list[int], j: int) -> int:
+    """The distance d with vertex j in ``layers[d]``."""
+    bit = 1 << j
+    d = 0
+    while not layers[d] & bit:
+        d += 1
+    return d
 
 
 def _bits_indices(mask: int) -> list[int]:

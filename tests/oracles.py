@@ -13,12 +13,13 @@ pin that the banned kernel returns the same optimum and witness.
 the swap rule, kept to pin that the rule changes neither the optimum nor
 the witness and never lowers a budget-cut lower end. The
 reference visibility predicate at the end takes the package's adjacency
-rows and distance table as input (the families tests check those against
-networkx) and decides each pair on its own.
+rows as input (the families tests check those against the generators
+here), takes distances from networkx, and decides each pair on its own.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import networkx as nx
@@ -396,11 +397,28 @@ def reference_ex_uniform(n: int, k: int, pattern: str, max_nodes: int = 10_000_0
 # reference visibility predicate, one pair at a time
 
 
-def reference_pair_visible(adj: list[int], dist, u: int, v: int, x_mask: int) -> bool:
+def graph_from_rows(adj: list[int]) -> nx.Graph:
+    """The graph on vertices 0..len(adj)-1 whose adjacency bitmask rows
+    are ``adj``."""
+    g = nx.Graph()
+    g.add_nodes_from(range(len(adj)))
+    g.add_edges_from((i, j) for i, row in enumerate(adj)
+                     for j in range(i + 1, len(adj)) if row >> j & 1)
+    return g
+
+
+@functools.lru_cache(maxsize=None)
+def _nx_distances(adj: tuple[int, ...]) -> dict[int, dict[int, int]]:
+    return dict(nx.all_pairs_shortest_path_length(graph_from_rows(adj)))
+
+
+def reference_pair_visible(adj: list[int], u: int, v: int, x_mask: int) -> bool:
     """Layered reachability on the shortest u,v-path DAG: level s holds
-    the w with dist(u, w) = s and dist(u, w) + dist(w, v) = dist(u, v);
-    the walk from u keeps, level by level, the DAG vertices outside X
-    adjacent to the previous level, and must end next to v."""
+    the w with dist(u, w) = s and dist(u, w) + dist(w, v) = dist(u, v),
+    with networkx's distances; the walk from u keeps, level by level, the
+    DAG vertices outside X adjacent to the previous level, and must end
+    next to v."""
+    dist = _nx_distances(tuple(adj))
     d = dist[u][v]
     if d <= 1:
         return True
@@ -419,7 +437,7 @@ def reference_pair_visible(adj: list[int], dist, u: int, v: int, x_mask: int) ->
     return any(frontier >> w & 1 and adj[w] >> v & 1 for w in range(len(adj)))
 
 
-def reference_blocking_pair(adj: list[int], dist, variant: str,
+def reference_blocking_pair(adj: list[int], variant: str,
                             x_mask: int) -> tuple[int, int] | None:
     """The first pair (i, j), i < j, in lexicographic order that the
     variant obliges to be X-visible and that is not, or None."""
@@ -428,6 +446,6 @@ def reference_blocking_pair(adj: list[int], dist, variant: str,
     for i in range(v):
         for j in range(i + 1, v):
             if (obliged(x_mask >> i & 1, x_mask >> j & 1)
-                    and not reference_pair_visible(adj, dist, i, j, x_mask)):
+                    and not reference_pair_visible(adj, i, j, x_mask)):
                 return i, j
     return None

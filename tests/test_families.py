@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import networkx as nx
@@ -6,8 +5,6 @@ import pytest
 
 from mvlab.errors import ConstraintError, DomainError
 from mvlab.families import (
-    FamilyKind,
-    _adjacent_masks,
     bipartite_kneser,
     format_family,
     graph_context,
@@ -17,22 +14,14 @@ from mvlab.families import (
 )
 from mvlab.subsets import KSubset
 
-from oracles import bipartite_kneser_nx, johnson_nx, kneser_nx
+from oracles import bipartite_kneser_nx, graph_from_rows, johnson_nx, kneser_nx
+
+_NX = {"kneser": kneser_nx, "johnson": johnson_nx, "bipartite-kneser": bipartite_kneser_nx}
 
 
 def _to_nx(graph):
-    g = nx.Graph()
-    vs = graph.vertices()
-    g.add_nodes_from(v.bits if graph.kind is not FamilyKind.BIPARTITE_KNESER
-                     else (v.size, v.bits) for v in vs)
-    for i, a in enumerate(vs):
-        for b in vs[i + 1:]:
-            if graph.adjacent(a, b):
-                if graph.kind is FamilyKind.BIPARTITE_KNESER:
-                    g.add_edge((a.size, a.bits), (b.size, b.bits))
-                else:
-                    g.add_edge(a.bits, b.bits)
-    return g
+    """The production adjacency rows as a networkx graph on the indices."""
+    return graph_from_rows(graph_context(graph).adj)
 
 
 def test_kneser_5_2_is_petersen():
@@ -81,26 +70,6 @@ def test_vertex_order_colex_k_sets_first():
     assert vs[2].members() == (2, 3)
 
 
-def test_distances_match_bfs():
-    for g in (kneser(6, 2), johnson(5, 2), bipartite_kneser(5, 2)):
-        ref = _to_nx(g)
-        lengths = dict(nx.all_pairs_shortest_path_length(ref))
-        vs = g.vertices()
-        for i, a in enumerate(vs):
-            for b in vs[i:]:
-                ka = (a.size, a.bits) if g.kind is FamilyKind.BIPARTITE_KNESER else a.bits
-                kb = (b.size, b.bits) if g.kind is FamilyKind.BIPARTITE_KNESER else b.bits
-                assert g.distance(a, b) == lengths[ka][kb]
-
-
-def test_johnson_distance_closed_form():
-    g = johnson(6, 3)
-    vs = g.vertices()
-    for a in vs:
-        for b in vs:
-            assert g.distance(a, b) == 3 - a.intersection_size(b)
-
-
 def test_parse_format_round_trip():
     for spec in ("kneser:n=5,k=2", "bipartite-kneser:n=7,k=2", "johnson:n=6,k=3"):
         assert format_family(parse_family(spec)) == spec
@@ -127,16 +96,21 @@ def test_vertex_membership_and_neighbors():
     g = kneser(5, 2)
     v = KSubset.from_members([1, 2], 5)
     assert g.is_vertex(v)
-    nbrs = list(g.neighbors(v))
+    ctx = graph_context(g)
+    row = ctx.adj[ctx.index[v.bits]]
+    nbrs = [KSubset(5, m) for j, m in enumerate(ctx.masks) if row >> j & 1]
     assert len(nbrs) == 3
     assert all(v.isdisjoint(u) for u in nbrs)
     assert not g.is_vertex(KSubset.from_members([1, 2, 3], 5))
 
 
-def test_diameter_matches_reference():
-    assert kneser(5, 2).diameter() == 2  # Petersen
-    for g in (kneser(6, 2), johnson(6, 3), bipartite_kneser(5, 2)):
-        assert g.diameter() == nx.diameter(_to_nx(g))
+def _reference(graph):
+    """The networkx generator's graph relabelled to the context's vertex
+    indices, and its all-pairs distances."""
+    index = graph_context(graph).index
+    gen = _NX[graph.kind.value](graph.n, graph.k)
+    ref = nx.relabel_nodes(gen, {s: index[sum(1 << (x - 1) for x in s)] for s in gen})
+    return ref, dict(nx.all_pairs_shortest_path_length(ref))
 
 
 @pytest.mark.parametrize("graph", (kneser(7, 2), kneser(7, 3), johnson(6, 3),
@@ -145,14 +119,15 @@ def test_diameter_matches_reference():
 def test_layers_partition_the_vertices_by_distance(graph):
     ctx = graph_context(graph)
     v = len(ctx.masks)
+    _, lengths = _reference(graph)
     for i, layers in enumerate(ctx.layers):
         assert layers[0] == 1 << i
-        assert len(layers) == max(ctx.dist[i]) + 1
+        assert len(layers) == max(lengths[i].values()) + 1
         union = 0
         for d, layer in enumerate(layers):
             assert layer and not layer & union
             union |= layer
-            assert layer == sum(1 << j for j in range(v) if ctx.dist[i][j] == d)
+            assert layer == sum(1 << j for j in range(v) if lengths[i][j] == d)
         assert union == (1 << v) - 1
 
 
@@ -162,18 +137,18 @@ def test_layers_partition_the_vertices_by_distance(graph):
                                    bipartite_kneser(7, 3)),
                          ids=format_family)
 def test_context_matches_pairwise_scan_and_networkx(graph):
+    # the oracle generators test every pair; their vertices are mapped to
+    # indices through ctx.index, which must then cover every vertex
     ctx = graph_context(graph)
-    masks = ctx.masks
-    v = len(masks)
-    edges = [(i, j) for i, j in itertools.combinations(range(v), 2)
-             if _adjacent_masks(graph, masks[i], masks[j])]
+    v = len(ctx.masks)
+    ref, lengths = _reference(graph)
+    assert sorted(ref) == list(range(v))
     rows = [0] * v
-    for i, j in edges:
+    for i, j in ref.edges:
         rows[i] |= 1 << j
         rows[j] |= 1 << i
     assert ctx.adj == rows
-    ref = nx.Graph(edges)
-    lengths = dict(nx.all_pairs_shortest_path_length(ref))
-    assert all(isinstance(row, bytearray) for row in ctx.dist)
-    assert [list(row) for row in ctx.dist] == [[lengths[i][j] for j in range(v)]
-                                               for i in range(v)]
+    # layer d of vertex i: the vertices networkx puts at distance d from i
+    assert ctx.layers == [
+        [sum(1 << j for j, dj in lengths[i].items() if dj == d)
+         for d in range(max(lengths[i].values()) + 1)] for i in range(v)]

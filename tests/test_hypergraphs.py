@@ -15,9 +15,7 @@ from mvlab.hypergraphs import (
     parse_hypergraph,
     solve_tau,
     transversal_number,
-    underlying_hypergraph,
 )
-from mvlab.subsets import KSubset
 
 from oracles import brute_tau, reference_solve_tau
 
@@ -156,13 +154,6 @@ def test_gallai_identity_on_graphs():
 def test_independence_rejects_non_graphs():
     with pytest.raises(DomainError):
         independence_number(hypergraph(4, [(1, 2, 3)]))
-
-
-def test_underlying_hypergraph():
-    members = [KSubset.from_members([1, 2], 5), KSubset.from_members([3, 5], 5)]
-    h = underlying_hypergraph(members)
-    assert h.n == 5 and h.edge_count == 2
-    assert h.edge_members() == [(1, 2), (3, 5)]
 
 
 def test_format_parse_round_trip():

@@ -205,13 +205,21 @@ def test_reiman_bound_matches_its_real_form():
 
 
 def test_budget_cut_c4_interval_takes_the_reiman_cap():
-    r = ex_uniform(9, 2, build_c4_suspension(2), Budget(max_nodes=1000))
+    # past the exact table (n <= 10) the upper end is Reiman's bound
+    r = ex_uniform(11, 2, build_c4_suspension(2), Budget(max_nodes=1000))
     assert not r.exact
-    assert r.hi == 15 == reiman_c4_bound(9)
-    assert r.lo <= 13 <= r.hi  # ex(9, C4) = 13
+    assert r.hi == 20 == reiman_c4_bound(11) == ex_cap(11, 2, "c4sus")
+    assert r.lo == 16 <= 18 <= r.hi  # ex(11, C4) = 18
     # the cap narrows the reported interval only; the search still runs to
     # its node budget
     assert r.nodes_expanded == 1000
+
+
+def test_budget_cut_k2_intervals_take_the_exact_table_and_turans_bound():
+    c4 = ex_uniform(10, 2, build_c4_suspension(2), Budget(max_nodes=1000))
+    assert not c4.exact and c4.hi == ex_cap(10, 2, "c4sus") == C4_FREE_MAX[10] == 16
+    k4 = ex_uniform(8, 2, build_k4_suspension(2), Budget(max_nodes=10))
+    assert not k4.exact and k4.hi == turan_k4_closed(8) == 21 < 28  # C(8, 2)
 
 
 @pytest.mark.parametrize("m", range(1, 11))

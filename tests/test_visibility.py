@@ -273,7 +273,7 @@ def test_midpoint_mask_matches_pair_visible(graph, data):
     x = data.draw(st.integers(0, (1 << v) - 1), label="X")
     i = data.draw(st.integers(0, v - 1), label="i")
     j = data.draw(st.integers(0, v - 1).filter(lambda j: j != i), label="j")
-    d = idx.ctx.dist[i][j]
+    d = next(d for d, layer in enumerate(idx.ctx.layers[i]) if layer >> j & 1)
     slot = mid[i][j]
     assert slot == mid[j][i]
     # a nonzero mask at distance 2, rows at distance 3, 0 otherwise
@@ -303,9 +303,9 @@ def _rows_visible(rows, x: int) -> bool:
 def test_distance_three_rows_match_the_reference(graph, data):
     idx = visibility_index(graph)
     _, mid = idx.pairs_through()
-    adj, dist, layers = idx.ctx.adj, idx.ctx.dist, idx.ctx.layers
+    adj, layers = idx.ctx.adj, idx.ctx.layers
     pairs = [(i, j) for i in range(idx.v) for j in range(i + 1, idx.v)
-             if dist[i][j] == 3]
+             if layers[i][3] >> j & 1]
     i, j = data.draw(st.sampled_from(pairs), label="pair")
     rows = mid[i][j]
     # one row per a next to i and two from j: its neighbours next to j
@@ -317,7 +317,7 @@ def test_distance_three_rows_match_the_reference(graph, data):
     # X mostly inside the pair's internal vertices, so both answers occur
     x = (data.draw(st.integers(0, (1 << idx.v) - 1), label="inside") & internal
          | data.draw(st.integers(0, (1 << idx.v) - 1), label="anywhere"))
-    expected = reference_pair_visible(adj, dist, i, j, x)
+    expected = reference_pair_visible(adj, i, j, x)
     assert _rows_visible(rows, x) == expected
     assert idx.pair_visible(i, j, x) == expected
 
@@ -332,7 +332,7 @@ PAIR_VARIANTS = (Variant.MUTUAL, Variant.TOTAL, Variant.OUTER, Variant.DUAL)
 @given(st.sampled_from(REFERENCE_GRAPHS), st.sampled_from(PAIR_VARIANTS), st.data())
 def test_predicate_matches_the_pairwise_reference(graph, variant, data):
     idx = visibility_index(graph)
-    adj, dist = idx.ctx.adj, idx.ctx.dist
+    adj = idx.ctx.adj
     # a small X mostly passes, so each source's final layer exits once its
     # targets are reached; its complement leaves targets when the frontier
     # runs dry
@@ -341,18 +341,19 @@ def test_predicate_matches_the_pairwise_reference(graph, variant, data):
         members = set(range(idx.v)) - members
     x = sum(1 << i for i in members)
     res = is_visibility_set(graph, idx.subset(members), variant)
-    expected = reference_blocking_pair(adj, dist, variant.value, x)
+    expected = reference_blocking_pair(adj, variant.value, x)
     assert res.ok == (expected is None)
     assert res.blocking == (None if expected is None else idx.subset(expected))
     i = data.draw(st.integers(0, idx.v - 1), label="i")
     j = data.draw(st.integers(0, idx.v - 1).filter(lambda j: j != i), label="j")
-    assert idx.pair_visible(i, j, x) == reference_pair_visible(adj, dist, i, j, x)
+    assert idx.pair_visible(i, j, x) == reference_pair_visible(adj, i, j, x)
+
+
+MONOTONE = (Variant.MUTUAL, Variant.TOTAL, Variant.OUTER, Variant.GENERAL_POSITION)
 
 
 @PROPERTY
-@given(st.sampled_from(MIXED_GRAPHS),
-       st.sampled_from((Variant.MUTUAL, Variant.TOTAL, Variant.OUTER)),
-       st.data())
+@given(st.sampled_from(MIXED_GRAPHS), st.sampled_from(MONOTONE), st.data())
 def test_can_add_agrees_with_the_definitional_check(graph, variant, data):
     # grow a valid X in a random order, then ask whether one more vertex fits
     idx = visibility_index(graph)
@@ -399,13 +400,12 @@ def test_witness_is_the_first_optimum_in_mask_order(graph, variant):
 
 
 @PROPERTY
-@given(st.sampled_from(MIXED_GRAPHS),
-       st.sampled_from((Variant.MUTUAL, Variant.TOTAL, Variant.OUTER)),
-       st.data())
+@given(st.sampled_from(MIXED_GRAPHS), st.sampled_from(MONOTONE), st.data())
 def test_forced_vertices_are_exactly_the_blocked_ones(graph, variant, data):
     # grow X in a random order; every vertex can_add forces out must fail
     # the definitional check once added. At diameter 2 every constraint is
-    # a forbidden set, so the forced vertices are all the blocked ones
+    # a forbidden set, and so is every general-position triple at any
+    # diameter; there the forced vertices are all the blocked ones
     idx = visibility_index(graph)
     search = _MonotoneSearch(idx, variant, SearchCounters(None))
     order = data.draw(st.permutations(range(idx.v)), label="order")
@@ -422,7 +422,8 @@ def test_forced_vertices_are_exactly_the_blocked_ones(graph, variant, data):
                 assert not chosen >> u & 1
                 assert not is_visibility_set(graph, idx.subset(members + [u]),
                                              variant).ok
-    if graph.diameter() > 2:
+    diameter = max(len(layers) for layers in idx.ctx.layers) - 1
+    if diameter > 2 and variant is not Variant.GENERAL_POSITION:
         return
     members = [i for i in range(idx.v) if chosen >> i & 1]
     for u in range(idx.v):
@@ -434,7 +435,8 @@ def test_forced_vertices_are_exactly_the_blocked_ones(graph, variant, data):
 
 
 # (value, colex-least witness), pinned from the search before it forward
-# checked; each witness vertex is spelled as its members
+# checked (the gp rows before general position took forbidden triples);
+# each witness vertex is spelled as its members
 PINNED_OPTIMA = (
     (kneser(7, 2), "mu", 16, "13 23 14 24 15 25 35 45 16 26 36 46 17 27 37 47"),
     (kneser(8, 2), "mu-outer", 24,
@@ -445,6 +447,8 @@ PINNED_OPTIMA = (
     (bipartite_kneser(5, 2), "mu", 8, "12 13 14 24 34 15 25 35"),
     (bipartite_kneser(6, 2), "mu", 16,
      "23 24 34 25 35 45 26 36 46 56 1235 1245 1345 1236 1246 1346"),
+    (kneser(7, 3), "gp", 15, "123 124 134 125 135 145 126 136 146 156 127 137 147 157 167"),
+    (johnson(7, 3), "gp", 7, "123 145 246 356 347 257 167"),
 )
 
 
