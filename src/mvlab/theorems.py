@@ -661,10 +661,9 @@ def _v_lemma_cstar(inst: dict, budget: Budget | None, seed: int) -> list[Verific
                                 reason="" if o else "oracle beyond budget"))
     if n >= 2 * k * k + k:
         f = as_bounds(2 * k + 1)
-        full = (1 << n) - 1
-        seed_blocks = tuple(sorted(full ^ e
-                                   for e in _disjoint_edges(n, k, 2 * k + 1)))
-        cov = covering_number(n, n - k, 2 * k, budget, seed_blocks=seed_blocks)
+        # the partition seed of C(n, n-k, 2k) is the complements of 2k+1
+        # disjoint k-sets
+        cov = covering_number(n, n - k, 2 * k, budget)
         o = Bounds(cov.lo, cov.hi)
         rows.append(_report(FormulaId.LEMMA_CSTAR, {**inst, "part": "iii"}, f, o,
                             "covering-search", certificates=(cov.as_json(),)))

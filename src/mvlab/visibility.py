@@ -45,7 +45,16 @@ subset-monotone variants (mutual, total, outer, general-position:
 any subset of a valid set is valid, so an infeasible inclusion prunes
 the whole branch). When v joins X, a forbidden set with one member left
 outside X forces that member out of every descendant (forward checking),
-so the bound |X| + |undecided| counts only vertices that may still join.
+so the undecided set U holds only vertices that may still join. A valid
+X never holds a whole forbidden set, so V - X is a transversal of them,
+the bound the source paper proves its Kneser values with. Inside the
+search that reads: each forbidden set inside X + U must lose a vertex of
+its part in U, so with m such sets whose parts are pairwise disjoint (a
+packing, a matching lower bound on the transversal number, as in
+``hypergraphs.solve_tau``), no leaf below the node exceeds
+|X| + |U| - m. Each node carries its packing and updates it from its
+parent's without a rescan. A run that the budget cuts reports as its
+upper end the largest bound of any branch it left open.
 All three families are vertex-transitive, so the value search fixes
 vertex 0 in X at its root, a symmetry reduction in the sense of orbital
 branching (Ostrowski, Linderoth, Rossi and Smriglio, Math. Programming
@@ -55,7 +64,8 @@ exhaustive enumeration, which caps the graph size it can handle.
 Witnesses are canonicalized to the colex-least optimum by one more
 search: with the optimum size known, it decides vertices from the
 highest index down, "exclude" first, passes over vertices already forced
-out, and stops at its first leaf of that size. The canonicalization
+out, prunes on the same packing bound, and stops at its first leaf of
+that size. The canonicalization
 runs on the caller's budget; if that runs out first, the optimum the
 value search found is returned instead, still exact, and the
 certificate records ``witness_canonical=False``.
@@ -123,7 +133,8 @@ class VisibilityCertificate:
     variant: Variant
     value: int
     witness: tuple[KSubset, ...]
-    status: str  # "exact" | "incomplete"
+    # a proven upper bound on the optimum; the value itself when exact
+    hi: int
     nodes_expanded: int
     blocking_pair: tuple[KSubset, ...] | None = None
     # False when the budget ran out before an exact optimum was made colex-least
@@ -131,13 +142,16 @@ class VisibilityCertificate:
 
     @property
     def exact(self) -> bool:
-        return self.status == "exact"
+        return self.value == self.hi
+
+    @property
+    def status(self) -> str:
+        return "exact" if self.exact else "incomplete"
 
     @property
     def bounds(self) -> Bounds:
-        """The proven enclosure: the value when exact, else [value, |V|]."""
-        return Bounds(self.value,
-                      self.value if self.exact else self.graph.vertex_count)
+        """The proven enclosure [value, hi]."""
+        return Bounds(self.value, self.hi)
 
     def as_json(self) -> dict:
         out = {
@@ -152,6 +166,8 @@ class VisibilityCertificate:
             out["blocking_pair"] = [list(s.members()) for s in self.blocking_pair]
         if not self.witness_canonical:
             out["witness_canonical"] = False
+        if not self.exact:
+            out["bounds"] = [self.value, self.hi]
         return out
 
 
@@ -171,7 +187,7 @@ class VisibilityIndex:
         self.graph = graph
         self.ctx = graph_context(graph)
         self.v = len(self.ctx.masks)
-        self._through: tuple[list[list[tuple[int, int, Mid]]], list[list[Mid]]] | None = None
+        self._through: tuple[list[dict[int, int]], list[list[Mid]]] | None = None
         self._forbidden: dict[Variant, list[list[int]]] = {}
 
     def index_of(self, s: KSubset) -> int:
@@ -211,7 +227,7 @@ class VisibilityIndex:
             frontier = nxt & to_v[d - level] & free
         return frontier != 0
 
-    def pairs_through(self) -> tuple[list[list[tuple[int, int, Mid]]], list[list[Mid]]]:
+    def pairs_through(self) -> tuple[list[dict[int, int]], list[list[Mid]]]:
         """The search's feasibility tables, built in one pass over the pairs.
 
         ``mid[i][j]`` (symmetric) holds a pair's slot, which decides it
@@ -226,14 +242,16 @@ class VisibilityIndex:
           row has ``a_bit & ~X and row & ~X``.
         - any other distance: 0, and the pair takes ``pair_visible``.
 
-        ``through[w]`` lists a triple (i, j, mid), i < j, for each pair at
-        distance 3 or more whose shortest-path DAG contains w as an
-        internal vertex. Pairs at distance 2 are left out: the forbidden
-        sets cover them."""
+        ``through[w]`` lists the pairs i < j at distance 3 or more whose
+        shortest-path DAG contains w as an internal vertex, indexed by
+        their lower end: ``through[w][i]`` masks the partners j, and the
+        keys come in increasing i, so walking the keys and then each
+        mask's bits visits the pairs in (i, j) order. Pairs at distance 2
+        are left out: the forbidden sets cover them."""
         if self._through is None:
             v = self.v
             adj, layers = self.ctx.adj, self.ctx.layers
-            through: list[list[tuple[int, int, Mid]]] = [[] for _ in range(v)]
+            through: list[dict[int, int]] = [{} for _ in range(v)]
             mid: list[list[Mid]] = [[0] * v for _ in range(v)]
             # no supported graph is complete, and each is vertex-transitive,
             # so every vertex has a layer 2
@@ -242,24 +260,24 @@ class VisibilityIndex:
                 above = -(2 << i)  # the vertices j > i
                 for j in _bits_indices(li[2] & above):
                     row[j] = mid[j][i] = li[1] & layers[j][1]
-                # farther pairs in increasing j, the order of through[w]
-                for j, d in sorted((j, d) for d in range(3, len(li))
-                                   for j in _bits_indices(li[d] & above)):
-                    lj = layers[j]
-                    if d == 3:
-                        far_side = li[2] & lj[1]
-                        row[j] = mid[j][i] = tuple(
-                            (1 << a, adj[a] & far_side)
-                            for a in _bits_indices(li[1] & lj[2]))
-                    # the internal vertices: s from i and d - s from j
-                    m = 0
-                    for s in range(1, d):
-                        m |= li[s] & lj[d - s]
-                    entry = (i, j, row[j])
-                    while m:
-                        low = m & -m
-                        through[low.bit_length() - 1].append(entry)
-                        m ^= low
+                for d in range(3, len(li)):
+                    for j in _bits_indices(li[d] & above):
+                        lj = layers[j]
+                        if d == 3:
+                            far_side = li[2] & lj[1]
+                            row[j] = mid[j][i] = tuple(
+                                (1 << a, adj[a] & far_side)
+                                for a in _bits_indices(li[1] & lj[2]))
+                        # the internal vertices: s from i and d - s from j
+                        m = 0
+                        for s in range(1, d):
+                            m |= li[s] & lj[d - s]
+                        bit = 1 << j
+                        while m:
+                            low = m & -m
+                            ends = through[low.bit_length() - 1]
+                            ends[i] = ends.get(i, 0) | bit
+                            m ^= low
             self._through = (through, mid)
         return self._through
 
@@ -298,9 +316,10 @@ class VisibilityIndex:
                         for w in _bits_indices(m):
                             sets[1 << i | 1 << j | 1 << w] = None
             if variant is Variant.GENERAL_POSITION:
-                for w, pairs in enumerate(through):
-                    for i, j, _ in pairs:
-                        sets[1 << i | 1 << j | 1 << w] = None
+                for w, ends in enumerate(through):
+                    for i, js in ends.items():
+                        for j in _bits_indices(js):
+                            sets[1 << i | 1 << j | 1 << w] = None
             lists = [[] for _ in range(self.v)]
             for f in sets:
                 for w in _bits_indices(f):
@@ -425,10 +444,10 @@ def max_visibility_number(graph: FamilyGraph, variant: Variant | str,
     canonical = True
 
     if variant is Variant.DUAL:
-        value, witness_mask, complete = _max_dual_exhaustive(idx, counters)
+        value, witness_mask, hi = _max_dual_exhaustive(idx, counters)
     else:
-        value, witness_mask, complete = _max_monotone_bb(idx, variant, counters)
-        if complete and value > 0:
+        value, witness_mask, hi = _max_monotone_bb(idx, variant, counters)
+        if hi == value > 0:
             witness_mask, canonical = _colex_least_witness(
                 idx, variant, value, counters, witness_mask)
 
@@ -438,7 +457,7 @@ def max_visibility_number(graph: FamilyGraph, variant: Variant | str,
         variant=variant,
         value=value,
         witness=witness,
-        status="exact" if complete else "incomplete",
+        hi=hi,
         nodes_expanded=counters.nodes,
         witness_canonical=canonical,
     )
@@ -459,10 +478,24 @@ class _MonotoneSearch:
     (new obligations) are decided from their ``pairs_through`` slots: rows
     at distance 3, ``pair_visible`` beyond.
 
-    The DFS drops forced vertices from the undecided mask, so its bound
-    |X| + |undecided| counts only vertices that may still join X. Branch
-    order follows the conflict heuristic: vertices in more discovered
-    blocking pairs, and more often forced out, are decided first.
+    The DFS drops forced vertices from the undecided mask U, and each
+    node carries a packing: forbidden sets inside X + U whose parts in U
+    are pairwise disjoint, with ``covered`` the union of those parts. Each
+    set needs a vertex of its part excluded, so no leaf below the node
+    exceeds |X| + |U| - m for m sets, and the node is pruned once that is
+    at most the incumbent. ``pack`` builds the root's packing greedily,
+    and each branch updates its parent's (``pack_include``,
+    ``pack_exclude``): an include drops the sets that hold a forced
+    vertex and tops up from the sets through v; an exclude drops the one
+    set whose part holds v and tops up from the sets through the rest of
+    that part. Branch order follows the conflict heuristic: vertices in
+    more discovered blocking pairs, and more often forced out, are decided
+    first.
+
+    When the budget runs out, each frame whose exclude branch is still
+    open raises ``open_hi`` to that branch's bound, capped by its own, and
+    the node that could not be expanded raises it to its own bound; so
+    max(best, open_hi) bounds every set the search did not reach.
 
     ``run`` uses root symmetry: the root only includes vertex 0, which
     vertex-transitivity allows (comment in ``run``). The colex-least
@@ -480,7 +513,7 @@ class _MonotoneSearch:
         self.forbid = idx.forbidden(variant)
         through, self.mid = idx.pairs_through()
         # general position obliges no pair: its triples are all forbidden
-        self.through = [()] * idx.v if variant is Variant.GENERAL_POSITION else through
+        self.through = [{}] * idx.v if variant is Variant.GENERAL_POSITION else through
         # far[w]: the vertices at distance 3 or more from w (the rings are
         # disjoint, so their sum is their union); closer partners are
         # adjacent or covered by the forbidden sets
@@ -492,6 +525,9 @@ class _MonotoneSearch:
         self.conflicts = [0] * idx.v
         self.best_size = 0
         self.best_mask = 0
+        # the largest bound of a branch that a budget cut left open; |V|
+        # until the root is expanded
+        self.open_hi = idx.v
 
     # -- incremental feasibility ---------------------------------------
 
@@ -512,27 +548,35 @@ class _MonotoneSearch:
             if not r & (r - 1):
                 forced |= r
         # farther pairs with v as a new internal obstacle: those the
-        # variant obliges, each decided by its rows (distance 3) or the
-        # layered test
-        pairs = self.through[v]
-        if variant is Variant.MUTUAL:
-            pairs = [p for p in pairs if new_mask >> p[0] & 1 and new_mask >> p[1] & 1]
-        elif variant is Variant.OUTER:
-            pairs = [p for p in pairs if new_mask >> p[0] & 1 or new_mask >> p[1] & 1]
-        pair_visible = idx.pair_visible
-        for i, j, mid in pairs:
-            if mid:
-                for a_bit, row in mid:
-                    if a_bit & outside and row & outside:
-                        break
-                else:
+        # variant obliges, in (i, j) order, each decided by its rows
+        # (distance 3) or the layered test
+        mid_rows, pair_visible = self.mid, idx.pair_visible
+        mutual = variant is Variant.MUTUAL
+        for i, js in self.through[v].items():
+            if mutual:
+                if not new_mask >> i & 1:
+                    continue
+                js &= new_mask
+            elif not new_mask >> i & 1 and variant is Variant.OUTER:
+                js &= new_mask
+            row_i = mid_rows[i]
+            while js:
+                low = js & -js
+                j = low.bit_length() - 1
+                js ^= low
+                mid = row_i[j]
+                if mid:
+                    for a_bit, row in mid:
+                        if a_bit & outside and row & outside:
+                            break
+                    else:
+                        self._record_conflict((i, j))
+                        return False
+                elif not pair_visible(i, j, new_mask):
                     self._record_conflict((i, j))
                     return False
-            elif not pair_visible(i, j, new_mask):
-                self._record_conflict((i, j))
-                return False
         # farther pairs newly obligated by v's membership
-        row_v = self.mid[v]
+        row_v = mid_rows[v]
         for u in self._new_partners(v, new_mask):
             mid = row_v[u]
             if mid:
@@ -546,9 +590,12 @@ class _MonotoneSearch:
                 self._record_conflict((v, u))
                 return False
         # each forced vertex counts as one conflict
-        if forced:
-            self._record_conflict(_bits_indices(forced))
         self.forced = forced
+        conflicts = self.conflicts
+        while forced:
+            low = forced & -forced
+            conflicts[low.bit_length() - 1] += 1
+            forced ^= low
         return True
 
     def _new_partners(self, v: int, new_mask: int) -> list[int]:
@@ -568,9 +615,84 @@ class _MonotoneSearch:
         for w in vertices:
             self.conflicts[w] += 1
 
+    # -- the packing bound ------------------------------------------------
+
+    def pack(self, alive: int, undecided: int) -> tuple[list[int], int]:
+        """A greedy packing for the node with X = alive - undecided: the
+        forbidden sets inside ``alive`` whose parts in ``undecided`` are
+        pairwise disjoint, and the union of those parts."""
+        packing: list[int] = []
+        return packing, self._top_up(
+            (f for sets in self.forbid for f in sets), packing, 0, ~alive, undecided)
+
+    def pack_include(self, v: int, chosen_mask: int, undecided_mask: int,
+                     packing: list[int], covered: int) -> tuple[list[int], int]:
+        """The packing after v joined X (``chosen_mask`` holds v) and
+        ``can_add`` forced out ``self.forced``. Sets holding a forced vertex
+        leave; a set through v keeps a part of two or more vertices, since
+        one would have been forced and none rejected v. The sets through v
+        then top it up."""
+        forced = self.forced
+        if covered & forced:
+            packing = [f for f in packing if not f & forced]
+            covered = 0
+            for f in packing:
+                covered |= f
+        else:
+            packing = packing.copy()
+        covered &= undecided_mask
+        return packing, self._top_up(self.forbid[v], packing, covered,
+                                     ~(chosen_mask | undecided_mask), undecided_mask)
+
+    def pack_exclude(self, v: int, chosen_mask: int, undecided_mask: int,
+                     packing: list[int], covered: int) -> tuple[list[int], int]:
+        """The packing after v left the undecided vertices for good: the
+        one set whose part holds v leaves, and the sets through the rest of
+        its part top it up."""
+        if not covered >> v & 1:
+            return packing, covered
+        for at, f in enumerate(packing):
+            if f >> v & 1:
+                break
+        packing = packing[:at] + packing[at + 1:]
+        covered &= ~f
+        blocked = ~(chosen_mask | undecided_mask) | covered
+        freed = f & undecided_mask
+        forbid = self.forbid
+        while freed:
+            low = freed & -freed
+            freed ^= low
+            # the first set that fits covers the freed vertex, and so
+            # blocks every later set in its list
+            for g in forbid[low.bit_length() - 1]:
+                if not g & blocked:
+                    packing.append(g)
+                    part = g & undecided_mask
+                    covered |= part
+                    blocked |= part
+                    freed &= ~part
+                    break
+        return packing, covered
+
+    @staticmethod
+    def _top_up(sets: Iterable[int], packing: list[int], covered: int,
+                dead: int, undecided_mask: int) -> int:
+        """Append to ``packing`` each of ``sets`` that holds no dead vertex
+        and meets no part so far; return the union of the parts."""
+        blocked = dead | covered
+        for f in sets:
+            if not f & blocked:
+                packing.append(f)
+                part = f & undecided_mask
+                covered |= part
+                blocked |= part
+        return covered
+
     # -- search ----------------------------------------------------------
 
-    def run(self) -> tuple[int, int, bool]:
+    def run(self) -> tuple[int, int, int]:
+        """(size, mask, hi): the best set found and a proven upper bound
+        on the optimum, equal to size when the search finished."""
         # Root symmetry. Every family is vertex-transitive: S_n permuting
         # the ground set acts transitively on the vertices of K(n, k) and
         # J(n, k), and on each side of the bipartite Kneser graph, whose
@@ -582,40 +704,57 @@ class _MonotoneSearch:
         # only includes vertex 0; if that fails, every singleton fails by
         # transitivity and the optimum is the empty set.
         v = self.idx.v
-        complete = True
         try:
             self.counters.tick()
+            self.open_hi = 0
             if self.can_add(0, 0):
-                self._dfs(1, ((1 << v) - 2) & ~self.forced)
+                undecided = ((1 << v) - 2) & ~self.forced
+                self._dfs(1, undecided, *self.pack(undecided | 1, undecided))
         except BudgetExhausted:
-            complete = False
-        return self.best_size, self.best_mask, complete
+            return self.best_size, self.best_mask, max(self.best_size, self.open_hi)
+        return self.best_size, self.best_mask, self.best_size
 
-    def _dfs(self, chosen_mask: int, undecided_mask: int) -> None:
-        self.counters.tick()
+    def _dfs(self, chosen_mask: int, undecided_mask: int,
+             packing: list[int], covered: int) -> None:
         size = chosen_mask.bit_count()
+        bound = size + undecided_mask.bit_count() - len(packing)
+        try:
+            self.counters.tick()
+        except BudgetExhausted:
+            self.open_hi = max(self.open_hi, bound)
+            raise
         if size > self.best_size:
             self.best_size = size
             self.best_mask = chosen_mask
-        if size + undecided_mask.bit_count() <= self.best_size:
-            return
-        if not undecided_mask:
+        if bound <= self.best_size:
             return
         v = self._pick(undecided_mask)
         rest = undecided_mask & ~(1 << v)
-        if self.can_add(v, chosen_mask):
-            self._dfs(chosen_mask | (1 << v), rest & ~self.forced)
-        self._dfs(chosen_mask, rest)
+        try:
+            if self.can_add(v, chosen_mask):
+                grown = chosen_mask | (1 << v)
+                left = rest & ~self.forced
+                self._dfs(grown, left,
+                          *self.pack_include(v, grown, left, packing, covered))
+        except BudgetExhausted:
+            # the exclude branch is still open: record what it may reach
+            pending, _ = self.pack_exclude(v, chosen_mask, rest, packing, covered)
+            self.open_hi = max(self.open_hi,
+                               min(bound, size + rest.bit_count() - len(pending)))
+            raise
+        self._dfs(chosen_mask, rest,
+                  *self.pack_exclude(v, chosen_mask, rest, packing, covered))
 
     def _pick(self, undecided_mask: int) -> int:
-        best, best_score = -1, (-1, 0)
+        """The undecided vertex with the most conflicts, the lowest on ties."""
+        conflicts = self.conflicts
+        best, most = -1, -1
         m = undecided_mask
         while m:
             low = m & -m
             w = low.bit_length() - 1
-            score = (self.conflicts[w], -w)
-            if score > best_score:
-                best, best_score = w, score
+            if conflicts[w] > most:
+                best, most = w, conflicts[w]
             m ^= low
         return best
 
@@ -639,7 +778,7 @@ def _bits_indices(mask: int) -> list[int]:
 
 
 def _max_monotone_bb(idx: VisibilityIndex, variant: Variant,
-                     counters: SearchCounters) -> tuple[int, int, bool]:
+                     counters: SearchCounters) -> tuple[int, int, int]:
     search = _MonotoneSearch(idx, variant, counters)
     return search.run()
 
@@ -652,10 +791,12 @@ def _colex_least_witness(idx: VisibilityIndex, variant: Variant, target: int,
     and stops at its first leaf of size ``target``.
 
     It carries ``avail``, the undecided vertices that may still join X: an
-    include drops the vertices ``can_add`` forced out. A branch with
-    size + |avail| < target is pruned, and an unavailable vertex is
-    passed over without a node. Both cut only branches with no leaf of
-    size ``target``, so the first leaf is still the colex-least optimum.
+    include drops the vertices ``can_add`` forced out. It also carries the
+    value search's packing of forbidden sets, m of them, whose parts in
+    ``avail`` are disjoint. A branch with size + |avail| - m < target is
+    pruned, and an unavailable vertex is passed over without a node. Both
+    cut only branches with no leaf of size ``target``, so the first leaf
+    is still the colex-least optimum.
 
     Returns (mask, canonical). When the budget runs out first, the
     optimum ``found_mask`` that the value search returned comes back
@@ -663,34 +804,41 @@ def _colex_least_witness(idx: VisibilityIndex, variant: Variant, target: int,
     search = _MonotoneSearch(idx, variant, counters)
     tick = counters.tick
     can_add = search.can_add
+    include, exclude = search.pack_include, search.pack_exclude
 
-    def dfs(chosen_mask: int, size: int, avail: int) -> int | None:
+    def dfs(chosen_mask: int, size: int, avail: int, packing: list[int],
+            covered: int) -> int | None:
         # the vertices outside avail are decided or forced out
         tick()
         if size == target:
             return chosen_mask
-        if size + avail.bit_count() < target:
+        if size + avail.bit_count() - len(packing) < target:
             return None
         w = avail.bit_length() - 1
         rest = avail ^ (1 << w)
-        found = dfs(chosen_mask, size, rest)
+        found = dfs(chosen_mask, size, rest,
+                    *exclude(w, chosen_mask, rest, packing, covered))
         if found is None and can_add(w, chosen_mask):
-            found = dfs(chosen_mask | (1 << w), size + 1, rest & ~search.forced)
+            grown = chosen_mask | (1 << w)
+            left = rest & ~search.forced
+            found = dfs(grown, size + 1, left,
+                        *include(w, grown, left, packing, covered))
         return found
 
+    full = (1 << idx.v) - 1
     try:
-        return dfs(0, 0, (1 << idx.v) - 1), True
+        return dfs(0, 0, full, *search.pack(full, full)), True
     except BudgetExhausted:
         return found_mask, False
 
 
 def _max_dual_exhaustive(idx: VisibilityIndex,
-                         counters: SearchCounters) -> tuple[int, int, bool]:
+                         counters: SearchCounters) -> tuple[int, int, int]:
     """Dual visibility is not subset-monotone; enumerate all subsets in
-    ascending mask order (first optimum found is the colex-least)."""
+    ascending mask order (first optimum found is the colex-least). Returns
+    (size, mask, hi), hi being |V| when the budget cut the enumeration."""
     v = idx.v
     best_size, best_mask = 0, 0
-    complete = True
 
     # X = empty set is always dual (no obstacles at all), so best >= 0
     try:
@@ -700,8 +848,8 @@ def _max_dual_exhaustive(idx: VisibilityIndex,
                     and _blocked_pair(idx, Variant.DUAL, mask) is None):
                 best_size, best_mask = mask.bit_count(), mask
     except BudgetExhausted:
-        complete = False
-    return best_size, best_mask, complete
+        return best_size, best_mask, v
+    return best_size, best_mask, best_size
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from mvlab.families import bipartite_kneser, format_family, johnson, kneser
 from mvlab.subsets import KSubset
 from mvlab.visibility import (
     PARAM_TO_VARIANT,
+    VARIANT_TO_PARAM,
     Variant,
     _MonotoneSearch,
     is_visibility_set,
@@ -23,6 +26,7 @@ from oracles import (
     bipartite_kneser_nx,
     brute_gp,
     brute_parameter,
+    graph_from_rows,
     johnson_nx,
     kneser_nx,
     oracle_predicate,
@@ -199,18 +203,43 @@ def test_budget_degrades_to_incomplete():
 
 
 def test_canonicalisation_stops_within_the_budget():
-    # the value search finishes in 92 nodes; making its optimum colex-least
-    # takes the run to 177, past the 120 allowed, so the found optimum is kept
+    # the value search finishes in 34 nodes; making its optimum colex-least
+    # takes the run to 73, past the 50 allowed, so the found optimum is kept
     g = johnson(5, 2)
-    cert = max_visibility_number(g, Variant.TOTAL, Budget(max_nodes=120))
+    cert = max_visibility_number(g, Variant.TOTAL, Budget(max_nodes=50))
     assert cert.value == 6 and cert.status == "exact"
     assert is_visibility_set(g, cert.witness, Variant.TOTAL).ok
     assert cert.witness_canonical is False
     assert cert.as_json()["witness_canonical"] is False
-    assert cert.nodes_expanded <= 120
+    assert cert.nodes_expanded <= 50
     unbudgeted = max_visibility_number(g, Variant.TOTAL)
     assert unbudgeted.witness_canonical
     assert "witness_canonical" not in unbudgeted.as_json()
+
+
+# (graph, variant, true optimum): every node budget cuts the search
+# somewhere different, up to a full run
+_CUT_RUNS = ((kneser(6, 2), Variant.OUTER, 9), (bipartite_kneser(5, 2), Variant.MUTUAL, 8))
+
+
+@pytest.mark.parametrize("graph,variant,optimum", _CUT_RUNS,
+                         ids=[f"{format_family(g)}-{v.value}" for g, v, _ in _CUT_RUNS])
+def test_cut_runs_report_a_proven_upper_end(graph, variant, optimum):
+    # K(6,2) mu-outer takes every budget up to its 93-node run; BK(5,2) mu,
+    # 3,299 nodes, takes every budget to 127 and then every 53rd, which
+    # keeps the sweep near a second (all of them take about 45 s)
+    full = max_visibility_number(graph, variant)
+    assert full.exact and full.value == optimum
+    budgets = [*range(1, min(128, full.nodes_expanded)),
+               *range(128, full.nodes_expanded, 53), full.nodes_expanded]
+    for nodes in budgets:
+        cert = max_visibility_number(graph, variant, Budget(max_nodes=nodes))
+        assert cert.value <= optimum <= cert.hi < graph.vertex_count, nodes
+        assert cert.bounds.lo == cert.value and cert.bounds.hi == cert.hi
+        assert is_visibility_set(graph, cert.witness, variant).ok
+        if not cert.exact:
+            assert cert.as_json()["bounds"] == [cert.value, cert.hi]
+    assert cert.exact and cert.witness == full.witness
 
 
 def test_variant_parsing_and_rejects():
@@ -286,10 +315,18 @@ def test_midpoint_mask_matches_pair_visible(graph, data):
         assert _rows_visible(slot, x) == idx.pair_visible(i, j, x)
     else:
         assert slot == 0
-    # every triple that lists the pair carries the same slot
+    # through[w] keys each pair a < b at distance 3 or more with w inside
+    # a geodesic by its lower end, in increasing order
     w = data.draw(st.integers(0, v - 1), label="w")
-    for a, b, m in through[w]:
-        assert a < b and m == mid[a][b]
+    dist = [{b: d for d, layer in enumerate(idx.ctx.layers[a]) for b in range(v)
+             if layer >> b & 1} for a in (w, *range(v))]
+    to_w, dist = dist[0], dist[1:]
+    expected = {}
+    for a in range(v):
+        for b in range(a + 1, v):
+            if dist[a][b] >= 3 and w not in (a, b) and to_w[a] + to_w[b] == dist[a][b]:
+                expected[a] = expected.get(a, 0) | 1 << b
+    assert through[w] == expected and list(through[w]) == sorted(expected)
 
 
 def _rows_visible(rows, x: int) -> bool:
@@ -371,6 +408,58 @@ def test_can_add_agrees_with_the_definitional_check(graph, variant, data):
         return
     grown = idx.subset(members + [v])
     assert search.can_add(v, chosen) == is_visibility_set(graph, grown, variant).ok
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_valid(graph, variant):
+    """The networkx oracle's validity test on index masks of ``graph``."""
+    return oracle_predicate(graph_from_rows(visibility_index(graph).ctx.adj),
+                            VARIANT_TO_PARAM[variant])[1]
+
+
+@PROPERTY
+@given(st.sampled_from(MIXED_GRAPHS), st.sampled_from(MONOTONE), st.data())
+def test_packing_bound_is_sound(graph, variant, data):
+    # walk down from the root as the search does, deciding vertices in a
+    # random order and carrying the packing through each step; at the end,
+    # no valid X + S with S inside the undecided U beats |X| + |U| - m
+    idx = visibility_index(graph)
+    search = _MonotoneSearch(idx, variant, SearchCounters(None))
+    full = (1 << idx.v) - 1
+    chosen, undecided = 0, full
+    packing, covered = search.pack(full, full)
+    left = data.draw(st.integers(4, 12), label="undecided left")
+    for v in data.draw(st.permutations(range(idx.v)), label="order"):
+        if undecided.bit_count() <= left:
+            break
+        if not undecided >> v & 1:
+            continue
+        rest = undecided & ~(1 << v)
+        if data.draw(st.booleans(), label="include") and search.can_add(v, chosen):
+            chosen |= 1 << v
+            undecided = rest & ~search.forced
+            packing, covered = search.pack_include(v, chosen, undecided, packing, covered)
+        else:
+            undecided = rest
+            packing, covered = search.pack_exclude(v, chosen, undecided, packing, covered)
+    # a packing: sets inside X + U, each with a part in U, parts disjoint
+    parts = [f & undecided for f in packing]
+    assert all(not f & ~(chosen | undecided) for f in packing)
+    assert all(parts) and sum(p.bit_count() for p in parts) == covered.bit_count()
+    assert sum(parts) == covered
+    # a fresh greedy on a random U' inside U gives a sound bound too
+    sub = data.draw(st.integers(0, undecided), label="U'") & undecided
+    fresh, _ = search.pack(chosen | sub, sub)
+    valid = _oracle_valid(graph, variant)
+    assert valid(chosen)
+    u_bits = [1 << i for i in range(idx.v) if undecided >> i & 1]
+    for u, m in ((undecided, len(packing)), (sub, len(fresh))):
+        # the property is subset-monotone, so it is enough that no S of
+        # one more than the bound allows is valid
+        excess = u.bit_count() - m + 1
+        pool = [b for b in u_bits if b & u]
+        assert not any(valid(chosen | sum(c))
+                       for c in itertools.combinations(pool, excess))
 
 
 @pytest.mark.parametrize("variant", (Variant.MUTUAL, Variant.TOTAL, Variant.OUTER))
