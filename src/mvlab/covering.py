@@ -6,7 +6,10 @@ branch on the colex-least uncovered t-set over the blocks containing it
 (forbidding earlier siblings to partition the space), prune with
 used + ceil(uncovered / C(k, t)) against the incumbent, and stop once the
 incumbent meets the lower end, which is also the lower end of a cut
-search. Each level runs three steps:
+search. The root takes only the first block through its t-set: the
+permutations of [n] that fix that t-set act transitively on the blocks
+through it, so some optimum holds the first one. Each level runs three
+steps:
 
 1. Seeds. The smallest valid cover among the caller's seed, the partition
    family (on the complement side, every (n-k)-set inside one of a few
@@ -150,6 +153,12 @@ def _cover(n: int, k: int, t: int, counters: SearchCounters,
     except BudgetExhausted:
         # cut during setup: the seed covers every t-subset
         return lower, seed
+    # Root symmetry. The root branches on t-set 0, and only the root does,
+    # since each of its branches covers it. The permutations of [n] that fix
+    # that t-set act transitively on the blocks through it, and every cover
+    # has one, so some optimum holds the first: the root takes it alone. A
+    # later root branch could only tie, and ties never replace the incumbent.
+    del blocks_for[0][1:]
     full = (1 << len(universe)) - 1
     per_block = comb(k, t)
 

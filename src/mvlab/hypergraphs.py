@@ -152,22 +152,26 @@ def solve_tau(edges, counters: SearchCounters, ceiling: int | None = None):
       as without it;
     - a complete result at the ceiling only proves tau >= ceiling.
     """
-    # dedupe and drop superset edges
+    # dedupe, order by (size, mask) with a stable sort by size, and drop
+    # superset edges: distinct edges of one size never contain one another,
+    # so each edge is checked only against the kept edges of smaller sizes
     uniq = sorted(set(int(e) for e in edges))
+    uniq.sort(key=int.bit_count)
+    if uniq and not uniq[0]:
+        raise ValueError("empty edge has no transversal")
     minimal: list[int] = []
+    shorter: list[int] = []
+    size = 0
     for e in uniq:
-        if e == 0:
-            raise ValueError("empty edge has no transversal")
-        redundant = False
-        for f in minimal:
+        if e.bit_count() != size:
+            size, shorter = e.bit_count(), minimal.copy()
+        for f in shorter:
             if f & e == f:
-                redundant = True
                 break
-        if not redundant:
+        else:
             minimal.append(e)
     if not minimal:
         return 0, 0, 0, True
-    minimal.sort(key=lambda e: (e.bit_count(), e))
 
     if ceiling is not None:
         used = matched = 0

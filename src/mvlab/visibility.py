@@ -55,10 +55,19 @@ packing, a matching lower bound on the transversal number, as in
 |X| + |U| - m. Each node carries its packing and updates it from its
 parent's without a rescan. A run that the budget cuts reports as its
 upper end the largest bound of any branch it left open.
-All three families are vertex-transitive, so the value search fixes
-vertex 0 in X at its root, a symmetry reduction in the sense of orbital
-branching (Ostrowski, Linderoth, Rossi and Smriglio, Math. Programming
-2011). The dual variant is NOT subset-monotone - removing a vertex from
+
+The value search also branches on orbits (orbital branching: Ostrowski,
+Linderoth, Rossi and Smriglio, Math. Programming 2011). S_n, permuting
+the ground set, acts on each family, and every variant is defined by
+distances alone, so a permutation that fixes each member of X maps
+each valid extension of X to another of the same size. Those
+permutations are the products of symmetric groups on the atoms of X,
+the regions the members of X cut [n] into. They map the undecided set
+U to itself at every node, so when the search leaves the picked vertex
+v out, it leaves out v's whole orbit: any extension holding an orbit
+member maps to one holding v, which the include branch searched. All
+three families are vertex-transitive, so the root fixes vertex 0 in X.
+The dual variant is NOT subset-monotone - removing a vertex from
 X moves it outside and creates new obligated pairs - so it is solved by
 exhaustive enumeration, which caps the graph size it can handle.
 Witnesses are canonicalized to the colex-least optimum by one more
@@ -498,9 +507,25 @@ class _MonotoneSearch:
     max(best, open_hi) bounds every set the search did not reach.
 
     ``run`` uses root symmetry: the root only includes vertex 0, which
-    vertex-transitivity allows (comment in ``run``). The colex-least
-    witness search (``_colex_least_witness``) calls ``can_add`` alone and
-    fixes no vertex, so canonical witnesses are as without the symmetry.
+    vertex-transitivity allows (comment in ``run``). Below it each node
+    carries the atoms of X, the partition of the ground set into the
+    regions its members cut out; an include refines them by the new
+    member's set (``_refine``). The group G_X of the permutations of [n]
+    that map each atom to itself fixes every member of X, each a union of
+    atoms, and maps U to itself, by induction from the root: the vertices
+    an include forces out are determined by X + v and the distances, so
+    G_(X+v) maps them to themselves, and an exclude drops a whole G_X
+    orbit. So the exclude branch of v drops v's orbit (``orbit``), the
+    vertices meeting each atom in as many elements as v, each through
+    ``pack_exclude``: an optimum below the node that holds an orbit member
+    has an image under G_X that holds v and lies below the include. Once
+    every atom is a single element, the orbits are single vertices. A cut
+    exclude branch still records the bound of dropping v alone, which is
+    no smaller than that of dropping its orbit.
+
+    The colex-least witness search (``_colex_least_witness``) calls
+    ``can_add`` and the packing alone and fixes no vertex, so canonical
+    witnesses are as without the symmetry.
     """
 
     def __init__(self, idx: VisibilityIndex, variant: Variant,
@@ -523,6 +548,10 @@ class _MonotoneSearch:
             # the outer partners of v are all of far[v], on every call
             self.far_lists = [_bits_indices(f) for f in self.far]
         self.conflicts = [0] * idx.v
+        self.masks = idx.ctx.masks
+        self.n = idx.graph.n
+        # per atom a of the ground set, the vertices u by |u & a|
+        self._by_count: dict[int, list[int]] = {}
         self.best_size = 0
         self.best_mask = 0
         # the largest bound of a branch that a budget cut left open; |V|
@@ -709,13 +738,14 @@ class _MonotoneSearch:
             self.open_hi = 0
             if self.can_add(0, 0):
                 undecided = ((1 << v) - 2) & ~self.forced
-                self._dfs(1, undecided, *self.pack(undecided | 1, undecided))
+                atoms = _refine(((1 << self.n) - 1,), self.masks[0])
+                self._dfs(1, undecided, *self.pack(undecided | 1, undecided), atoms)
         except BudgetExhausted:
             return self.best_size, self.best_mask, max(self.best_size, self.open_hi)
         return self.best_size, self.best_mask, self.best_size
 
     def _dfs(self, chosen_mask: int, undecided_mask: int,
-             packing: list[int], covered: int) -> None:
+             packing: list[int], covered: int, atoms: tuple[int, ...]) -> None:
         size = chosen_mask.bit_count()
         bound = size + undecided_mask.bit_count() - len(packing)
         try:
@@ -735,15 +765,41 @@ class _MonotoneSearch:
                 grown = chosen_mask | (1 << v)
                 left = rest & ~self.forced
                 self._dfs(grown, left,
-                          *self.pack_include(v, grown, left, packing, covered))
+                          *self.pack_include(v, grown, left, packing, covered),
+                          atoms if len(atoms) == self.n else _refine(atoms, self.masks[v]))
         except BudgetExhausted:
             # the exclude branch is still open: record what it may reach
             pending, _ = self.pack_exclude(v, chosen_mask, rest, packing, covered)
             self.open_hi = max(self.open_hi,
                                min(bound, size + rest.bit_count() - len(pending)))
             raise
-        self._dfs(chosen_mask, rest,
-                  *self.pack_exclude(v, chosen_mask, rest, packing, covered))
+        # orbital branching: a set below this node that holds a vertex of
+        # v's orbit maps to one that holds v, which the include searched
+        orbit = self.orbit(v, atoms) & undecided_mask
+        rest = undecided_mask & ~orbit
+        while orbit:
+            low = orbit & -orbit
+            orbit ^= low
+            packing, covered = self.pack_exclude(low.bit_length() - 1, chosen_mask,
+                                                 rest, packing, covered)
+        self._dfs(chosen_mask, rest, packing, covered, atoms)
+
+    def orbit(self, v: int, atoms: tuple[int, ...]) -> int:
+        """The mask of v's orbit under the permutations of the ground set
+        that map each of ``atoms`` to itself: the vertices u with
+        |u & a| = |v & a| for every atom a."""
+        if len(atoms) == self.n:  # all single elements: the orbit is v alone
+            return 1 << v
+        mv, by_count = self.masks[v], self._by_count
+        orbit = -1
+        for a in atoms:
+            counts = by_count.get(a)
+            if counts is None:
+                counts = by_count[a] = [0] * (a.bit_count() + 1)
+                for u, mu in enumerate(self.masks):
+                    counts[(mu & a).bit_count()] |= 1 << u
+            orbit &= counts[(mv & a).bit_count()]
+        return orbit
 
     def _pick(self, undecided_mask: int) -> int:
         """The undecided vertex with the most conflicts, the lowest on ties."""
@@ -775,6 +831,19 @@ def _bits_indices(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _refine(atoms: tuple[int, ...], member: int) -> tuple[int, ...]:
+    """The atoms split by a new member set of X: each atom's parts inside
+    and outside ``member``, the empty ones left out."""
+    out = []
+    for a in atoms:
+        inside = a & member
+        if inside and inside != a:
+            out += (inside, a ^ inside)
+        else:
+            out.append(a)
+    return tuple(out)
 
 
 def _max_monotone_bb(idx: VisibilityIndex, variant: Variant,

@@ -216,22 +216,22 @@ def test_sub_instance_nodes_count_on_every_path():
         assert cert.nodes_expanded == inner.nodes_expanded
 
 
-@pytest.mark.parametrize("max_nodes", [0, 1, 35, 36, 1000, 51554, 103107, 103108,
-                                       103200])
+@pytest.mark.parametrize("max_nodes", [0, 1, 35, 36, 1000, 20798, 41595, 41596,
+                                       41700, 51554, 103107, 103108, 103200])
 def test_budget_cuts_keep_sound_ends(max_nodes):
-    # the C(7, 4, 3) sub-instance takes 51,554 nodes and gets half of what
+    # the C(7, 4, 3) sub-instance takes 20,798 nodes and gets half of what
     # is left: below twice that it is cut and the lower end stays L = 18
     cert = covering_number(8, 5, 4, Budget(max_nodes=max_nodes))
     assert cert.nodes_expanded <= max_nodes
-    assert (cert.lo, cert.hi) == ((20, 20) if max_nodes >= 103108 else (18, 20))
+    assert (cert.lo, cert.hi) == ((20, 20) if max_nodes >= 41596 else (18, 20))
 
 
 def test_outer_search_gets_back_what_a_sub_instance_leaves():
     # C(9, 6, 4): the sub-instance C(8, 5, 3), through its own C(7, 4, 2),
-    # spends 2,157 of its 4,350 nodes; the outer setup then needs 84 more,
+    # spends 343 of its 700 nodes; the outer setup then needs 84 more,
     # which only the nodes the sub-instance left can pay for
-    cert = covering_number(9, 6, 4, Budget(max_nodes=8700))
-    assert cert.exact and cert.value == 12 and cert.nodes_expanded == 2241
+    cert = covering_number(9, 6, 4, Budget(max_nodes=1400))
+    assert cert.exact and cert.value == 12 and cert.nodes_expanded == 427
 
 
 def test_every_built_in_seed_is_a_cover():

@@ -67,6 +67,17 @@ def test_sibling_bans_keep_tau_and_witness(instance):
     assert tau == brute_tau(edges, n)
 
 
+@pytest.mark.parametrize("masks,expected", [
+    ([11, 62, 63, 100, 152, 183, 197, 225, 240, 243], (3, 41, 7, True)),
+    ([51, 78, 85, 148, 182, 209, 216], (2, 18, 4, True)),
+    ([13, 65, 83, 98, 157, 189, 192, 220], (2, 65, 3, True)),
+])
+def test_mixed_sizes_branch_in_size_then_mask_order(masks, expected):
+    # the minimal edges are searched in (size, mask) order; in mask order
+    # alone these searches take 12, 5 and 1 nodes
+    assert solve_tau(masks, SearchCounters(None)) == expected
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_mixed_hypergraphs(), st.data())
 def test_ceiling_decides_tau_below_it(instance, data):

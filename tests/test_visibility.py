@@ -15,6 +15,8 @@ from mvlab.visibility import (
     VARIANT_TO_PARAM,
     Variant,
     _MonotoneSearch,
+    _max_monotone_bb,
+    _refine,
     is_visibility_set,
     kneser_total_mv_check_fast,
     max_visibility_number,
@@ -203,8 +205,8 @@ def test_budget_degrades_to_incomplete():
 
 
 def test_canonicalisation_stops_within_the_budget():
-    # the value search finishes in 34 nodes; making its optimum colex-least
-    # takes the run to 73, past the 50 allowed, so the found optimum is kept
+    # the value search finishes in 14 nodes; making its optimum colex-least
+    # takes the run to 53, past the 50 allowed, so the found optimum is kept
     g = johnson(5, 2)
     cert = max_visibility_number(g, Variant.TOTAL, Budget(max_nodes=50))
     assert cert.value == 6 and cert.status == "exact"
@@ -225,9 +227,9 @@ _CUT_RUNS = ((kneser(6, 2), Variant.OUTER, 9), (bipartite_kneser(5, 2), Variant.
 @pytest.mark.parametrize("graph,variant,optimum", _CUT_RUNS,
                          ids=[f"{format_family(g)}-{v.value}" for g, v, _ in _CUT_RUNS])
 def test_cut_runs_report_a_proven_upper_end(graph, variant, optimum):
-    # K(6,2) mu-outer takes every budget up to its 93-node run; BK(5,2) mu,
-    # 3,299 nodes, takes every budget to 127 and then every 53rd, which
-    # keeps the sweep near a second (all of them take about 45 s)
+    # K(6,2) mu-outer takes every budget up to its 69-node run; BK(5,2) mu,
+    # 830 nodes, takes every budget to 127 and then every 53rd, which
+    # keeps the sweep well under a second (all of them take about 3 s)
     full = max_visibility_number(graph, variant)
     assert full.exact and full.value == optimum
     budgets = [*range(1, min(128, full.nodes_expanded)),
@@ -460,6 +462,92 @@ def test_packing_bound_is_sound(graph, variant, data):
         pool = [b for b in u_bits if b & u]
         assert not any(valid(chosen | sum(c))
                        for c in itertools.combinations(pool, excess))
+
+
+# ground sets of at most 6, so each test can afford all n! permutations
+ORBIT_GRAPHS = (kneser(6, 2), johnson(6, 3), bipartite_kneser(5, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _vertex_permutations(graph):
+    """Each permutation of the ground set, as the list of vertex images."""
+    ctx = visibility_index(graph).ctx
+    return [[ctx.index[sum(1 << p[e] for e in range(graph.n) if m >> e & 1)]
+             for m in ctx.masks]
+            for p in itertools.permutations(range(graph.n))]
+
+
+def _stabiliser(graph, chosen):
+    """The vertex permutations, induced by the ground set, that fix each
+    member of X."""
+    members = [i for i in range(visibility_index(graph).v) if chosen >> i & 1]
+    return [p for p in _vertex_permutations(graph) if all(p[x] == x for x in members)]
+
+
+@PROPERTY
+@given(st.sampled_from(ORBIT_GRAPHS), st.data())
+def test_orbits_match_the_stabiliser_of_x(graph, data):
+    # the orbit the search reads off X's atoms is v's image under every
+    # permutation of [n] that fixes each member of X
+    idx = visibility_index(graph)
+    search = _MonotoneSearch(idx, Variant.MUTUAL, SearchCounters(None))
+    members = data.draw(st.lists(st.integers(0, idx.v - 1), max_size=4), label="X")
+    atoms, chosen = ((1 << graph.n) - 1,), 0
+    for x in members:
+        atoms = _refine(atoms, idx.ctx.masks[x])
+        chosen |= 1 << x
+    # the atoms partition [n]: two elements share one iff each member of
+    # X holds both or neither
+    assert sum(atoms) == (1 << graph.n) - 1 and all(atoms)
+    for e, f in itertools.combinations(range(graph.n), 2):
+        together = any(a >> e & a >> f & 1 for a in atoms)
+        assert together == all(idx.ctx.masks[x] >> e & 1 == idx.ctx.masks[x] >> f & 1
+                               for x in members)
+    v = data.draw(st.integers(0, idx.v - 1), label="v")
+    expected = 0
+    for p in _stabiliser(graph, chosen):
+        expected |= 1 << p[v]
+    assert search.orbit(v, atoms) == expected
+
+
+@pytest.mark.parametrize("variant", MONOTONE)
+@pytest.mark.parametrize("graph", ORBIT_GRAPHS, ids=format_family)
+def test_undecided_vertices_stay_a_union_of_orbits(graph, variant):
+    # excluding v's whole orbit is sound because, at every node, each
+    # permutation of [n] that fixes every member of X maps U to itself
+    nodes = []
+
+    class Recording(_MonotoneSearch):
+        def _dfs(self, chosen_mask, undecided_mask, *rest):
+            nodes.append((chosen_mask, undecided_mask))
+            super()._dfs(chosen_mask, undecided_mask, *rest)
+
+    idx = visibility_index(graph)
+    size, _, hi = Recording(idx, variant, SearchCounters(None)).run()
+    assert size == hi == max_visibility_number(graph, variant).value
+    # BK(5,2) has no nonempty total set, so the root is its only node
+    assert nodes or size == 0
+    for chosen, undecided in nodes:
+        members = [u for u in range(idx.v) if undecided >> u & 1]
+        for p in _stabiliser(graph, chosen):
+            assert sum(1 << p[u] for u in members) == undecided
+
+
+# (graph, variant, optimum, value-search node cap)
+_ORBIT_GUARDS = ((johnson(8, 2), Variant.TOTAL, 11, 5_000),
+                 (johnson(9, 2), Variant.TOTAL, 13, 20_000),
+                 (bipartite_kneser(7, 2), Variant.MUTUAL, 28, 60_000))
+
+
+@pytest.mark.parametrize("graph,variant,value,cap", _ORBIT_GUARDS,
+                         ids=[f"{format_family(g)}-{v.value}" for g, v, *_ in _ORBIT_GUARDS])
+def test_orbital_branching_keeps_the_value_search_small(graph, variant, value, cap):
+    # without the orbit exclusions these took 100,104, 2,476,868 and
+    # 225,399 value-search nodes
+    counters = SearchCounters(None)
+    size, _, hi = _max_monotone_bb(visibility_index(graph), variant, counters)
+    assert size == hi == value
+    assert counters.nodes < cap
 
 
 @pytest.mark.parametrize("variant", (Variant.MUTUAL, Variant.TOTAL, Variant.OUTER))
