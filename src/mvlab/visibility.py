@@ -74,7 +74,13 @@ Witnesses are canonicalized to the colex-least optimum by one more
 search: with the optimum size known, it decides vertices from the
 highest index down, "exclude" first, passes over vertices already forced
 out, prunes on the same packing bound, and stops at its first leaf of
-that size. The canonicalization
+that size. It prunes by isomorphism toward that lex-least representative
+(Margot, Math. Programming 2002), with the atoms of orbital branching:
+once the exclude branch of the highest undecided vertex w holds no
+optimum, every optimum below the node holds w's whole orbit under the
+permutations that fix each member of X and map the vertices 0..w onto
+themselves, so the include branch takes the orbit at once (proof at
+``_colex_least_witness``). The canonicalization
 runs on the caller's budget; if that runs out first, the optimum the
 value search found is returned instead, still exact, and the
 certificate records ``witness_canonical=False``.
@@ -190,7 +196,7 @@ Mid = int | tuple[tuple[int, int], ...]
 class VisibilityIndex:
     """Vertex-indexed view of a graph and the search's feasibility tables."""
 
-    __slots__ = ("graph", "ctx", "v", "_through", "_forbidden")
+    __slots__ = ("graph", "ctx", "v", "_through", "_forbidden", "_prefix_blocks")
 
     def __init__(self, graph: FamilyGraph):
         self.graph = graph
@@ -198,6 +204,7 @@ class VisibilityIndex:
         self.v = len(self.ctx.masks)
         self._through: tuple[list[dict[int, int]], list[list[Mid]]] | None = None
         self._forbidden: dict[Variant, list[list[int]]] = {}
+        self._prefix_blocks: dict[int, tuple[int, ...]] = {}
 
     def index_of(self, s: KSubset) -> int:
         i = self.ctx.index.get(s.bits) if s.n == self.graph.n else None
@@ -335,6 +342,31 @@ class VisibilityIndex:
                     lists[w].append(f)
             self._forbidden[variant] = lists
         return lists
+
+    def prefix_blocks(self, w: int) -> tuple[int, ...]:
+        """The ground set cut into runs of consecutive elements, as masks,
+        such that swapping two neighbours e, e + 1 of one run maps the
+        vertices 0..w onto themselves: each vertex holding exactly one of
+        them goes to a vertex of index at most w (a swap is an involution,
+        so into is onto). The permutations that map each run to itself are
+        products of such swaps, so they keep the prefix too. Colex order
+        within each size class makes the one test serve both classes of
+        the bipartite family."""
+        blocks = self._prefix_blocks.get(w)
+        if blocks is None:
+            masks, index = self.ctx.masks, self.ctx.index
+            prefix = masks[:w + 1]
+            runs, run = [], 1
+            for e in range(self.graph.n - 1):
+                pair = 3 << e
+                if all(index[m ^ pair] <= w for m in prefix if (m & pair).bit_count() == 1):
+                    run |= pair
+                else:
+                    runs.append(run)
+                    run = 2 << e
+            runs.append(run)
+            blocks = self._prefix_blocks[w] = tuple(runs)
+        return blocks
 
 
 _INDEX_CACHE: dict[FamilyGraph, VisibilityIndex] = {}
@@ -520,12 +552,15 @@ class _MonotoneSearch:
     ``pack_exclude``: an optimum below the node that holds an orbit member
     has an image under G_X that holds v and lies below the include. Once
     every atom is a single element, the orbits are single vertices. A cut
-    exclude branch still records the bound of dropping v alone, which is
-    no smaller than that of dropping its orbit.
+    exclude branch records the bound of dropping v's orbit: a set it did
+    not reach that holds an orbit member has an image of the same size
+    below the include, which the include's own records bound.
 
-    The colex-least witness search (``_colex_least_witness``) calls
-    ``can_add`` and the packing alone and fixes no vertex, so canonical
-    witnesses are as without the symmetry.
+    The colex-least witness search (``_colex_least_witness``) fixes no
+    vertex at its root and uses the orbits the other way round: a failed
+    exclude makes its include take the whole orbit of a smaller group,
+    the one that also keeps the vertices 0..w, so canonical witnesses are
+    as without the symmetry.
     """
 
     def __init__(self, idx: VisibilityIndex, variant: Variant,
@@ -759,30 +794,30 @@ class _MonotoneSearch:
         if bound <= self.best_size:
             return
         v = self._pick(undecided_mask)
-        rest = undecided_mask & ~(1 << v)
+        # orbital branching: the exclude branch drops v's orbit, since a set
+        # below this node that holds a vertex of it maps to one that holds
+        # v, which the include searches
+        orbit = self.orbit(v, atoms) & undecided_mask
+        rest = undecided_mask & ~orbit
+        dropped, uncovered = packing, covered
+        while orbit:
+            low = orbit & -orbit
+            orbit ^= low
+            dropped, uncovered = self.pack_exclude(low.bit_length() - 1, chosen_mask,
+                                                   rest, dropped, uncovered)
         try:
             if self.can_add(v, chosen_mask):
                 grown = chosen_mask | (1 << v)
-                left = rest & ~self.forced
+                left = undecided_mask & ~(1 << v | self.forced)
                 self._dfs(grown, left,
                           *self.pack_include(v, grown, left, packing, covered),
                           atoms if len(atoms) == self.n else _refine(atoms, self.masks[v]))
         except BudgetExhausted:
             # the exclude branch is still open: record what it may reach
-            pending, _ = self.pack_exclude(v, chosen_mask, rest, packing, covered)
             self.open_hi = max(self.open_hi,
-                               min(bound, size + rest.bit_count() - len(pending)))
+                               min(bound, size + rest.bit_count() - len(dropped)))
             raise
-        # orbital branching: a set below this node that holds a vertex of
-        # v's orbit maps to one that holds v, which the include searched
-        orbit = self.orbit(v, atoms) & undecided_mask
-        rest = undecided_mask & ~orbit
-        while orbit:
-            low = orbit & -orbit
-            orbit ^= low
-            packing, covered = self.pack_exclude(low.bit_length() - 1, chosen_mask,
-                                                 rest, packing, covered)
-        self._dfs(chosen_mask, rest, packing, covered, atoms)
+        self._dfs(chosen_mask, rest, dropped, uncovered, atoms)
 
     def orbit(self, v: int, atoms: tuple[int, ...]) -> int:
         """The mask of v's orbit under the permutations of the ground set
@@ -863,20 +898,38 @@ def _colex_least_witness(idx: VisibilityIndex, variant: Variant, target: int,
     include drops the vertices ``can_add`` forced out. It also carries the
     value search's packing of forbidden sets, m of them, whose parts in
     ``avail`` are disjoint. A branch with size + |avail| - m < target is
-    pruned, and an unavailable vertex is passed over without a node. Both
-    cut only branches with no leaf of size ``target``, so the first leaf
-    is still the colex-least optimum.
+    pruned, and an unavailable vertex is passed over without a node.
+
+    The include branch of w, the highest available vertex, is taken only
+    once its exclude branch has no leaf of size ``target``, and then it
+    includes w's whole orbit under H: the permutations of [n] that map
+    each atom of X to itself (``_refine``, as the value search builds
+    them) and the vertices 0..w onto themselves (``prefix_blocks``). H
+    fixes each member of X, so it maps the forced-out vertices, which X
+    alone determines, to themselves, and with them ``avail``, which is
+    0..w less X and those. So H maps the optima below the node to one
+    another. If one of them missed an orbit member u, its image under a
+    g in H with g(u) = w would be an optimum that misses w, below the
+    exclude branch, which has none. So every optimum below holds the
+    orbit, and the branch adds w and then each other member from the
+    highest down, one node each, through ``can_add`` and the packing; it
+    fails once a member is forced out or rejected.
+
+    Every cut and every skipped branch holds no leaf of size ``target``,
+    and the leaves left are visited in increasing mask order, so the first
+    leaf is still the colex-least optimum.
 
     Returns (mask, canonical). When the budget runs out first, the
     optimum ``found_mask`` that the value search returned comes back
     with canonical False."""
     search = _MonotoneSearch(idx, variant, counters)
     tick = counters.tick
-    can_add = search.can_add
+    can_add, orbit_of = search.can_add, search.orbit
     include, exclude = search.pack_include, search.pack_exclude
+    masks, n, prefix_blocks = search.masks, search.n, idx.prefix_blocks
 
-    def dfs(chosen_mask: int, size: int, avail: int, packing: list[int],
-            covered: int) -> int | None:
+    def dfs(chosen_mask: int, size: int, avail: int, atoms: tuple[int, ...],
+            packing: list[int], covered: int) -> int | None:
         # the vertices outside avail are decided or forced out
         tick()
         if size == target:
@@ -885,18 +938,31 @@ def _colex_least_witness(idx: VisibilityIndex, variant: Variant, target: int,
             return None
         w = avail.bit_length() - 1
         rest = avail ^ (1 << w)
-        found = dfs(chosen_mask, size, rest,
+        found = dfs(chosen_mask, size, rest, atoms,
                     *exclude(w, chosen_mask, rest, packing, covered))
-        if found is None and can_add(w, chosen_mask):
-            grown = chosen_mask | (1 << w)
-            left = rest & ~search.forced
-            found = dfs(grown, size + 1, left,
-                        *include(w, grown, left, packing, covered))
-        return found
+        if found is not None:
+            return found
+        # H's orbits: the cells where the atoms of X meet the prefix blocks
+        orbit = orbit_of(w, atoms if len(atoms) == n else tuple(
+            cell for b in prefix_blocks(w) for a in atoms if (cell := a & b)))
+        while orbit:
+            u = orbit.bit_length() - 1
+            orbit ^= 1 << u
+            if u < w:  # w's include is the node below; each other member is one
+                tick()
+            if not (avail >> u & 1 and can_add(u, chosen_mask)):
+                return None
+            chosen_mask |= 1 << u
+            avail &= ~(1 << u | search.forced)
+            packing, covered = include(u, chosen_mask, avail, packing, covered)
+            if len(atoms) < n:
+                atoms = _refine(atoms, masks[u])
+            size += 1
+        return dfs(chosen_mask, size, avail, atoms, packing, covered)
 
     full = (1 << idx.v) - 1
     try:
-        return dfs(0, 0, full, *search.pack(full, full)), True
+        return dfs(0, 0, full, ((1 << n) - 1,), *search.pack(full, full)), True
     except BudgetExhausted:
         return found_mask, False
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from mvlab.visibility import (
     VARIANT_TO_PARAM,
     Variant,
     _MonotoneSearch,
+    _colex_least_witness,
     _max_monotone_bb,
     _refine,
     is_visibility_set,
@@ -206,14 +208,14 @@ def test_budget_degrades_to_incomplete():
 
 def test_canonicalisation_stops_within_the_budget():
     # the value search finishes in 14 nodes; making its optimum colex-least
-    # takes the run to 53, past the 50 allowed, so the found optimum is kept
+    # takes the run to 41, past the 30 allowed, so the found optimum is kept
     g = johnson(5, 2)
-    cert = max_visibility_number(g, Variant.TOTAL, Budget(max_nodes=50))
+    cert = max_visibility_number(g, Variant.TOTAL, Budget(max_nodes=30))
     assert cert.value == 6 and cert.status == "exact"
     assert is_visibility_set(g, cert.witness, Variant.TOTAL).ok
     assert cert.witness_canonical is False
     assert cert.as_json()["witness_canonical"] is False
-    assert cert.nodes_expanded <= 50
+    assert cert.nodes_expanded <= 30
     unbudgeted = max_visibility_number(g, Variant.TOTAL)
     assert unbudgeted.witness_canonical
     assert "witness_canonical" not in unbudgeted.as_json()
@@ -227,8 +229,8 @@ _CUT_RUNS = ((kneser(6, 2), Variant.OUTER, 9), (bipartite_kneser(5, 2), Variant.
 @pytest.mark.parametrize("graph,variant,optimum", _CUT_RUNS,
                          ids=[f"{format_family(g)}-{v.value}" for g, v, _ in _CUT_RUNS])
 def test_cut_runs_report_a_proven_upper_end(graph, variant, optimum):
-    # K(6,2) mu-outer takes every budget up to its 69-node run; BK(5,2) mu,
-    # 830 nodes, takes every budget to 127 and then every 53rd, which
+    # K(6,2) mu-outer takes every budget up to its 68-node run; BK(5,2) mu,
+    # 778 nodes, takes every budget to 127 and then every 53rd, which
     # keeps the sweep well under a second (all of them take about 3 s)
     full = max_visibility_number(graph, variant)
     assert full.exact and full.value == optimum
@@ -242,6 +244,21 @@ def test_cut_runs_report_a_proven_upper_end(graph, variant, optimum):
         if not cert.exact:
             assert cert.as_json()["bounds"] == [cert.value, cert.hi]
     assert cert.exact and cert.witness == full.witness
+
+
+# (graph, variant, optimum, node budget, proven hi): a cut exclude branch
+# records the bound of dropping its vertex's whole orbit; the bound of
+# dropping the vertex alone gave hi 24 and 26
+_CUT_ORBIT_BOUNDS = ((kneser(7, 3), Variant.MUTUAL, 15, 2_000, 23),
+                     (johnson(9, 2), Variant.TOTAL, 13, 3_000, 24))
+
+
+@pytest.mark.parametrize("graph,variant,optimum,nodes,hi", _CUT_ORBIT_BOUNDS,
+                         ids=[f"{format_family(g)}-{v.value}" for g, v, *_ in _CUT_ORBIT_BOUNDS])
+def test_cut_exclude_branches_record_the_orbit_bound(graph, variant, optimum, nodes, hi):
+    cert = max_visibility_number(graph, variant, Budget(max_nodes=nodes))
+    assert cert.value <= optimum <= cert.hi <= hi
+    assert is_visibility_set(graph, cert.witness, variant).ok
 
 
 def test_variant_parsing_and_rejects():
@@ -533,6 +550,49 @@ def test_undecided_vertices_stay_a_union_of_orbits(graph, variant):
             assert sum(1 << p[u] for u in members) == undecided
 
 
+@pytest.mark.parametrize("graph", ORBIT_GRAPHS, ids=format_family)
+def test_prefix_blocks_keep_the_prefix(graph):
+    # every permutation of [n] that maps each block to itself maps the
+    # vertices 0..w onto themselves, and the blocks are the longest runs
+    # that do: a swap across a block boundary moves some vertex out
+    idx = visibility_index(graph)
+    grounds = list(itertools.permutations(range(graph.n)))
+    for w in range(idx.v):
+        blocks = idx.prefix_blocks(w)
+        assert sum(blocks) == (1 << graph.n) - 1
+        assert all(not (b + (b & -b)) & b for b in blocks)  # runs of neighbours
+        keeping = [images for p, images in zip(grounds, _vertex_permutations(graph))
+                   if all(sum(1 << p[e] for e in range(graph.n) if b >> e & 1) == b
+                          for b in blocks)]
+        assert len(keeping) == prod(factorial(b.bit_count()) for b in blocks)
+        for images in keeping:
+            assert max(images[:w + 1]) == w
+        for b in blocks[:-1]:
+            e = b.bit_length() - 1
+            swapped = [idx.ctx.index[m ^ 3 << e] if (m >> e ^ m >> e + 1) & 1 else i
+                       for i, m in enumerate(idx.ctx.masks)]
+            assert max(swapped[:w + 1]) > w
+
+
+# (graph, variant, optimum, canonicalisation node cap); without the orbit
+# includes these took 1,299,288, 97,339 and 48,418 nodes
+_CANON_GUARDS = ((johnson(9, 2), Variant.TOTAL, 13, 60_000),
+                 (kneser(7, 3), Variant.MUTUAL, 15, 15_000),
+                 (kneser(8, 3), Variant.GENERAL_POSITION, 21, 8_000))
+
+
+@pytest.mark.parametrize("graph,variant,value,cap", _CANON_GUARDS,
+                         ids=[f"{format_family(g)}-{v.value}" for g, v, *_ in _CANON_GUARDS])
+def test_orbit_includes_keep_canonicalisation_small(graph, variant, value, cap):
+    idx = visibility_index(graph)
+    counters = SearchCounters(None)
+    mask, canonical = _colex_least_witness(idx, variant, value, counters, 0)
+    assert canonical and mask.bit_count() == value
+    assert is_visibility_set(graph, idx.subset(
+        i for i in range(idx.v) if mask >> i & 1), variant).ok
+    assert counters.nodes < cap
+
+
 # (graph, variant, optimum, value-search node cap)
 _ORBIT_GUARDS = ((johnson(8, 2), Variant.TOTAL, 11, 5_000),
                  (johnson(9, 2), Variant.TOTAL, 13, 20_000),
@@ -559,7 +619,7 @@ def test_search_witnesses_pass_the_definitional_check(graph, variant):
     assert is_visibility_set(graph, cert.witness, variant).ok
 
 
-@pytest.mark.parametrize("variant", (Variant.MUTUAL, Variant.TOTAL, Variant.OUTER))
+@pytest.mark.parametrize("variant", MONOTONE)
 @pytest.mark.parametrize("graph", (kneser(5, 2), johnson(4, 2), johnson(5, 2),
                                    kneser(6, 2)), ids=format_family)
 def test_witness_is_the_first_optimum_in_mask_order(graph, variant):
