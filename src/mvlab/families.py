@@ -22,9 +22,10 @@ Distances exist in one form only: the BFS layers of ``GraphContext``,
 ``layers[s][d]`` being the vertices at distance d from s (the tests check
 them against networkx). ``GraphContext`` builds each adjacency row from
 the holder masks of the ground elements (the vertices that contain each
-one), and runs a BFS that goes bottom-up once its frontier outnumbers the
-unseen vertices: on K(25,2), degree 253 of 300, the last layer takes 46
-tests, not 253 ORs.
+one). Every family is vertex-transitive, so vertex 0's BFS gives the
+eccentricity e of every vertex, and each other BFS takes the vertices it
+has not seen by depth e-1 as its last layer without testing them: on the
+diameter-2 K(25,2) each source after vertex 0 reads only its own row.
 """
 
 from __future__ import annotations
@@ -169,10 +170,18 @@ class GraphContext:
     they are the package's only record of distances: d(i, j) is the d
     with bit j set in ``layers[i][d]``.
 
-    A row costs a few big-int operations on the element holder masks. Each
-    BFS tests the unseen vertices' rows against the frontier once that is
-    the smaller side, else ORs the frontier's rows, and stops once every
-    vertex is seen, so its last frontier is never expanded.
+    A row costs a few big-int operations on the element holder masks. A
+    BFS step tests the unseen vertices' rows against the frontier once
+    that is the smaller side, else ORs the frontier's rows.
+
+    Every vertex has the same eccentricity e. S_n permuting the ground set
+    acts transitively on the vertices of K(n, k) and J(n, k), and on each
+    side of the bipartite Kneser graph, whose complementation
+    A -> [n] minus A swaps the two sides; an automorphism keeps distances.
+    So only vertex 0's BFS runs until every vertex is seen, and only it
+    can find the graph disconnected (``DomainError``). Its depth is e.
+    Every other BFS builds layers 1..e-1 and takes the vertices still
+    unseen as layer e, untested: they are exactly those at distance e.
     """
 
     __slots__ = ("graph", "masks", "index", "adj", "layers")
@@ -186,9 +195,13 @@ class GraphContext:
         self.index = {m: i for i, m in enumerate(masks)}
         self.adj = _adjacency_rows(graph, masks)
         v = len(masks)
-        self.layers = [self._bfs_layers(i, v) for i in range(v)]
+        first = self._bfs_layers(0, v, v)
+        ecc = len(first) - 1
+        self.layers = [first] + [self._bfs_layers(i, v, ecc) for i in range(1, v)]
 
-    def _bfs_layers(self, src: int, v: int) -> list[int]:
+    def _bfs_layers(self, src: int, v: int, ecc: int) -> list[int]:
+        """The BFS layers of ``src``. The vertices still unseen once layer
+        ecc-1 is built are taken as layer ecc untested; ecc=v never cuts."""
         adj = self.adj
         frontier = 1 << src
         layers = [frontier]
@@ -208,6 +221,9 @@ class GraphContext:
             layers.append(nxt)
             unseen ^= nxt
             frontier = nxt
+            if len(layers) == ecc:
+                layers.append(unseen)
+                break
         return layers
 
 

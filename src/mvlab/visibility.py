@@ -103,8 +103,8 @@ from typing import Iterable
 from . import hypergraphs
 from .budget import Bounds, Budget, BudgetExhausted, SearchCounters
 from .errors import ConstraintError, DomainError, PreconditionError
-from .families import FamilyGraph, format_family, graph_context, kneser
-from .subsets import KSubset, k_subset_masks
+from .families import FamilyGraph, _vertex_masks, format_family, graph_context, kneser
+from .subsets import KSubset
 
 # definitional max search builds an all-pairs DAG-membership table; keep it
 # to graphs where that table stays small
@@ -1016,7 +1016,7 @@ def kneser_total_mv_check_fast(n: int, k: int, x_members: Iterable[KSubset],
         if not graph.is_vertex(s):
             raise DomainError(f"{s!r} is not a vertex of {format_family(graph)}")
         x_bits.add(s.bits)
-    outside = [m for m in k_subset_masks(n, k) if m not in x_bits]
+    outside = [m for m in _vertex_masks(graph) if m not in x_bits]
     tau, _, _, complete = hypergraphs.solve_tau(
         outside, SearchCounters(budget), ceiling=2 * k)
     if tau < 2 * k:

@@ -113,16 +113,19 @@ def _reference(graph):
     return ref, dict(nx.all_pairs_shortest_path_length(ref))
 
 
-@pytest.mark.parametrize("graph", (kneser(7, 2), kneser(7, 3), johnson(6, 3),
-                                   bipartite_kneser(6, 2), bipartite_kneser(7, 3)),
+@pytest.mark.parametrize("graph", (kneser(7, 2), kneser(7, 3), johnson(6, 3), johnson(8, 4),
+                                   bipartite_kneser(6, 2), bipartite_kneser(7, 3),
+                                   bipartite_kneser(9, 4)),
                          ids=format_family)
 def test_layers_partition_the_vertices_by_distance(graph):
     ctx = graph_context(graph)
     v = len(ctx.masks)
     _, lengths = _reference(graph)
+    # vertex-transitive: one eccentricity, which only vertex 0's BFS finds
+    ecc = max(lengths[0].values())
     for i, layers in enumerate(ctx.layers):
         assert layers[0] == 1 << i
-        assert len(layers) == max(lengths[i].values()) + 1
+        assert len(layers) == max(lengths[i].values()) + 1 == ecc + 1
         union = 0
         for d, layer in enumerate(layers):
             assert layer and not layer & union
@@ -132,9 +135,9 @@ def test_layers_partition_the_vertices_by_distance(graph):
 
 
 @pytest.mark.parametrize("graph", (kneser(5, 2), kneser(7, 2), kneser(7, 3), kneser(8, 3),
-                                   kneser(9, 4), johnson(6, 2), johnson(7, 3),
+                                   kneser(9, 4), johnson(6, 2), johnson(7, 3), johnson(8, 4),
                                    bipartite_kneser(5, 2), bipartite_kneser(7, 2),
-                                   bipartite_kneser(7, 3)),
+                                   bipartite_kneser(7, 3), bipartite_kneser(9, 4)),
                          ids=format_family)
 def test_context_matches_pairwise_scan_and_networkx(graph):
     # the oracle generators test every pair; their vertices are mapped to

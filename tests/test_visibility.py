@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvlab.budget import Budget, BudgetExhausted, SearchCounters
-from mvlab.errors import DomainError
+from mvlab.errors import DomainError, PreconditionError
 from mvlab.families import bipartite_kneser, format_family, johnson, kneser
 from mvlab.subsets import KSubset
 from mvlab.visibility import (
@@ -194,6 +194,17 @@ def test_fast_total_check_under_a_cut_budget():
     assert kneser_total_mv_check_fast(6, 2, []) is True
     with pytest.raises(BudgetExhausted):
         kneser_total_mv_check_fast(6, 2, [], cut)
+
+
+def test_fast_total_check_rejects_non_vertices():
+    # the outside family is read off the graph's vertex masks, which would
+    # silently ignore a foreign member; the input check must refuse it
+    with pytest.raises(DomainError):
+        kneser_total_mv_check_fast(6, 2, [KSubset.from_members([1, 2, 3], 6)])
+    with pytest.raises(DomainError):
+        kneser_total_mv_check_fast(6, 2, [KSubset.from_members([1, 2], 7)])
+    with pytest.raises(PreconditionError):
+        kneser_total_mv_check_fast(7, 3, [])
 
 
 def test_budget_degrades_to_incomplete():
