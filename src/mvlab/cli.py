@@ -272,28 +272,24 @@ def _cmd_tau(args) -> int:
 # argument wiring
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="mvlab", description=__doc__.splitlines()[0])
-    sub = top.add_subparsers(dest="verb", required=True)
+def _common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("json", "table", "csv"),
+                   default="json", help="output format (default json)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized sweeps")
+    p.add_argument("--budget-nodes", type=int, default=10_000_000,
+                   help="search node budget (default 1e7)")
+    p.add_argument("--budget-seconds", type=float, default=60.0,
+                   help="search wall-clock budget (default 60)")
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "table", "csv"),
-                       default="json", help="output format (default json)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized sweeps")
-        p.add_argument("--budget-nodes", type=int, default=10_000_000,
-                       help="search node budget (default 1e7)")
-        p.add_argument("--budget-seconds", type=float, default=60.0,
-                       help="search wall-clock budget (default 60)")
 
-    p = sub.add_parser("compute", help="exact visibility parameter of a family")
+def _compute_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True,
                    help="family spec, e.g. kneser:n=7,k=2")
     p.add_argument("--param", required=True, choices=PARAM_CHOICES)
-    common(p)
-    p.set_defaults(func=_cmd_compute)
 
-    p = sub.add_parser("verify", help="formula-versus-oracle reports")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--formula", required=True, choices=all_formula_ids())
     p.add_argument("--n", help="value or inclusive range, e.g. 5 or 4..6")
     p.add_argument("--k", type=int)
@@ -302,55 +298,76 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random subsets per instance for sweep oracles")
     p.add_argument("--summary", action="store_true",
                    help="fixed-width table with a wall-clock column")
-    common(p)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("construct", help="named transversal constructions")
+
+def _construct_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--what", required=True,
                    choices=("generalized-triangle", "complete-uniform", "H_nk"))
     p.add_argument("--n", type=int, help="ground-set size (pads with isolates)")
     p.add_argument("--k", type=int, help="edge size")
     p.add_argument("--v", type=int, help="vertex count for complete-uniform")
     p.add_argument("--out", help="write the hypergraph file here")
-    common(p)
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("turan", help="pattern-free extremal edge counts")
+
+def _turan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pattern", required=True,
                    help="pattern spec: c4sus:k=<int> or k4sus:k=<int>")
     p.add_argument("--n", type=int, help="ground-set size for the search")
     p.add_argument("--k", type=int, help="uniformity (must match the pattern)")
     p.add_argument("--check", metavar="FILE",
                    help="test containment in this hypergraph file instead")
-    common(p)
-    p.set_defaults(func=_cmd_turan)
 
-    p = sub.add_parser("covering", help="covering numbers C(n, k, t)")
+
+def _covering_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=int)
     p.add_argument("--c-star", action="store_true",
                    help="minimum k-uniform edge count with transversal number 2k")
-    common(p)
-    p.set_defaults(func=_cmd_covering)
 
-    p = sub.add_parser("tau", help="transversal number of a hypergraph file")
+
+def _tau_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True,
                    help="hypergraph file, or - for stdin")
-    common(p)
-    p.set_defaults(func=_cmd_tau)
 
-    p = sub.add_parser("explore", help="budgeted search on open ranges")
+
+def _explore_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True)
     p.add_argument("--param", required=True, choices=PARAM_CHOICES)
-    common(p)
-    p.set_defaults(func=_cmd_explore)
 
+
+# verb: (help line, its own arguments, handler), in the order -h lists them
+_VERBS = {
+    "compute": ("exact visibility parameter of a family", _compute_args, _cmd_compute),
+    "verify": ("formula-versus-oracle reports", _verify_args, _cmd_verify),
+    "construct": ("named transversal constructions", _construct_args, _cmd_construct),
+    "turan": ("pattern-free extremal edge counts", _turan_args, _cmd_turan),
+    "covering": ("covering numbers C(n, k, t)", _covering_args, _cmd_covering),
+    "tau": ("transversal number of a hypergraph file", _tau_args, _cmd_tau),
+    "explore": ("budgeted search on open ranges", _explore_args, _cmd_explore),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The mvlab parser. Given a verb, it holds only that verb's subparser,
+    which parses the verb's argv as the full parser does and spares each
+    run the milliseconds of building the others. Without one it holds them
+    all, for the top-level help and for an argv that names no verb."""
+    top = _Parser(prog="mvlab", description=__doc__.splitlines()[0])
+    sub = top.add_subparsers(dest="verb", required=True)
+    for name, (help_line, add_arguments, func) in _VERBS.items():
+        if verb in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            add_arguments(p)
+            _common(p)
+            p.set_defaults(func=func)
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _VERBS else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

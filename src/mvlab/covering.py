@@ -172,32 +172,47 @@ def _cover(n: int, k: int, t: int, counters: SearchCounters,
     uncovered_by = [full ^ c for c in cover]
 
     sols: list[list[int]] = [best]
+    tick = counters.tick
 
     def rec(uncov: int, chosen: list[int], forbidden: int) -> None:
+        # A node is entered only once its own checks have passed: it ticked,
+        # some t-set is uncovered and the counting bound does not prune it.
+        # Most children fail the bound, so the loop runs each child's checks
+        # itself, in the order a call would: stop once the incumbent meets
+        # the lower end, tick, cover, take a leaf, then bound. A child of
+        # size s passes the bound, s + ceil(|left| / C(k, t)) < best_size,
+        # iff |left| <= C(k, t) (best_size - s - 1).
         nonlocal best_size
-        if best_size <= lower:   # the incumbent meets the lower end
-            return
-        counters.tick()
-        if not uncov:
-            if len(chosen) < best_size:
-                best_size = len(chosen)
-                sols[0] = list(chosen)
-            return
-        if len(chosen) - (-uncov.bit_count() // per_block) >= best_size:
-            return
-        e = (uncov & -uncov).bit_length() - 1
-        newly_forbidden = forbidden
-        for bi in blocks_for[e]:
-            if (newly_forbidden >> bi) & 1:
+        size = len(chosen) + 1
+        limit = per_block * (best_size - size - 1)
+        for bi in blocks_for[(uncov & -uncov).bit_length() - 1]:
+            if (forbidden >> bi) & 1:
                 continue
-            chosen.append(bi)
-            rec(uncov & uncovered_by[bi], chosen, newly_forbidden)
-            chosen.pop()
-            newly_forbidden |= 1 << bi
+            tick()
+            left = uncov & uncovered_by[bi]
+            if not left:
+                if size < best_size:
+                    best_size = size
+                    sols[0] = chosen + [bi]
+                    if best_size <= lower:   # the incumbent meets the lower end
+                        return
+                    limit = per_block * (best_size - size - 1)
+            elif left.bit_count() <= limit:
+                chosen.append(bi)
+                rec(left, chosen, forbidden)
+                chosen.pop()
+                if best_size <= lower:
+                    return
+                limit = per_block * (best_size - size - 1)
+            forbidden |= 1 << bi
 
     status_exact = True
     try:
-        rec(full, [], 0)
+        # the root covers nothing, and passes the counting bound since
+        # lower, Schonheim's bound or above, is below best_size
+        if best_size > lower:
+            tick()
+            rec(full, [], 0)
     except BudgetExhausted:
         status_exact = False
 

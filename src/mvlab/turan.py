@@ -24,6 +24,9 @@ normalization). Each candidate edge gets one table row of its splits
 (link dict of the apex, low and high bit of the pair), one link dict per
 apex, built the first time the search reaches the edge; testing, adding
 and removing an edge at a node read that row and compute nothing else.
+A link dict is filled in advance, every vertex bit mapped to 0, so a
+test reads any vertex's neighbours directly and adding or removing a
+pair is two XORs.
 
 The search also breaks the symmetry of each adjacent swap (m m+1) with a
 lex-leader rule (Crawford, Ginsberg, Luks and Roy, KR 1996). The
@@ -256,22 +259,25 @@ class _SplitRows(dict):
     ``splits`` lists its (link, lo, hi) splits, where link is the adjacency
     dict of the apex ``edge ^ (lo | hi)``; every edge through an apex shares
     its one dict, so the splits are all the search needs to test, add and
-    remove the edge. ``top`` is the edge's largest vertex and ``bit`` is
-    1 << r, r the colex rank of its rest ``edge - {top}``: the edge's place
-    in the back-link of ``top``. ``m`` is top - 1 when the rest avoids
-    top - 1, so that the swap rule for m and m + 1 governs the edge, and 0
-    otherwise. ``degs`` pairs each member y (0-based) with D - rem_y, where
-    D is the degree cap and rem_y the number of candidates from i on that
-    contain y; it is empty without a cap. A row is built when the search
-    first reaches its edge, so a budget-cut search on a large [n] builds
-    only the rows it visits. The search reaches candidate i + 1 only
-    through candidate i, so rows are built in index order and rem_y is a
-    running count."""
+    remove the edge. A link is made with every vertex bit of [n] mapped to
+    0, so the search reads ``link[x]`` for any vertex x, and adding or
+    removing the pair lo-hi is two XORs. ``top`` is the edge's largest
+    vertex and ``bit`` is 1 << r, r the colex rank of its rest
+    ``edge - {top}``: the edge's place in the back-link of ``top``. ``m``
+    is top - 1 when the rest avoids top - 1, so that the swap rule for m
+    and m + 1 governs the edge, and 0 otherwise. ``degs`` pairs each member
+    y (0-based) with D - rem_y, where D is the degree cap and rem_y the
+    number of candidates from i on that contain y; it is empty without a
+    cap. A row is built when the search first reaches its edge, so a
+    budget-cut search on a large [n] builds only the rows it visits. The
+    search reaches candidate i + 1 only through candidate i, so rows are
+    built in index order and rem_y is a running count."""
 
     def __init__(self, candidates: list[int], n: int, k: int, cap: int | None):
         super().__init__()
         self.candidates = candidates
         self.links: dict[int, dict[int, int]] = {}
+        self.vertex_bits = [1 << v for v in range(n)]
         self.cap = cap
         # through[y]: candidates through y from the next row to be built on
         self.through = [comb(n - 1, k - 1)] * n
@@ -280,8 +286,12 @@ class _SplitRows(dict):
                                            int, int, int, tuple[tuple[int, int], ...]]:
         edge = self.candidates[i]
         links = self.links
-        splits = [(links.setdefault(edge ^ pair, {}), pair & -pair, pair & (pair - 1))
-                  for pair in _pair_splits(edge)]
+        splits = []
+        for pair in _pair_splits(edge):
+            link = links.get(edge ^ pair)
+            if link is None:
+                link = links[edge ^ pair] = dict.fromkeys(self.vertex_bits, 0)
+            splits.append((link, pair & -pair, pair & (pair - 1)))
         top = edge.bit_length()
         rest = edge ^ 1 << (top - 1)
         m = 0 if rest >> (top - 2) & 1 else top - 1
@@ -299,13 +309,12 @@ class _SplitRows(dict):
 def _completes_c4(adj: dict[int, int], a: int, b: int) -> bool:
     """Does adding the pair ``a | b`` to the link graph close a 4-cycle
     through it?"""
-    na = adj.get(a, 0) & ~b
-    nb = adj.get(b, 0) & ~a
+    na = adj[a] & ~b
     # cycle a-b-x-y-a: x in N(b), y in N(x) cap N(a)
-    x = nb
+    x = adj[b] & ~a
     while x:
         low = x & -x
-        if adj.get(low, 0) & na & ~low:
+        if adj[low] & na & ~low:
             return True
         x ^= low
     return False
@@ -314,11 +323,11 @@ def _completes_c4(adj: dict[int, int], a: int, b: int) -> bool:
 def _completes_k4(adj: dict[int, int], a: int, b: int) -> bool:
     """Does adding the pair ``a | b`` close a K4? Needs an adjacent pair
     among the common neighbors of the endpoints."""
-    common = adj.get(a, 0) & adj.get(b, 0) & ~(a | b)
+    common = adj[a] & adj[b] & ~(a | b)
     x = common
     while x:
         low = x & -x
-        if adj.get(low, 0) & common & ~low:
+        if adj[low] & common & ~low:
             return True
         x ^= low
     return False
@@ -348,40 +357,8 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
     back = [0] * (n + 1)
     deg = [0] * n
     edges: list[int] = []
-    best: list[int] = []
-    best_size = 0
 
-    def push(i: int) -> None:
-        splits, top, bit, _, degs = rows[i]
-        for adj, lo, hi in splits:
-            adj[lo] = adj.get(lo, 0) | hi
-            adj[hi] = adj.get(hi, 0) | lo
-        back[top] |= bit
-        for y, _ in degs:
-            deg[y] += 1
-        edges.append(candidates[i])
-
-    def pop(i: int) -> None:
-        # lo-hi was absent from this link before push(i), so clearing the
-        # two bits restores it exactly
-        edges.pop()
-        splits, top, bit, _, degs = rows[i]
-        back[top] ^= bit
-        for y, _ in degs:
-            deg[y] -= 1
-        for adj, lo, hi in splits:
-            rest = adj[lo] ^ hi
-            if rest:
-                adj[lo] = rest
-            else:
-                del adj[lo]
-            rest = adj[hi] ^ lo
-            if rest:
-                adj[hi] = rest
-            else:
-                del adj[hi]
-
-    def dfs(i: int) -> None:
+    def dfs() -> None:
         # ``stack`` holds the included candidates below the root, each with
         # the deficit it was included at, so the depth is not bounded by the
         # recursion limit. The exclude branch is the next turn of the loop:
@@ -393,6 +370,7 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
         deficit = limit = 0
         if cap is not None:
             limit = n * cap - k * (best_size + 1)
+        i = 1
         tick()
         while True:
             size = len(edges)
@@ -402,23 +380,37 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
                 if cap is not None:
                     limit = n * cap - k * (size + 1)
             if i < total and size + (total - i) > best_size and deficit <= limit:
-                splits, _, bit, m, degs = rows[i]
+                splits, top, bit, m, degs = rows[i]
                 # the swap rule: R + {m+1} goes in only if R + {m} is in or
                 # the back-links of m and m+1 differ below R
                 if not m or back[m] & bit or (back[m] ^ back[m + 1]) & (bit - 1):
                     for adj, lo, hi in splits:
-                        if adj and find(adj, lo, hi):
+                        if find(adj, lo, hi):
                             break
                     else:
-                        push(i)
+                        for adj, lo, hi in splits:
+                            adj[lo] |= hi
+                            adj[hi] |= lo
+                        back[top] |= bit
+                        for y, _ in degs:
+                            deg[y] += 1
+                        edges.append(candidates[i])
                         stack.append((i, deficit))
                         i += 1
                         tick()
                         continue
             elif stack:
+                # lo-hi was absent from each link before the include, so
+                # flipping the two bits back restores it exactly
                 i, deficit = stack.pop()
-                pop(i)
-                degs = rows[i][4]
+                splits, top, bit, _, degs = rows[i]
+                for adj, lo, hi in splits:
+                    adj[lo] ^= hi
+                    adj[hi] ^= lo
+                back[top] ^= bit
+                for y, _ in degs:
+                    deg[y] -= 1
+                edges.pop()
             else:
                 return
             # pass over candidate i
@@ -428,13 +420,20 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
             i += 1
             tick()
 
+    # root normalization: some optimum contains {1..k} up to relabeling, so
+    # candidate 0 goes in untested and stays in
+    splits, top, bit, _, degs = rows[0]
+    for adj, lo, hi in splits:
+        adj[lo] |= hi
+        adj[hi] |= lo
+    back[top] |= bit
+    for y, _ in degs:
+        deg[y] += 1
+    edges.append(candidates[0])
+    best, best_size = list(edges), 1
     complete = True
     try:
-        # root normalization: some optimum contains {1..k} up to relabeling
-        push(0)
-        best_size = 1
-        best = list(edges)
-        dfs(1)
+        dfs()
     except BudgetExhausted:
         complete = False
 

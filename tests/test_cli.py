@@ -304,3 +304,33 @@ def test_machine_formats_exclude_wall_clock(fmt):
     p = run_cli("verify", "--formula", "mut-johnson", "--n", "4", "--k", "2",
                 "--format", fmt)
     assert "seconds" not in p.stdout
+
+
+# one argv per verb, each giving some of the verb's own options and a common one
+VERB_ARGVS = {
+    "compute": ["compute", "--family", "kneser:n=7,k=2", "--param", "mu", "--format", "csv"],
+    "verify": ["verify", "--formula", "mut-johnson", "--n", "5..7", "--k", "2",
+               "--samples", "3", "--summary"],
+    "construct": ["construct", "--what", "H_nk", "--n", "23", "--k", "4", "--out", "h.txt"],
+    "turan": ["turan", "--pattern", "c4sus:k=3", "--n", "7", "--budget-nodes", "300000"],
+    "covering": ["covering", "--n", "10", "--k", "3", "--c-star", "--budget-seconds", "5"],
+    "tau": ["tau", "--in", "-", "--seed", "4"],
+    "explore": ["explore", "--family", "bipartite-kneser:n=7,k=2", "--param", "mu"],
+}
+
+
+def test_every_verb_has_an_argv():
+    assert list(VERB_ARGVS) == list(mvlab.cli._VERBS)
+
+
+@pytest.mark.parametrize("verb", VERB_ARGVS)
+def test_one_verb_parser_matches_the_full_parser(verb, capsys):
+    full, one = mvlab.cli.build_parser(), mvlab.cli.build_parser(verb)
+    argv = VERB_ARGVS[verb]
+    assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+    helps = []
+    for parser in (full, one):
+        with pytest.raises(SystemExit):
+            parser.parse_args([verb, "-h"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0].startswith(f"usage: mvlab {verb} ")

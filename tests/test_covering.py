@@ -9,7 +9,7 @@ from mvlab.budget import Bounds, Budget, BudgetExhausted, SearchCounters
 from mvlab.covering import c_star, covering_number, min_edges_with_tau, schonheim_bound
 from mvlab.errors import ConstraintError
 from mvlab.hypergraphs import transversal_number
-from mvlab.subsets import k_subset_masks
+from mvlab.subsets import k_subset_masks, members_of
 from mvlab.theorems import mut_kneser_formula, verify
 
 from oracles import COVERING_NUMBERS, brute_covering
@@ -68,6 +68,38 @@ def test_covering_stops_at_the_schonheim_bound(n, k, t, nodes):
     cert = covering_number(n, k, t)
     assert cert.exact and cert.value == schonheim_bound(n, k, t)
     assert cert.nodes_expanded == nodes
+
+
+# Search trees pinned at their ends, node counts and blocks: a change to the
+# branching order, the bounds or the node accounting fails these. Blocks are
+# given by their complements, the edges on the transversal side;
+# C(9, 6, 5) = c_star(9, 3) and C(10, 7, 5) = c_star(10, 3).
+PINNED_COVERS = (
+    (9, 6, 3, None, 7, 7, 449247,
+     [(1, 6, 7), (2, 3, 4), (2, 3, 5), (4, 5, 8), (4, 5, 9), (6, 8, 9), (7, 8, 9)]),
+    (8, 5, 3, None, 8, 8, 343,
+     [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (5, 6, 7), (5, 6, 8), (5, 7, 8),
+      (6, 7, 8)]),
+    (9, 6, 5, 300000, 30, 30, 20798,
+     [(1, 2, 4), (1, 2, 7), (1, 3, 6), (1, 3, 9), (1, 4, 5), (1, 4, 7), (1, 4, 8),
+      (1, 5, 7), (1, 6, 9), (1, 7, 8), (2, 3, 5), (2, 3, 8), (2, 4, 7), (2, 5, 6),
+      (2, 5, 8), (2, 5, 9), (2, 6, 8), (2, 8, 9), (3, 4, 6), (3, 4, 9), (3, 5, 8),
+      (3, 6, 7), (3, 6, 9), (3, 7, 9), (4, 5, 7), (4, 6, 9), (4, 7, 8), (5, 6, 8),
+      (5, 8, 9), (6, 7, 9)]),
+    (10, 7, 5, 300000, 18, 20, 300000,
+     [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5), (1, 4, 5), (2, 3, 4),
+      (2, 3, 5), (2, 4, 5), (3, 4, 5), (6, 7, 8), (6, 7, 9), (6, 7, 10), (6, 8, 9),
+      (6, 8, 10), (6, 9, 10), (7, 8, 9), (7, 8, 10), (7, 9, 10), (8, 9, 10)]),
+)
+
+
+@pytest.mark.parametrize("n,k,t,cap,lo,hi,nodes,complements", PINNED_COVERS)
+def test_covering_search_tree_is_pinned(n, k, t, cap, lo, hi, nodes, complements):
+    budget = None if cap is None else Budget(max_nodes=cap)
+    cert = covering_number(n, k, t, budget)
+    assert (cert.lo, cert.hi, cert.nodes_expanded) == (lo, hi, nodes)
+    full = (1 << n) - 1
+    assert sorted(members_of(full ^ b) for b in cert.blocks) == complements
 
 
 def test_covering_param_validation():

@@ -155,6 +155,9 @@ PINNED_TREES = (
     (8, 3, build_c4_suspension(3), None, 24, 24, 79,
      C4SUS3_N7 + [(1, 2, 8), (3, 4, 8), (5, 6, 8), (1, 7, 8), (2, 7, 8), (3, 7, 8),
                   (4, 7, 8), (5, 7, 8), (6, 7, 8)]),
+    (10, 2, build_c4_suspension(2), None, 16, 16, 293552,
+     [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5), (2, 6), (2, 7), (6, 7), (3, 8),
+      (4, 9), (6, 9), (8, 9), (5, 10), (7, 10), (8, 10)]),
 )
 
 
