@@ -15,6 +15,23 @@ step spends the caller's budget and counts in its nodes: the tau kernel
 inside ``min_edges_with_tau``, and the sub-instance C(n-1, k-1, t-1) of a
 covering search, which may spend at most half of the nodes left and
 shares the caller's clock.
+
+Counting nodes. ``SearchCounters.tick()`` counts one node: it raises once
+the node cap is spent and reads the clock every ``_TIME_CHECK_STRIDE``
+nodes. The three hottest loops (the covering search in
+``covering._cover``, the Turan search in ``turan.ex_uniform`` and the tau
+kernel ``hypergraphs.solve_tau``) expand hundreds of thousands of nodes
+that each cost only a few times a method call, so they count in a local
+instead. ``horizon()`` is the count such a loop may reach without
+calling back: below the node cap and below the next clock reading. At
+the horizon the loop calls ``catch_up(nodes)``, which stores its count,
+ticks once (so it raises exactly where ``tick`` would) and returns the
+next horizon. The loop writes its count back when it returns; when the
+budget cuts it, ``catch_up`` has stored the count already. Every node
+count, cut point and clock reading is the one a ``tick`` per node gives.
+Every other search still calls ``tick()`` per node: their nodes cost far
+more than the call, and a local count would only add places to forget
+the write-back.
 """
 
 from __future__ import annotations
@@ -66,6 +83,19 @@ class SearchCounters:
             self._next_check = self.nodes + _TIME_CHECK_STRIDE
             if time.monotonic() - self._t0 > self.budget.max_seconds:
                 raise BudgetExhausted
+
+    def horizon(self) -> int:
+        """The node count a loop counting in a local may reach without
+        calling back: min(max_nodes, next clock reading - 1)."""
+        return min(self.budget.max_nodes, self._next_check - 1)
+
+    def catch_up(self, nodes: int) -> int:
+        """Store a local count that reached its horizon, count one more
+        node through ``tick`` (which raises as it would per node), and
+        return the next horizon. The caller adds the node to its local."""
+        self.nodes = nodes
+        self.tick()
+        return self.horizon()
 
     def tick_and_time(self) -> None:
         """``tick``, then read the clock now rather than at the next stride:

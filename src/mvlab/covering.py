@@ -172,23 +172,29 @@ def _cover(n: int, k: int, t: int, counters: SearchCounters,
     uncovered_by = [full ^ c for c in cover]
 
     sols: list[list[int]] = [best]
-    tick = counters.tick
+    # the search counts its nodes in ``nodes`` up to ``horizon`` and calls
+    # back only there (see the budget module)
+    catch_up = counters.catch_up
+    nodes = horizon = 0
 
     def rec(uncov: int, chosen: list[int], forbidden: int) -> None:
-        # A node is entered only once its own checks have passed: it ticked,
-        # some t-set is uncovered and the counting bound does not prune it.
-        # Most children fail the bound, so the loop runs each child's checks
-        # itself, in the order a call would: stop once the incumbent meets
-        # the lower end, tick, cover, take a leaf, then bound. A child of
-        # size s passes the bound, s + ceil(|left| / C(k, t)) < best_size,
+        # A node is entered only once its own checks have passed: it was
+        # counted, some t-set is uncovered and the counting bound does not
+        # prune it. Most children fail the bound, so the loop runs each
+        # child's checks itself, in the order a call would: stop once the
+        # incumbent meets the lower end, count, cover, take a leaf, then
+        # bound. A child of size s passes the bound,
+        # s + ceil(|left| / C(k, t)) < best_size,
         # iff |left| <= C(k, t) (best_size - s - 1).
-        nonlocal best_size
+        nonlocal best_size, nodes, horizon
         size = len(chosen) + 1
         limit = per_block * (best_size - size - 1)
         for bi in blocks_for[(uncov & -uncov).bit_length() - 1]:
             if (forbidden >> bi) & 1:
                 continue
-            tick()
+            if nodes >= horizon:
+                horizon = catch_up(nodes)
+            nodes += 1
             left = uncov & uncovered_by[bi]
             if not left:
                 if size < best_size:
@@ -211,8 +217,10 @@ def _cover(n: int, k: int, t: int, counters: SearchCounters,
         # the root covers nothing, and passes the counting bound since
         # lower, Schonheim's bound or above, is below best_size
         if best_size > lower:
-            tick()
+            counters.tick()
+            nodes, horizon = counters.nodes, counters.horizon()
             rec(full, [], 0)
+            counters.nodes = nodes
     except BudgetExhausted:
         status_exact = False
 
@@ -380,7 +388,7 @@ def min_edges_with_tau(n: int, k: int, tau_target: int,
     target, every tau solved by the transversal kernel. Deliberately
     independent of the covering engine; used to check the duality
     C(n, n-k, t) = min edges with tau >= t+1. Returns (m, witness,
-    nodes). The kernel calls tick this search's counters, so ``budget``
+    nodes). The kernel calls count on this search's counters, so ``budget``
     (``DEFAULT_BUDGET`` when None) bounds them too and ``nodes`` counts
     their nodes. Raises BudgetExhausted on an exhausted budget (this is a
     reference routine, not a production path; it has no interval shape

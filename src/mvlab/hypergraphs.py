@@ -88,9 +88,11 @@ def hypergraph(n: int, edges: Iterable[Sequence[int] | int]) -> Hypergraph:
 # hypergraph given as bitmask edges over a ground set of at most 64
 # elements. Edges that are supersets of other edges are dropped up front
 # (hitting the smaller edge hits them too). The rest are sorted once by
-# (size, mask); filtering keeps that order, so the branch edge is always the
-# first uncovered edge. The incumbent starts from a max-degree greedy
-# transversal.
+# (size, mask) and numbered in that order, and a node holds its uncovered
+# edges as one int over those numbers: ``hit[v]`` is the set of edges
+# through vertex bit v, so the child that takes v keeps
+# ``uncovered & ~hit[v]``, and the branch edge is the lowest uncovered
+# edge. The incumbent starts from a max-degree greedy transversal.
 #
 # Siblings are disjoint: a node branches on the unbanned vertices
 # b1 < b2 < ... of its branch edge, and the child that takes b_i also bans
@@ -98,6 +100,15 @@ def hypergraph(n: int, edges: Iterable[Sequence[int] | int]) -> Hypergraph:
 # searched under b_j. A node prunes on |chosen| + (greedy matching lower
 # bound over the unbanned parts e & ~banned of its uncovered edges) >= |best|,
 # and dies at once when some uncovered edge is wholly banned.
+#
+# The matching takes the lowest remaining edge and drops every edge that
+# meets its unbanned part: ``nbr[i]`` (the edges meeting edge i) when the
+# edge has no banned vertex, and the ``hit`` of each unbanned vertex
+# otherwise. An edge meets the parts matched so far iff it holds one of
+# their vertices, so this takes the same edges, in the same order, as a
+# scan that keeps the union of the matched parts. A wholly banned edge
+# holds no unbanned vertex, so it is never dropped and the matching still
+# reaches it.
 #
 # The bans cut whole subtrees but leave tau and the witness as they were
 # without them. Unless the greedy start is already optimal (then both
@@ -110,20 +121,16 @@ def hypergraph(n: int, edges: Iterable[Sequence[int] | int]) -> Hypergraph:
 # valid) transversal.
 
 
-def _greedy_upper(edges: list[int]) -> int:
-    """Max-degree greedy transversal; returns its vertex mask."""
+def _greedy_upper(hit: dict[int, int], remaining: int) -> int:
+    """Max-degree greedy transversal of the edges in ``remaining``, an
+    edge-index mask, where ``hit`` maps each vertex bit to the edges
+    through it; returns its vertex mask."""
     chosen = 0
-    remaining = list(edges)
     while remaining:
-        counts: dict[int, int] = {}
-        for e in remaining:
-            for low in iter_bits(e):
-                counts[low] = counts.get(low, 0) + 1
-        # highest degree, lowest bit on ties (dict order is insertion order,
-        # so take an explicit max over (count, -bit))
-        best_bit = max(counts, key=lambda b: (counts[b], -b))
+        # highest degree, lowest bit on ties
+        best_bit = max(hit, key=lambda b: ((hit[b] & remaining).bit_count(), -b))
         chosen |= best_bit
-        remaining = [e for e in remaining if not e & best_bit]
+        remaining &= ~hit[best_bit]
     return chosen
 
 
@@ -131,7 +138,7 @@ def solve_tau(edges, counters: SearchCounters, ceiling: int | None = None):
     """Exact minimum transversal of bitmask edges.
 
     Returns (tau, witness_mask, nodes_expanded, complete). Every node
-    ticks ``counters``, so a call inside another search shares that
+    counts on ``counters``, so a call inside another search shares that
     search's budget; ``nodes_expanded`` counts this call's nodes only.
     ``complete`` is False only when the budget stopped the search, in
     which case tau is the best known upper bound and witness_mask attains
@@ -182,18 +189,40 @@ def solve_tau(edges, counters: SearchCounters, ceiling: int | None = None):
         if matched >= ceiling:
             return ceiling, 0, 0, True
 
-    best_mask = _greedy_upper(minimal)
+    # hit[v]: the edges through vertex bit v. The search uses complements,
+    # so that dropping a set of edges is one AND: miss[v] = ~hit[v], and
+    # apart[i] = ~nbr[i], nbr[i] being the edges that meet edge i
+    hit: dict[int, int] = {}
+    for i, e in enumerate(minimal):
+        for v in iter_bits(e):
+            hit[v] = hit.get(v, 0) | 1 << i
+    miss = {v: ~through for v, through in hit.items()}
+    apart = []
+    for e in minimal:
+        nbr = 0
+        for v in iter_bits(e):
+            nbr |= hit[v]
+        apart.append(~nbr)
+    every = (1 << len(minimal)) - 1
+
+    best_mask = _greedy_upper(hit, every)
     best_size = best_mask.bit_count()
     if ceiling is not None and best_size > ceiling:
         best_size, best_mask = ceiling, 0
-    start = counters.nodes
+    # nodes are counted in ``nodes`` up to ``horizon``, and only there
+    # through the counters (see the budget module)
+    start = nodes = counters.nodes
+    horizon = counters.horizon()
+    catch_up = counters.catch_up
     complete = True
 
-    # iterative stack: (uncovered edges, chosen mask, banned mask)
-    stack = [(minimal, 0, 0)]
+    # iterative stack: (uncovered edge indices, chosen mask, banned mask)
+    stack = [(every, 0, 0)]
     try:
         while stack:
-            counters.tick()
+            if nodes >= horizon:
+                horizon = catch_up(nodes)
+            nodes += 1
             uncovered, chosen, banned = stack.pop()
             size = chosen.bit_count()
             if not uncovered:
@@ -201,27 +230,35 @@ def solve_tau(edges, counters: SearchCounters, ceiling: int | None = None):
                     best_size = size
                     best_mask = chosen
                 continue
-            # greedy matching over the unbanned parts; a wholly banned edge
-            # leaves no transversal below this node
-            allowed = ~banned
-            bound = size
-            used = 0
-            for e in uncovered:
-                e &= allowed
-                if not e:
-                    bound = best_size
+            # greedy matching over the unbanned parts: prune once it holds
+            # best_size - size edges, or reaches a wholly banned edge
+            room = best_size - size
+            rest = uncovered
+            while rest:
+                i = (rest & -rest).bit_length() - 1
+                e = minimal[i]
+                if e & banned:
+                    e &= ~banned
+                    if not e:
+                        break
+                    while e:
+                        v = e & -e
+                        rest &= miss[v]
+                        e ^= v
+                else:
+                    rest &= apart[i]
+                room -= 1
+                if room <= 0:
                     break
-                if not e & used:
-                    used |= e
-                    bound += 1
-            if bound >= best_size:
-                continue
-            branch = uncovered[0] & allowed
-            # push in descending bit order so the stack pops ascending bits
-            # first; each child bans its elder siblings' (lower) bits
-            for bit in reversed(list(iter_bits(branch))):
-                rest = [e for e in uncovered if not e & bit]
-                stack.append((rest, chosen | bit, banned | branch & (bit - 1)))
+            else:
+                # push in descending bit order so the stack pops ascending
+                # bits first; each child bans its elder siblings' (lower) bits
+                left = minimal[(uncovered & -uncovered).bit_length() - 1] & ~banned
+                while left:
+                    bit = 1 << (left.bit_length() - 1)
+                    left ^= bit
+                    stack.append((uncovered & miss[bit], chosen | bit, banned | left))
+        counters.nodes = nodes
     except BudgetExhausted:
         complete = False
 

@@ -50,14 +50,15 @@ problems", 1991): the link of a vertex of a pattern-free k-system is a
 pattern-free (k-1)-system on the other n - 1 vertices, so no degree
 exceeds D = ex_cap(n - 1, k - 1) and, summing degrees,
 ex_k(n) <= floor(n D / k). ``ex_cap`` applies this down to k = 2, where
-it takes the exact ex(m, C4) for m <= 10, Reiman's bound above, and
-floor(m^2 / 3) for K4. At a node, vertex y can still reach degree
-deg_y + rem_y, rem_y counting the undecided candidates through y, so the
-node's systems have at most floor(sum_y min(D, deg_y + rem_y) / k) edges.
-The search keeps that sum as n D minus a ``deficit``: passing over a
-candidate (by exclusion, the swap rule or a pattern block) adds 1 for
-each member y with deg_y + rem_y <= D before the pass, and including one
-changes no deg_y + rem_y. A node is pruned once deficit > n D - k (best +
+it takes the exact ex(m, C4) for m <= 10, above that Reiman's bound or
+the averaging bound from ex(m - 1, C4) where smaller, and floor(m^2 / 3)
+for K4. At a node, vertex y can still reach degree deg_y + rem_y, rem_y
+counting the undecided candidates through y, so the node's systems have
+at most floor(sum_y min(D, deg_y + rem_y) / k) edges. The search keeps
+that sum as n D minus a ``deficit``: passing over a candidate (by
+exclusion, the swap rule or a pattern block) adds 1 for each member y
+with deg_y + rem_y <= D before the pass, and including one changes no
+deg_y + rem_y. A node is pruned once deficit > n D - k (best +
 1), so the search ends exact as soon as the incumbent reaches
 floor(n D / k). k = 2 has no such bound: its trees are those of the
 include/exclude search alone, and it never reads the ex(m, C4) table,
@@ -65,11 +66,12 @@ so the table can be re-derived with it.
 
 On budget exhaustion the result degrades to an interval [best found,
 ex_cap(n, k)], for every k. At k = 2 that is the exact ex(n, C4) for
-n <= 10 and Reiman's bound floor((n/4)(1 + sqrt(4n - 3))) above, or
-Turan's floor(n^2 / 3) for K4; only the reported upper end reads the
-table, never the k = 2 tree. These caps bound the reported interval,
-and for k >= 3 the search through D; the n^(k-1/2)/k! asymptotic guide
-can be reported alongside but is never a bound.
+n <= 10 and Reiman's bound floor((n/4)(1 + sqrt(4n - 3))) above (or the
+averaging bound, 19 and 22 at n = 11 and 12), or Turan's floor(n^2 / 3)
+for K4; only the reported upper end reads the table, never the k = 2
+tree. These caps bound the reported interval, and for k >= 3 the
+search through D; the n^(k-1/2)/k! asymptotic guide can be reported
+alongside but is never a bound.
 """
 
 from __future__ import annotations
@@ -259,9 +261,11 @@ class _SplitRows(dict):
     ``splits`` lists its (link, lo, hi) splits, where link is the adjacency
     dict of the apex ``edge ^ (lo | hi)``; every edge through an apex shares
     its one dict, so the splits are all the search needs to test, add and
-    remove the edge. A link is made with every vertex bit of [n] mapped to
-    0, so the search reads ``link[x]`` for any vertex x, and adding or
-    removing the pair lo-hi is two XORs. ``top`` is the edge's largest
+    remove the edge. The containment test takes the whole list, one call
+    per candidate, and the add and remove loop over it. A link is made
+    with every vertex bit of [n] mapped to 0, so the search reads
+    ``link[x]`` for any vertex x, and adding or removing the pair lo-hi is
+    two XORs. ``top`` is the edge's largest
     vertex and ``bit`` is 1 << r, r the colex rank of its rest
     ``edge - {top}``: the edge's place in the back-link of ``top``. ``m``
     is top - 1 when the rest avoids top - 1, so that the swap rule for m
@@ -306,30 +310,40 @@ class _SplitRows(dict):
         return row
 
 
-def _completes_c4(adj: dict[int, int], a: int, b: int) -> bool:
-    """Does adding the pair ``a | b`` to the link graph close a 4-cycle
-    through it?"""
-    na = adj[a] & ~b
-    # cycle a-b-x-y-a: x in N(b), y in N(x) cap N(a)
-    x = adj[b] & ~a
-    while x:
-        low = x & -x
-        if adj[low] & na & ~low:
-            return True
-        x ^= low
+# The containment tests take a candidate's whole ``splits`` row, so the
+# search makes one call per candidate: does adding the edge close the
+# pattern with some apex? Adding edge e puts the pair lo-hi into the link of
+# the apex e - {lo, hi} for each split, and any new embedding uses the new
+# edge, so it lies in one of those links and uses its pair lo-hi.
+
+
+def _completes_c4(splits: list[tuple[dict[int, int], int, int]]) -> bool:
+    """Does adding the candidate close a 4-cycle through the pair a-b of
+    one of its ``(adj, a, b)`` splits, in that split's link graph?"""
+    for adj, a, b in splits:
+        na = adj[a] & ~b
+        # cycle a-b-x-y-a: x in N(b), y in N(x) cap N(a)
+        x = adj[b] & ~a
+        while x:
+            low = x & -x
+            if adj[low] & na & ~low:
+                return True
+            x ^= low
     return False
 
 
-def _completes_k4(adj: dict[int, int], a: int, b: int) -> bool:
-    """Does adding the pair ``a | b`` close a K4? Needs an adjacent pair
-    among the common neighbors of the endpoints."""
-    common = adj[a] & adj[b] & ~(a | b)
-    x = common
-    while x:
-        low = x & -x
-        if adj[low] & common & ~low:
-            return True
-        x ^= low
+def _completes_k4(splits: list[tuple[dict[int, int], int, int]]) -> bool:
+    """Does adding the candidate close a K4 through the pair a-b of one of
+    its ``(adj, a, b)`` splits? That needs an adjacent pair among the
+    common neighbours of a and b in that split's link graph."""
+    for adj, a, b in splits:
+        common = adj[a] & adj[b] & ~(a | b)
+        x = common
+        while x:
+            low = x & -x
+            if adj[low] & common & ~low:
+                return True
+            x ^= low
     return False
 
 
@@ -348,7 +362,7 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
                            hypergraph(n, candidates), 0)
 
     counters = SearchCounters(budget)
-    tick = counters.tick
+    catch_up = counters.catch_up
     find = _completes_c4 if pattern.name == "c4sus" else _completes_k4
     # the degree cap D: each vertex link is pattern-free on the other n - 1
     cap = ex_cap(n - 1, k - 1, pattern.name) if k >= 3 else None
@@ -362,16 +376,19 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
         # ``stack`` holds the included candidates below the root, each with
         # the deficit it was included at, so the depth is not bounded by the
         # recursion limit. The exclude branch is the next turn of the loop:
-        # it ticks its node and tests its bounds, and cannot raise the
+        # it counts its node and tests its bounds, and cannot raise the
         # incumbent (it holds the same edges). Without a cap the deficit
-        # and its limit stay 0
+        # and its limit stay 0. Nodes are counted in ``nodes`` up to
+        # ``horizon``, and only there through the counters (see the budget
+        # module)
         nonlocal best, best_size
         stack: list[tuple[int, int]] = []
         deficit = limit = 0
         if cap is not None:
             limit = n * cap - k * (best_size + 1)
         i = 1
-        tick()
+        counters.tick()
+        nodes, horizon = counters.nodes, counters.horizon()
         while True:
             size = len(edges)
             if size > best_size:
@@ -383,22 +400,21 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
                 splits, top, bit, m, degs = rows[i]
                 # the swap rule: R + {m+1} goes in only if R + {m} is in or
                 # the back-links of m and m+1 differ below R
-                if not m or back[m] & bit or (back[m] ^ back[m + 1]) & (bit - 1):
+                if ((not m or back[m] & bit or (back[m] ^ back[m + 1]) & (bit - 1))
+                        and not find(splits)):
                     for adj, lo, hi in splits:
-                        if find(adj, lo, hi):
-                            break
-                    else:
-                        for adj, lo, hi in splits:
-                            adj[lo] |= hi
-                            adj[hi] |= lo
-                        back[top] |= bit
-                        for y, _ in degs:
-                            deg[y] += 1
-                        edges.append(candidates[i])
-                        stack.append((i, deficit))
-                        i += 1
-                        tick()
-                        continue
+                        adj[lo] |= hi
+                        adj[hi] |= lo
+                    back[top] |= bit
+                    for y, _ in degs:
+                        deg[y] += 1
+                    edges.append(candidates[i])
+                    stack.append((i, deficit))
+                    i += 1
+                    if nodes >= horizon:
+                        horizon = catch_up(nodes)
+                    nodes += 1
+                    continue
             elif stack:
                 # lo-hi was absent from each link before the include, so
                 # flipping the two bits back restores it exactly
@@ -412,13 +428,16 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
                     deg[y] -= 1
                 edges.pop()
             else:
+                counters.nodes = nodes
                 return
             # pass over candidate i
             for y, t in degs:
                 if deg[y] <= t:
                     deficit += 1
             i += 1
-            tick()
+            if nodes >= horizon:
+                horizon = catch_up(nodes)
+            nodes += 1
 
     # root normalization: some optimum contains {1..k} up to relabeling, so
     # candidate 0 goes in untested and stays in
@@ -459,18 +478,32 @@ _C4_FREE_MAX = (0, 0, 1, 3, 4, 6, 7, 9, 11, 13, 16)
 
 def ex_cap(m: int, j: int, name: str) -> int:
     """A proven upper bound on ex_j(m), the most edges of a j-uniform system
-    on [m] (j >= 2) free of the suspended pattern ``name``: for j = 2 the
-    exact ex(m, C4) for m <= 10 and Reiman's bound above, or Turan's
-    floor(m^2 / 3) for K4; for j >= 3 the link recursion
-    floor(m ex_cap(m - 1, j - 1) / j). Every j = 2 value is at most C(m, 2),
-    and floor(m C(m - 1, j - 1) / j) = C(m, j), so no value passes the
+    on [m] (j >= 2) free of the suspended pattern ``name``.
+
+    - j = 2, C4: the exact ex(m, C4) for m <= 10. Above the table, the
+      smaller of Reiman's bound and the averaging bound
+      floor(m ex_cap(m - 1, 2) / (m - 2)) (Katona, Nemetz and Simonovits
+      1964): deleting a vertex leaves a C4-free graph on m - 1 vertices,
+      and each edge survives the m - 2 deletions that miss it, so
+      (m - 2) e <= m ex(m - 1, C4). Up to m = 79 it is the smaller only
+      at m = 11 and 12 (19 and 22, against Reiman's 20 and 23).
+    - j = 2, K4: Turan's floor(m^2 / 3).
+    - j >= 3: the link recursion floor(m ex_cap(m - 1, j - 1) / j).
+
+    Every j = 2 value is at most C(m, 2), and
+    floor(m C(m - 1, j - 1) / j) = C(m, j), so no value passes the
     candidate count."""
     if m < j:
         return 0
     if j == 2:
         if name == "k4sus":
             return turan_k4_closed(m)
-        return _C4_FREE_MAX[m] if m < len(_C4_FREE_MAX) else reiman_c4_bound(m)
+        if m < len(_C4_FREE_MAX):
+            return _C4_FREE_MAX[m]
+        cap = _C4_FREE_MAX[-1]
+        for size in range(len(_C4_FREE_MAX), m + 1):
+            cap = min(reiman_c4_bound(size), size * cap // (size - 2))
+        return cap
     return m * ex_cap(m - 1, j - 1, name) // j
 
 

@@ -15,12 +15,15 @@ the witness and never lowers a budget-cut lower end. The
 reference visibility predicate at the end takes the package's adjacency
 rows as input (the families tests check those against the generators
 here), takes distances from networkx, and decides each pair on its own.
+``benchmark_random_masks`` is no oracle: it rebuilds the benchmark's
+seeded tau inputs for the tests that pin the kernel on them.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import random
 
 import networkx as nx
 
@@ -227,6 +230,23 @@ def reference_solve_tau(edges: list[int]) -> tuple[int, int]:
         for bit in reversed(list(bits(uncovered[0]))):
             stack.append(([e for e in uncovered if not e & bit], chosen | bit))
     return best_size, best_mask
+
+
+def benchmark_random_masks(seed: int) -> list[list[int]]:
+    """The 12 random 4-uniform hypergraphs on 24 vertices with 100 edges
+    each, relabelled by ``seed``, of the extremal benchmark workload
+    (``random_hypergraph_texts`` in ``perfbench/workloads.py``), as edge
+    masks."""
+    base, relabel = random.Random(2024), random.Random(seed)
+    out = []
+    for _ in range(12):
+        edges: set[tuple[int, ...]] = set()
+        while len(edges) < 100:
+            edges.add(tuple(sorted(base.sample(range(1, 25), 4))))
+        perm = list(range(1, 25))
+        relabel.shuffle(perm)
+        out.append(sorted(sum(1 << (perm[v - 1] - 1) for v in e) for e in edges))
+    return out
 
 
 def brute_covering(n: int, k: int, t: int) -> int:

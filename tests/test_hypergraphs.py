@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvlab.budget import _TIME_CHECK_STRIDE, Budget, SearchCounters
+from mvlab.constructions import build_h_nk
 from mvlab.errors import DomainError
 from mvlab.hypergraphs import (
     format_hypergraph,
@@ -17,7 +18,7 @@ from mvlab.hypergraphs import (
     transversal_number,
 )
 
-from oracles import brute_tau, reference_solve_tau
+from oracles import benchmark_random_masks, brute_tau, reference_solve_tau
 
 
 def _random_hypergraph(rng: random.Random, n: int, m: int):
@@ -112,6 +113,54 @@ def test_a_matching_at_the_ceiling_decides_before_any_node():
     assert solve_tau(k6, cut, ceiling=4) == (4, 0, 0, False)
     assert solve_tau(k6, SearchCounters(None), ceiling=4)[::3] == (4, True)
     assert solve_tau(k6, SearchCounters(None), ceiling=6)[::3] == (5, True)
+
+
+def _mixed_masks() -> list[int]:
+    """70 random edges of sizes 2 to 5 on 20 vertices."""
+    rng = random.Random(7)
+    return [sum(1 << x for x in rng.sample(range(20), rng.randint(2, 5)))
+            for _ in range(70)]
+
+
+# The kernel's search trees pinned at (tau, witness mask, nodes_expanded,
+# complete): a change to the branching order, the bound or the node
+# accounting fails these. Keys are (instance, ceiling, max_nodes).
+PINNED_TAU = {
+    ("random-00", None, None): (9, 2048152, 1727, True),
+    ("random-01", None, None): (9, 362408, 713, True),
+    ("random-02", None, None): (10, 9718665, 1167, True),
+    ("random-03", None, None): (10, 15741490, 3156, True),
+    ("random-04", None, None): (9, 7936258, 1363, True),
+    ("random-05", None, None): (10, 174453, 1111, True),
+    ("random-06", None, None): (9, 2100186, 849, True),
+    ("random-07", None, None): (10, 14909978, 1232, True),
+    ("random-08", None, None): (10, 2366357, 1065, True),
+    ("random-09", None, None): (10, 537247, 1714, True),
+    ("random-10", None, None): (10, 4235901, 1618, True),
+    ("random-11", None, None): (9, 2181523, 671, True),
+    ("h23-4", None, None): (8, 405829, 7985, True),
+    ("mixed", None, None): (9, 314453, 33, True),
+    # tau >= 9 proven below the greedy start of 10
+    ("random-00", 9, None): (9, 0, 487, True),
+    # cut past the first clock reading
+    ("random-03", None, 2500): (10, 15741490, 2500, False),
+}
+
+
+def _pinned_instance(name: str) -> list[int]:
+    if name == "h23-4":
+        return list(build_h_nk(23, 4).edges)
+    if name == "mixed":
+        return _mixed_masks()
+    return benchmark_random_masks(901)[int(name[-2:])]
+
+
+@pytest.mark.parametrize("key", PINNED_TAU, ids=lambda key: "-".join(map(str, key)))
+def test_kernel_search_tree_is_pinned(key):
+    name, ceiling, cap = key
+    masks = _pinned_instance(name)
+    budget = None if cap is None else Budget(max_nodes=cap)
+    assert solve_tau(masks, SearchCounters(budget), ceiling) == PINNED_TAU[key]
 
 
 def test_tau_zero_iff_no_edges():

@@ -208,14 +208,31 @@ def test_reiman_bound_matches_its_real_form():
 
 
 def test_budget_cut_c4_interval_takes_the_reiman_cap():
-    # past the exact table (n <= 10) the upper end is Reiman's bound
+    # past the exact table (n <= 10) the upper end is Reiman's bound, or
+    # the averaging bound where smaller: here floor(11 ex(10, C4) / 9) = 19
     r = ex_uniform(11, 2, build_c4_suspension(2), Budget(max_nodes=1000))
     assert not r.exact
-    assert r.hi == 20 == reiman_c4_bound(11) == ex_cap(11, 2, "c4sus")
+    assert r.hi == 19 == 11 * C4_FREE_MAX[10] // 9 == ex_cap(11, 2, "c4sus")
+    assert reiman_c4_bound(11) == 20
     assert r.lo == 16 <= 18 <= r.hi  # ex(11, C4) = 18
     # the cap narrows the reported interval only; the search still runs to
     # its node budget
     assert r.nodes_expanded == 1000
+
+
+def test_averaging_cap_stays_above_the_known_c4_free_maxima():
+    # ex(11, C4) = 18 and ex(12, C4) = 21 (Clapham, Flockhart and Sheehan);
+    # up to m = 79 the averaging bound tightens Reiman's only at these two
+    assert ex_cap(11, 2, "c4sus") == 19 >= 18
+    assert ex_cap(12, 2, "c4sus") == 22 >= 21
+    for m in range(11, 80):
+        cap = ex_cap(m, 2, "c4sus")
+        assert cap <= reiman_c4_bound(m)
+        assert (cap < reiman_c4_bound(m)) == (m in (11, 12))
+        assert cap <= m * ex_cap(m - 1, 2, "c4sus") // (m - 2)
+    # through the link recursion
+    assert [ex_cap(12, 3, "c4sus"), ex_cap(13, 3, "c4sus"), ex_cap(13, 4, "c4sus")] == [
+        76, 95, 247]
 
 
 def test_budget_cut_k2_intervals_take_the_exact_table_and_turans_bound():
