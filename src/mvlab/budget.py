@@ -5,6 +5,13 @@ degrades the result to an interval (status "incomplete"/"interval") with
 the best proven bounds and witness. Defaults follow the CLI contract:
 10^7 nodes and 60 seconds.
 
+Intervals are read out one way. ``IntervalResult`` gives ``exact``,
+``status``, ``value`` and ``bounds`` to anything with ``lo`` and ``hi``
+fields: ``Bounds`` itself and the covering, c-star and Turan results.
+``value`` raises DomainError on a proper interval. The visibility
+certificate keeps its own read-outs, since its ``value`` is a field (the
+lower end) and its status word is "incomplete".
+
 A Budget bounds each search, not each command: every search counts its
 own nodes and times itself from its own start. A command that runs
 several searches may spend it once per search; for example,
@@ -39,7 +46,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import MvlabError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -105,35 +112,11 @@ class SearchCounters:
             raise BudgetExhausted
 
 
-@dataclass(frozen=True)
-class Bounds:
-    """A proven enclosure [lo, hi] for an integer quantity."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty bounds [{self.lo}, {self.hi}]")
-
-    @property
-    def exact(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def value(self) -> int:
-        if not self.exact:
-            raise ValueError(f"value of a proper interval [{self.lo}, {self.hi}]")
-        return self.lo
-
-    def as_json(self):
-        return self.lo if self.exact else [self.lo, self.hi]
-
-
 class IntervalResult:
-    """Read-outs shared by search results that carry a proven enclosure as
-    ``lo`` and ``hi`` fields. Defines no fields, so a dataclass mixing it in
-    keeps its own field order."""
+    """Read-outs shared by everything that carries a proven enclosure of an
+    integer quantity as ``lo`` and ``hi`` fields: ``Bounds`` and the search
+    results. Defines no fields, so a dataclass mixing it in keeps its own
+    field order."""
 
     @property
     def exact(self) -> bool:
@@ -146,13 +129,28 @@ class IntervalResult:
     @property
     def value(self) -> int:
         if not self.exact:
-            raise MvlabError(
+            raise DomainError(
                 f"{type(self).__name__} is an interval [{self.lo}, {self.hi}]")
         return self.hi
 
     @property
     def bounds(self) -> Bounds:
         return Bounds(self.lo, self.hi)
+
+
+@dataclass(frozen=True)
+class Bounds(IntervalResult):
+    """A proven enclosure [lo, hi] for an integer quantity."""
+
+    lo: int
+    hi: int
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError(f"empty bounds [{self.lo}, {self.hi}]")
+
+    def as_json(self):
+        return self.lo if self.exact else [self.lo, self.hi]
 
 
 def as_bounds(value) -> Bounds:

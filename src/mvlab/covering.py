@@ -47,10 +47,11 @@ from math import comb
 
 from .budget import Budget, BudgetExhausted, IntervalResult, SearchCounters
 from .constructions import build_h_nk
-from .errors import ConstraintError, MvlabError
+from .errors import ConstraintError
 from .hypergraphs import (
     Hypergraph,
     TransversalCertificate,
+    greedy_cover,
     hypergraph,
     solve_tau,
     transversal_number,
@@ -164,7 +165,7 @@ def _cover(n: int, k: int, t: int, counters: SearchCounters,
 
     # incumbent: the seed, or the greedy cover when smaller (block index =
     # colex rank)
-    best = _greedy_cover(cover, full)
+    best = sorted(greedy_cover(dict(enumerate(cover)), full))
     if len(seed) <= len(best):
         best = [colex_rank(b) for b in seed]
     best_size = len(best)
@@ -300,18 +301,6 @@ def _valid_seed(seed_blocks: tuple[int, ...] | None, n: int, k: int,
     if all(any(tm & b == tm for b in seed) for tm in universe):
         return seed
     return None
-
-
-def _greedy_cover(cover: list[int], full: int) -> list[int]:
-    uncov = full
-    out = []
-    while uncov:
-        bi = max(range(len(cover)), key=lambda i: ((cover[i] & uncov).bit_count(), -i))
-        if not cover[bi] & uncov:
-            raise MvlabError("cover candidates cannot cover the universe")
-        out.append(bi)
-        uncov &= ~cover[bi]
-    return sorted(out)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .budget import Budget, BudgetExhausted, SearchCounters
-from .errors import DomainError
+from .errors import DomainError, MvlabError
 from .subsets import KSubset, MAX_GROUND_SET, iter_bits, mask_of, members_of
 
 # name of the tau kernel below, reported in certificates and benchmark results
@@ -121,17 +121,19 @@ def hypergraph(n: int, edges: Iterable[Sequence[int] | int]) -> Hypergraph:
 # valid) transversal.
 
 
-def _greedy_upper(hit: dict[int, int], remaining: int) -> int:
-    """Max-degree greedy transversal of the edges in ``remaining``, an
-    edge-index mask, where ``hit`` maps each vertex bit to the edges
-    through it; returns its vertex mask."""
-    chosen = 0
-    while remaining:
-        # highest degree, lowest bit on ties
-        best_bit = max(hit, key=lambda b: ((hit[b] & remaining).bit_count(), -b))
-        chosen |= best_bit
-        remaining &= ~hit[best_bit]
-    return chosen
+def greedy_cover(sets: dict[int, int], todo: int) -> list[int]:
+    """Max-coverage greedy: until every bit of ``todo`` is covered, take
+    the key whose set in ``sets`` covers the most bits still uncovered,
+    the lowest key on ties. Returns the keys in the order taken; raises
+    MvlabError when the sets cannot cover ``todo``."""
+    taken = []
+    while todo:
+        key = max(sets, key=lambda x: ((sets[x] & todo).bit_count(), -x), default=None)
+        if not sets.get(key, 0) & todo:
+            raise MvlabError("the sets cannot cover every bit")
+        taken.append(key)
+        todo &= ~sets[key]
+    return taken
 
 
 def solve_tau(edges, counters: SearchCounters, ceiling: int | None = None):
@@ -205,7 +207,8 @@ def solve_tau(edges, counters: SearchCounters, ceiling: int | None = None):
         apart.append(~nbr)
     every = (1 << len(minimal)) - 1
 
-    best_mask = _greedy_upper(hit, every)
+    # a max-degree greedy transversal: hit's keys are single bits
+    best_mask = sum(greedy_cover(hit, every))
     best_size = best_mask.bit_count()
     if ceiling is not None and best_size > ceiling:
         best_size, best_mask = ceiling, 0

@@ -82,36 +82,18 @@ def k_subset_masks(n: int, k: int) -> Iterator[int]:
 
 
 def k_subsets_of_mask(pool: int, k: int) -> Iterator[int]:
-    """All k-subsets of the set encoded by ``pool``, in colex order."""
-    elems = []
-    p = pool
-    while p:
-        low = p & -p
-        elems.append(low)
-        p ^= low
-    m = len(elems)
-    if k < 0 or k > m:
-        return
-    if k == 0:
-        yield 0
-        return
-    # iterate index combinations in colex order; masks inherit the order
-    # because elems is ascending
-    idx = list(range(k))
-    while True:
-        yield_mask = 0
-        for i in idx:
-            yield_mask |= elems[i]
-        yield yield_mask
-        # advance: colex successor of the index combination
-        j = 0
-        while j + 1 < k and idx[j] + 1 == idx[j + 1]:
-            j += 1
-        idx[j] += 1
-        if idx[j] >= m:
-            return
-        for i in range(j):
-            idx[i] = i
+    """All k-subsets of the set encoded by ``pool``, in colex order: the
+    k-subsets of its positions, as ``k_subset_masks`` walks them, mapped
+    onto its ascending elements. The map keeps colex order because it
+    keeps the order of the elements."""
+    elems = list(iter_bits(pool))
+    for positions in k_subset_masks(len(elems), k):
+        mask = 0
+        while positions:
+            low = positions & -positions
+            mask |= elems[low.bit_length() - 1]
+            positions ^= low
+        yield mask
 
 
 @dataclass(frozen=True, order=True)

@@ -98,6 +98,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable
 
 from . import hypergraphs
@@ -129,9 +130,6 @@ PARAM_TO_VARIANT = {
 }
 VARIANT_TO_PARAM = {v: p for p, v in PARAM_TO_VARIANT.items()}
 
-MONOTONE_VARIANTS = frozenset(
-    {Variant.MUTUAL, Variant.TOTAL, Variant.OUTER, Variant.GENERAL_POSITION})
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -151,7 +149,6 @@ class VisibilityCertificate:
     # a proven upper bound on the optimum; the value itself when exact
     hi: int
     nodes_expanded: int
-    blocking_pair: tuple[KSubset, ...] | None = None
     # False when the budget ran out before an exact optimum was made colex-least
     witness_canonical: bool = True
 
@@ -177,8 +174,6 @@ class VisibilityCertificate:
             "status": self.status,
             "nodes_expanded": self.nodes_expanded,
         }
-        if self.blocking_pair is not None:
-            out["blocking_pair"] = [list(s.members()) for s in self.blocking_pair]
         if not self.witness_canonical:
             out["witness_canonical"] = False
         if not self.exact:
@@ -517,7 +512,13 @@ class _MonotoneSearch:
     descendant of X + v. For the visibility variants, pairs at distance 3
     or more with v inside (v as a new obstacle) or with v as an endpoint
     (new obligations) are decided from their ``pairs_through`` slots: rows
-    at distance 3, ``pair_visible`` beyond.
+    at distance 3, ``pair_visible`` beyond. One loop walks both: the
+    entries of ``through[v]``, then the entry (v, ``partners[v]``), where
+    ``partners[w]`` masks the vertices at distance 3 or more from w for
+    mutual and outer, and is 0 for total and general position. The
+    variant's filter on an entry's first vertex i keeps its obligated
+    pairs; v lies in X + v, so the filter keeps ``partners[v]`` inside
+    X + v for mutual and all of it for outer.
 
     The DFS drops forced vertices from the undecided mask U, and each
     node carries a packing: forbidden sets inside X + U whose parts in U
@@ -574,14 +575,14 @@ class _MonotoneSearch:
         through, self.mid = idx.pairs_through()
         # general position obliges no pair: its triples are all forbidden
         self.through = [{}] * idx.v if variant is Variant.GENERAL_POSITION else through
-        # far[w]: the vertices at distance 3 or more from w (the rings are
-        # disjoint, so their sum is their union); closer partners are
-        # adjacent or covered by the forbidden sets
+        # partners[w]: the vertices at distance 3 or more from w (the rings
+        # are disjoint, so their sum is their union), whose pairs with w
+        # become obligated when w joins X; closer partners are adjacent or
+        # covered by the forbidden sets. Total obliges w's pairs before w
+        # joins, and general position obliges none, so theirs are 0
         full = (1 << idx.v) - 1
-        self.far = [full & ~sum(ring[:3]) for ring in idx.ctx.layers]
-        if variant is Variant.OUTER:
-            # the outer partners of v are all of far[v], on every call
-            self.far_lists = [_bits_indices(f) for f in self.far]
+        self.partners = ([full & ~sum(ring[:3]) for ring in idx.ctx.layers]
+                         if variant in (Variant.MUTUAL, Variant.OUTER) else [0] * idx.v)
         self.conflicts = [0] * idx.v
         self.masks = idx.ctx.masks
         self.n = idx.graph.n
@@ -611,12 +612,13 @@ class _MonotoneSearch:
                 return False
             if not r & (r - 1):
                 forced |= r
-        # farther pairs with v as a new internal obstacle: those the
-        # variant obliges, in (i, j) order, each decided by its rows
-        # (distance 3) or the layered test
+        # farther pairs with v as a new internal obstacle, then the pairs
+        # (v, u) newly obligated by v's membership: those the variant
+        # obliges, in that order, each decided by its rows (distance 3) or
+        # the layered test
         mid_rows, pair_visible = self.mid, idx.pair_visible
         mutual = variant is Variant.MUTUAL
-        for i, js in self.through[v].items():
+        for i, js in chain(self.through[v].items(), ((v, self.partners[v]),)):
             if mutual:
                 if not new_mask >> i & 1:
                     continue
@@ -639,20 +641,6 @@ class _MonotoneSearch:
                 elif not pair_visible(i, j, new_mask):
                     self._record_conflict((i, j))
                     return False
-        # farther pairs newly obligated by v's membership
-        row_v = mid_rows[v]
-        for u in self._new_partners(v, new_mask):
-            mid = row_v[u]
-            if mid:
-                for a_bit, row in mid:
-                    if a_bit & outside and row & outside:
-                        break
-                else:
-                    self._record_conflict((v, u))
-                    return False
-            elif not pair_visible(v, u, new_mask):
-                self._record_conflict((v, u))
-                return False
         # each forced vertex counts as one conflict
         self.forced = forced
         conflicts = self.conflicts
@@ -661,19 +649,6 @@ class _MonotoneSearch:
             conflicts[low.bit_length() - 1] += 1
             forced ^= low
         return True
-
-    def _new_partners(self, v: int, new_mask: int) -> list[int]:
-        """The partners u at distance 3 or more whose pair with v becomes
-        obligated when v joins X, in increasing order."""
-        variant = self.variant
-        if variant is Variant.MUTUAL:
-            return _bits_indices(new_mask & self.far[v])
-        if variant is Variant.OUTER:
-            return self.far_lists[v]
-        # total: v's pairs were already obligated and are unaffected by
-        # v joining X (v is an endpoint, never internal to its own pairs);
-        # general position obliges no pair
-        return []
 
     def _record_conflict(self, vertices: Iterable[int]) -> None:
         for w in vertices:

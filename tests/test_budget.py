@@ -67,15 +67,16 @@ def test_bounds_agree_is_the_symmetric_overlap_test():
 
 @pytest.mark.parametrize("b", INTERVALS, ids=str)
 def test_interval_result_reads_its_lo_and_hi(b):
-    r = _Result(b.lo, b.hi)
-    assert r.bounds == b
-    assert r.exact == b.exact
-    assert r.status == ("exact" if b.exact else "interval")
-    if b.exact:
-        assert r.value == b.value
-    else:
-        with pytest.raises(MvlabError):
-            r.value
+    # a search result mixing the read-outs in, and Bounds, which inherits them
+    for r in (_Result(b.lo, b.hi), Bounds(b.lo, b.hi)):
+        assert r.bounds == b
+        assert r.exact == (b.lo == b.hi)
+        assert r.status == ("exact" if r.exact else "interval")
+        if r.exact:
+            assert r.value == b.lo == b.hi
+        else:
+            with pytest.raises(MvlabError):
+                r.value
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from mvlab.budget import _TIME_CHECK_STRIDE, Budget, SearchCounters
 from mvlab.constructions import build_h_nk
-from mvlab.errors import DomainError
+from mvlab.errors import DomainError, MvlabError
 from mvlab.hypergraphs import (
     format_hypergraph,
+    greedy_cover,
     hypergraph,
     independence_number,
     is_transversal,
@@ -161,6 +162,24 @@ def test_kernel_search_tree_is_pinned(key):
     masks = _pinned_instance(name)
     budget = None if cap is None else Budget(max_nodes=cap)
     assert solve_tau(masks, SearchCounters(budget), ceiling) == PINNED_TAU[key]
+
+
+def test_greedy_cover_takes_the_most_new_bits_then_the_lowest_key():
+    # keys 4, 2 and 7 each cover two bits: 2 is taken first; then 4, 7 and 1
+    # cover one new bit each, and 1 is taken; 7 covers the last bit. The
+    # keys come back in the order taken
+    sets = {4: 0b0011, 2: 0b0110, 7: 0b1100, 1: 0b0001}
+    assert greedy_cover(sets, 0b1111) == [2, 1, 7]
+    # the most new bits beat a lower key
+    assert greedy_cover({0: 0b001, 5: 0b111}, 0b111) == [5]
+    assert greedy_cover(sets, 0) == []
+
+
+def test_greedy_cover_rejects_sets_that_cannot_cover():
+    with pytest.raises(MvlabError):
+        greedy_cover({0: 0b01, 1: 0b01}, 0b11)
+    with pytest.raises(MvlabError):
+        greedy_cover({}, 0b1)
 
 
 def test_tau_zero_iff_no_edges():

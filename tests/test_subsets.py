@@ -56,10 +56,13 @@ def test_colex_order_matches_reversed_tuple_order():
 
 
 def test_k_subsets_of_mask():
-    base = mask_of([2, 3, 5, 8], 8)
-    subs = list(k_subsets_of_mask(base, 2))
-    assert len(subs) == 6
-    assert all(s & base == s and s.bit_count() == 2 for s in subs)
+    # every pool on 7 elements and every k, out of range included: the
+    # k-subsets in numeric (= colex) order
+    for pool in range(1 << 7):
+        elems = [1 << i for i in range(7) if pool >> i & 1]
+        for k in range(-1, 9):
+            expected = sorted(sum(c) for c in itertools.combinations(elems, k)) if k >= 0 else []
+            assert list(k_subsets_of_mask(pool, k)) == expected, (pool, k)
 
 
 def test_ksubset_operations():

@@ -708,3 +708,26 @@ def test_pinned_optima_and_witnesses(graph, param, value, witness):
     assert cert.value == value
     assert [s.members() for s in cert.witness] == [
         tuple(int(c) for c in w) for w in witness.split()]
+
+
+# (budget node cap or None, value, hi, nodes_expanded, witness_canonical): the
+# value search's and canonicalisation's trees, pinned so that a refactor of
+# their feasibility checks cannot move a node unseen
+PINNED_SEARCHES = (
+    (kneser(7, 2), "mu", None, 16, 16, 449, True),
+    (kneser(8, 2), "mu-outer", None, 24, 24, 676, True),
+    (bipartite_kneser(5, 2), "mu", None, 8, 8, 778, True),
+    (johnson(6, 3), "gp", None, 6, 6, 134, True),
+    (johnson(7, 2), "mu-total", None, 9, 9, 882, True),
+    (kneser(7, 3), "mu", None, 15, 15, 11_704, True),
+    (bipartite_kneser(7, 2), "mu", 8_000, 28, 37, 8_000, True),
+)
+
+
+@pytest.mark.parametrize("graph,param,cap,value,hi,nodes,canonical", PINNED_SEARCHES,
+                         ids=[f"{format_family(g)}-{p}" for g, p, *_ in PINNED_SEARCHES])
+def test_pinned_search_trees(graph, param, cap, value, hi, nodes, canonical):
+    budget = None if cap is None else Budget(max_nodes=cap)
+    cert = max_visibility_number(graph, PARAM_TO_VARIANT[param], budget)
+    assert (cert.value, cert.hi, cert.nodes_expanded, cert.witness_canonical) == (
+        value, hi, nodes, canonical)
