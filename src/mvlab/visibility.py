@@ -20,8 +20,10 @@ internally. ``is_visibility_set`` runs it once per obligated source, in
 ascending order, and reports the lowest target missed: the
 lexicographically first blocking pair. In the last layer that holds
 targets of s the BFS stops as soon as every target is reached.
-``pair_visible`` walks the same frontiers for one pair. Adjacent pairs
-are always visible.
+``clear_path`` walks the same frontiers for one pair and walks back from
+the far end to the internal vertices of one clear shortest path;
+``pair_visible`` asks whether there is one. Adjacent pairs are always
+visible.
 
 Distances are read off the same layers: d(s, t) is the d with t in
 ``layers[s][d]``, and no distance table is kept.
@@ -37,8 +39,14 @@ The index keeps, per vertex, the deduplicated sets that contain it. A
 pair i, j at distance 3 is X-visible iff some a outside X, next to i and
 two steps from j, has a neighbour outside X next to j; the index keeps
 one row of those neighbours per a. Only pairs at distance 4 or more take
-``pair_visible``, none in the diameter-2 regime (Kneser graphs with
+``clear_path``, none in the diameter-2 regime (Kneser graphs with
 n >= 3k-1, and J(n, 2)) nor in bipartite Kneser graphs of diameter 3.
+The search keeps, per pair at distance 3 or more, the internal vertices
+of the clear shortest path it last found, and decides the pair again
+only once X + v meets them. A kept path is trusted only after that check
+against the current X + v, and a clear geodesic proves the pair visible
+whichever set it was found for, so the kept paths need no undo when the
+search backtracks.
 
 Maximum sizes are found by exact branch and bound for the
 subset-monotone variants (mutual, total, outer, general-position:
@@ -107,8 +115,8 @@ from .errors import ConstraintError, DomainError, PreconditionError
 from .families import FamilyGraph, _vertex_masks, format_family, graph_context, kneser
 from .subsets import KSubset
 
-# definitional max search builds an all-pairs DAG-membership table; keep it
-# to graphs where that table stays small
+# the definitional max search keeps two v x v tables, the index's pair slots
+# (``mid``) and each search's kept paths; keep it to graphs where they stay small
 SEARCH_VERTEX_CAP = 128
 
 
@@ -213,22 +221,31 @@ class VisibilityIndex:
 
     def pair_visible(self, iu: int, iv: int, obstacles: int) -> bool:
         """Is some shortest iu,iv-path internally disjoint from obstacles?
+        Endpoint bits in ``obstacles`` are ignored (internal vertices only)."""
+        return iu == iv or bool(self.ctx.adj[iu] >> iv & 1) or self.clear_path(
+            iu, iv, obstacles) != 0
 
-        Endpoint bits in ``obstacles`` are ignored (internal vertices only).
+    def clear_path(self, iu: int, iv: int, obstacles: int) -> int:
+        """The internal vertices of one shortest iu,iv-path that avoids
+        obstacles, as a mask, or 0 if there is none; iu and iv are at
+        distance d >= 2, and endpoint bits in ``obstacles`` are ignored.
+
         The frontier at level l keeps the vertices at distance d - l from
         iv that are adjacent to the frontier at level l - 1; each is then
-        exactly l from iu, so the frontiers are the shortest-path DAG."""
+        exactly l from iu, so the frontiers are the shortest-path DAG. The
+        path walks back from iv: the lowest vertex of the last frontier,
+        then at each level the lowest one adjacent to the vertex after it."""
         ctx = self.ctx
         to_v = ctx.layers[iv]
         d = _layer_of(to_v, iu)
-        if d <= 1:
-            return True
         adj = ctx.adj
         free = ~obstacles
+        frontiers = []
         frontier = adj[iu] & to_v[d - 1] & free
         for level in range(2, d):
             if not frontier:
-                return False
+                return 0
+            frontiers.append(frontier)
             nxt = 0
             f = frontier
             while f:
@@ -236,7 +253,14 @@ class VisibilityIndex:
                 nxt |= adj[low.bit_length() - 1]
                 f ^= low
             frontier = nxt & to_v[d - level] & free
-        return frontier != 0
+        if not frontier:
+            return 0
+        path = step = frontier & -frontier
+        for frontier in reversed(frontiers):
+            step = frontier & adj[step.bit_length() - 1]
+            step &= -step
+            path |= step
+        return path
 
     def pairs_through(self) -> tuple[list[dict[int, int]], list[list[Mid]]]:
         """The search's feasibility tables, built in one pass over the pairs.
@@ -251,7 +275,12 @@ class VisibilityIndex:
           distance 1 from i and 2 from j, where row masks a's neighbours at
           distance 2 from i and 1 from j. The pair is X-visible iff some
           row has ``a_bit & ~X and row & ~X``.
-        - any other distance: 0, and the pair takes ``pair_visible``.
+        - any other distance: 0, and the pair takes ``clear_path``.
+
+        The search keeps each far pair's last clear path beside these slots
+        (``_MonotoneSearch.paths``) and reads a slot only when X + v meets
+        that path. A kept path is checked against X + v before it is
+        trusted, so it needs no undo when the search backtracks.
 
         ``through[w]`` lists the pairs i < j at distance 3 or more whose
         shortest-path DAG contains w as an internal vertex, indexed by
@@ -512,13 +541,21 @@ class _MonotoneSearch:
     descendant of X + v. For the visibility variants, pairs at distance 3
     or more with v inside (v as a new obstacle) or with v as an endpoint
     (new obligations) are decided from their ``pairs_through`` slots: rows
-    at distance 3, ``pair_visible`` beyond. One loop walks both: the
+    at distance 3, ``clear_path`` beyond. One loop walks both: the
     entries of ``through[v]``, then the entry (v, ``partners[v]``), where
     ``partners[w]`` masks the vertices at distance 3 or more from w for
     mutual and outer, and is 0 for total and general position. The
     variant's filter on an entry's first vertex i keeps its obligated
     pairs; v lies in X + v, so the filter keeps ``partners[v]`` inside
     X + v for mutual and all of it for outer.
+
+    Each such pair keeps, in ``paths``, the internal vertices of the clear
+    shortest path found when it was last decided, and while X + v misses
+    them the pair is visible without reading its slot. The kept path is
+    checked against X + v every time and is a geodesic whatever set it was
+    found for, so it needs no undo on backtrack: the answers, the blocking
+    pair that ``_record_conflict`` records, and so the whole tree, are
+    those of deciding every pair afresh.
 
     The DFS drops forced vertices from the undecided mask U, and each
     node carries a packing: forbidden sets inside X + U whose parts in U
@@ -583,6 +620,10 @@ class _MonotoneSearch:
         full = (1 << idx.v) - 1
         self.partners = ([full & ~sum(ring[:3]) for ring in idx.ctx.layers]
                          if variant in (Variant.MUTUAL, Variant.OUTER) else [0] * idx.v)
+        # paths[i][j] (symmetric): the internal vertices of a shortest i,j-path
+        # that was clear when can_add last decided the far pair; -1, which no
+        # X + v leaves clear, before the first
+        self.paths = [[-1] * idx.v for _ in range(idx.v)]
         self.conflicts = [0] * idx.v
         self.masks = idx.ctx.masks
         self.n = idx.graph.n
@@ -614,9 +655,10 @@ class _MonotoneSearch:
                 forced |= r
         # farther pairs with v as a new internal obstacle, then the pairs
         # (v, u) newly obligated by v's membership: those the variant
-        # obliges, in that order, each decided by its rows (distance 3) or
-        # the layered test
-        mid_rows, pair_visible = self.mid, idx.pair_visible
+        # obliges, in that order. A pair whose kept path X + v leaves clear
+        # is visible; any other is decided by its rows (distance 3) or the
+        # layered test, which keep the clear path they find
+        mid_rows, paths, clear_path = self.mid, self.paths, idx.clear_path
         mutual = variant is Variant.MUTUAL
         for i, js in chain(self.through[v].items(), ((v, self.partners[v]),)):
             if mutual:
@@ -625,22 +667,28 @@ class _MonotoneSearch:
                 js &= new_mask
             elif not new_mask >> i & 1 and variant is Variant.OUTER:
                 js &= new_mask
-            row_i = mid_rows[i]
+            row_i, kept = mid_rows[i], paths[i]
             while js:
                 low = js & -js
                 j = low.bit_length() - 1
                 js ^= low
+                if not kept[j] & new_mask:
+                    continue
                 mid = row_i[j]
                 if mid:
                     for a_bit, row in mid:
-                        if a_bit & outside and row & outside:
+                        if a_bit & outside and (r := row & outside):
+                            path = a_bit | r & -r
                             break
                     else:
                         self._record_conflict((i, j))
                         return False
-                elif not pair_visible(i, j, new_mask):
-                    self._record_conflict((i, j))
-                    return False
+                else:
+                    path = clear_path(i, j, new_mask)
+                    if not path:
+                        self._record_conflict((i, j))
+                        return False
+                kept[j] = paths[j][i] = path
         # each forced vertex counts as one conflict
         self.forced = forced
         conflicts = self.conflicts

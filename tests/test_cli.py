@@ -179,8 +179,8 @@ def test_tau_honours_the_seconds_budget():
     assert all(hit.intersection(e) for e in edges)
 
 
-# unbudgeted, compute and explore take 3.5-6 s (exact 28), c-star about
-# 9 s and turan about 23 s (both are still cut at 10^7 nodes)
+# unbudgeted, compute and explore take about 0.75 s wall (exact 28), c-star
+# about 9 s and turan about 23 s (both are still cut at 10^7 nodes)
 _SLOW_VERBS = {
     "compute": ("compute", "--family", "bipartite-kneser:n=7,k=2", "--param", "mu"),
     "explore": ("explore", "--family", "bipartite-kneser:n=7,k=2", "--param", "mu"),

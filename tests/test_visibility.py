@@ -440,6 +440,66 @@ def test_can_add_agrees_with_the_definitional_check(graph, variant, data):
     assert search.can_add(v, chosen) == is_visibility_set(graph, grown, variant).ok
 
 
+@PROPERTY
+@given(st.sampled_from(REFERENCE_GRAPHS), st.data())
+def test_clear_path_is_a_clear_geodesic(graph, data):
+    idx = visibility_index(graph)
+    adj, layers = idx.ctx.adj, idx.ctx.layers
+    i = data.draw(st.integers(0, idx.v - 1), label="i")
+    d = data.draw(st.integers(2, len(layers[i]) - 1), label="d")
+    j = data.draw(st.sampled_from(_bits(layers[i][d])), label="j")
+    levels = [layers[i][s] & layers[j][d - s] for s in range(1, d)]
+    # X mostly inside the pair's geodesics, so both answers occur; endpoint
+    # bits are ignored
+    x = (data.draw(st.integers(0, (1 << idx.v) - 1), label="inside") & sum(levels)
+         | data.draw(st.integers(0, (1 << idx.v) - 1), label="anywhere")
+         & data.draw(st.integers(0, (1 << idx.v) - 1), label="sparse"))
+    path = idx.clear_path(i, j, x)
+    assert (path != 0) == reference_pair_visible(adj, i, j, x)
+    assert idx.pair_visible(i, j, x) == (path != 0)
+    if path:
+        # d - 1 vertices outside X, one at each distance s from i and d - s
+        # from j, each adjacent to the next
+        assert path.bit_count() == d - 1 and not path & x
+        steps = [path & level for level in levels]
+        assert all(step.bit_count() == 1 for step in steps)
+        walk = [1 << i, *steps, 1 << j]
+        assert all(adj[a.bit_length() - 1] & b for a, b in zip(walk, walk[1:]))
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+# far pairs at distance 3 only (J(6, 3), bipartite-kneser(6, 2)) and up to
+# 7 (bipartite-kneser(7, 3))
+KEPT_PATH_GRAPHS = (*MIXED_GRAPHS, johnson(6, 3), bipartite_kneser(6, 2),
+                    bipartite_kneser(7, 3))
+
+
+@PROPERTY
+@given(st.sampled_from(KEPT_PATH_GRAPHS), st.sampled_from(MONOTONE), st.data())
+def test_kept_paths_leave_can_add_exact(graph, variant, data):
+    # one search answers can_add while X grows, as down the DFS, then shrinks
+    # or starts afresh, so the paths it keeps were found for other sets
+    idx = visibility_index(graph)
+    search = _MonotoneSearch(idx, variant, SearchCounters(None))
+    chosen = 0
+    for _ in range(data.draw(st.integers(1, 4), label="rounds")):
+        if data.draw(st.booleans(), label="fresh"):
+            chosen = 0
+        else:
+            chosen &= data.draw(st.integers(0, (1 << idx.v) - 1), label="kept members")
+        order = data.draw(st.permutations(range(idx.v)), label="order")
+        for v in order[:data.draw(st.integers(0, idx.v), label="asked")]:
+            if chosen >> v & 1:
+                continue
+            fits = is_visibility_set(graph, idx.subset(_bits(chosen | 1 << v)), variant).ok
+            assert search.can_add(v, chosen) == fits
+            if fits:
+                chosen |= 1 << v
+
+
 @functools.lru_cache(maxsize=None)
 def _oracle_valid(graph, variant):
     """The networkx oracle's validity test on index masks of ``graph``."""
@@ -721,6 +781,11 @@ PINNED_SEARCHES = (
     (johnson(7, 2), "mu-total", None, 9, 9, 882, True),
     (kneser(7, 3), "mu", None, 15, 15, 11_704, True),
     (bipartite_kneser(7, 2), "mu", 8_000, 28, 37, 8_000, True),
+    # pairs at distance 4 and more, and the outer and total filters on pairs
+    # at distance 3
+    (bipartite_kneser(7, 3), "mu", 20_000, 20, 48, 20_000, True),
+    (bipartite_kneser(7, 2), "mu-outer", 8_000, 24, 24, 8_000, False),
+    (bipartite_kneser(7, 2), "mu-total", 8_000, 24, 24, 8_000, False),
 )
 
 
