@@ -6,10 +6,10 @@ branch on the colex-least uncovered t-set over the blocks containing it
 (forbidding earlier siblings to partition the space), prune with
 used + ceil(uncovered / C(k, t)) against the incumbent, and stop once the
 incumbent meets the lower end, which is also the lower end of a cut
-search. The root takes only the first block through its t-set: the
-permutations of [n] that fix that t-set act transitively on the blocks
-through it, so some optimum holds the first one. Each level runs three
-steps:
+search. The root keeps one block per orbit of the blocks through its
+t-set under the permutations of [n] that fix it (``subsets.MaskOrbits``);
+they form one orbit, so the root takes the first block alone. Each level
+runs three steps:
 
 1. Seeds. The smallest valid cover among the caller's seed, the partition
    family (on the complement side, every (n-k)-set inside one of a few
@@ -56,7 +56,7 @@ from .hypergraphs import (
     solve_tau,
     transversal_number,
 )
-from .subsets import colex_rank, k_subset_masks, k_subsets_of_mask, members_of
+from .subsets import MaskOrbits, colex_rank, k_subset_masks, k_subsets_of_mask, members_of
 
 
 def schonheim_bound(n: int, k: int, t: int) -> int:
@@ -155,11 +155,18 @@ def _cover(n: int, k: int, t: int, counters: SearchCounters,
         # cut during setup: the seed covers every t-subset
         return lower, seed
     # Root symmetry. The root branches on t-set 0, and only the root does,
-    # since each of its branches covers it. The permutations of [n] that fix
-    # that t-set act transitively on the blocks through it, and every cover
-    # has one, so some optimum holds the first: the root takes it alone. A
-    # later root branch could only tie, and ties never replace the incumbent.
-    del blocks_for[0][1:]
+    # since each of its branches covers it. An optimum holds a block through
+    # it, and a permutation that fixes t-set 0 (``MaskOrbits``) maps it to
+    # one holding the first block of that orbit, so the root keeps those; a
+    # later one could only tie, and ties never replace the incumbent.
+    orbits = MaskOrbits(tuple(blocks[bi] for bi in blocks_for[0]), n)
+    atoms = orbits.refine(((1 << n) - 1,), universe[0])
+    firsts, seen = [], 0
+    for i, bi in enumerate(blocks_for[0]):
+        if not seen >> i & 1:
+            firsts.append(bi)
+            seen |= orbits.orbit(i, atoms)
+    blocks_for[0] = firsts
     full = (1 << len(universe)) - 1
     per_block = comb(k, t)
 

@@ -34,12 +34,7 @@ def mask_of(members: "list[int] | tuple[int, ...] | set[int]", n: int) -> int:
 
 def members_of(bits: int) -> tuple[int, ...]:
     """Sorted 1-based elements of a bitmask."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length())
-        bits ^= low
-    return tuple(out)
+    return tuple(i + 1 for i in bit_indices(bits))
 
 
 def iter_bits(bits: int) -> Iterator[int]:
@@ -48,6 +43,16 @@ def iter_bits(bits: int) -> Iterator[int]:
         low = bits & -bits
         yield low
         bits ^= low
+
+
+def bit_indices(bits: int) -> list[int]:
+    """The 0-based positions of the set bits of ``bits``, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 def colex_rank(bits: int) -> int:
@@ -127,11 +132,92 @@ class KSubset:
     def complement(self) -> "KSubset":
         return KSubset(self.n, ((1 << self.n) - 1) ^ self.bits)
 
-    def intersection_size(self, other: "KSubset") -> int:
-        return (self.bits & other.bits).bit_count()
-
-    def isdisjoint(self, other: "KSubset") -> bool:
-        return not self.bits & other.bits
-
     def __repr__(self):
         return f"KSubset({set(self.members()) or '{}'} of [{self.n}])"
+
+
+class MaskOrbits:
+    """Orbits of S_n, permuting [n], on candidate masks over [n].
+
+    The searches that use symmetry pick candidates, each a subset of [n],
+    into a set X, and are defined by relations among sets alone: graph
+    distances in the three families, or the t-sets a block covers. So a
+    permutation of [n] maps each solution to one of the same size. The
+    atoms of X are the nonempty regions its members cut [n] into. The
+    permutations that map each atom to itself are exactly those that fix
+    each member of X, a union of atoms; they form G_X, which therefore
+    maps the solutions that extend X to one another. G_X moves a
+    candidate's part in each atom onto any same-size subset of that atom
+    and nowhere else, so, the candidates being closed under G_X, the orbit
+    of candidate i is the candidates u with |u & a| = |masks[i] & a| for
+    every atom a. A search may decide a whole orbit as it decides one
+    member (orbital branching: Ostrowski, Linderoth, Rossi and Smriglio,
+    Math. Programming 2011). Pruning toward the colex-least representative
+    (Margot, Math. Programming 2002) also keeps the candidates 0..w, as
+    ``cut_by_prefix`` does. Once every atom is a single element, each
+    orbit is one candidate and the operations return at once. The tables
+    cached per atom and per w belong to the one search that owns them.
+    """
+
+    def __init__(self, masks: tuple[int, ...], n: int):
+        self.masks = masks
+        self.n = n
+        # per atom a, the candidates u by |u & a|
+        self._by_count: dict[int, list[int]] = {}
+        # per w, the runs of [n] that keep the candidates 0..w
+        self._prefix_blocks: dict[int, tuple[int, ...]] = {}
+
+    def refine(self, atoms: tuple[int, ...], member: int) -> tuple[int, ...]:
+        """The atoms of X + {member}, given those of X: each atom's parts
+        inside and outside ``member``, the empty ones left out."""
+        if len(atoms) == self.n:
+            return atoms
+        out = []
+        for a in atoms:
+            inside = a & member
+            if inside and inside != a:
+                out += (inside, a ^ inside)
+            else:
+                out.append(a)
+        return tuple(out)
+
+    def orbit(self, i: int, atoms: tuple[int, ...]) -> int:
+        """The mask of candidate i's orbit under the permutations that map
+        each of ``atoms`` to itself, read off the count tables."""
+        if len(atoms) == self.n:
+            return 1 << i
+        mi, by_count = self.masks[i], self._by_count
+        orbit = -1
+        for a in atoms:
+            counts = by_count.get(a)
+            if counts is None:
+                counts = by_count[a] = [0] * (a.bit_count() + 1)
+                for u, mu in enumerate(self.masks):
+                    counts[(mu & a).bit_count()] |= 1 << u
+            orbit &= counts[(mi & a).bit_count()]
+        return orbit
+
+    def cut_by_prefix(self, atoms: tuple[int, ...], w: int) -> tuple[int, ...]:
+        """The cells where ``atoms`` meet the prefix blocks of w: the runs
+        of [n] such that swapping neighbours e, e + 1 of one run sends each
+        of the candidates 0..w to one of them, and so onto them. A
+        permutation that maps each cell to itself is a product of such
+        swaps and keeps each atom. Colex order within each size class makes
+        the one test serve both sides of the bipartite Kneser family."""
+        if len(atoms) == self.n:
+            return atoms
+        blocks = self._prefix_blocks.get(w)
+        if blocks is None:
+            prefix = self.masks[:w + 1]
+            kept = set(prefix)
+            runs, run = [], 1
+            for e in range(self.n - 1):
+                pair = 3 << e
+                if all(m ^ pair in kept for m in prefix if (m & pair).bit_count() == 1):
+                    run |= pair
+                else:
+                    runs.append(run)
+                    run = 2 << e
+            runs.append(run)
+            blocks = self._prefix_blocks[w] = tuple(runs)
+        return tuple(cell for b in blocks for a in atoms if (cell := a & b))

@@ -82,7 +82,7 @@ from math import comb, factorial, isqrt
 from .budget import Budget, BudgetExhausted, IntervalResult, SearchCounters
 from .errors import ConstraintError, DomainError
 from .hypergraphs import Hypergraph, hypergraph
-from .subsets import colex_rank, iter_bits, k_subset_masks, members_of
+from .subsets import bit_indices, colex_rank, iter_bits, k_subset_masks, members_of
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,6 @@ class Pattern:
     @property
     def edge_count(self) -> int:
         return len(self.pair_edges)
-
-    def edges_on(self, apex: tuple[int, ...], zs: tuple[int, int, int, int]
-                 ) -> list[tuple[int, ...]]:
-        """Concrete edges of an embedding (sorted member tuples)."""
-        return [tuple(sorted(apex + (zs[a], zs[b]))) for a, b in self.pair_edges]
 
 
 def build_c4_suspension(k: int) -> Pattern:
@@ -302,7 +297,7 @@ class _SplitRows(dict):
         degs: tuple[tuple[int, int], ...] = ()
         if self.cap is not None:
             through = self.through
-            ys = [b.bit_length() - 1 for b in iter_bits(edge)]
+            ys = bit_indices(edge)
             degs = tuple((y, self.cap - through[y]) for y in ys)
             for y in ys:
                 through[y] -= 1

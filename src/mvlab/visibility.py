@@ -64,17 +64,12 @@ packing, a matching lower bound on the transversal number, as in
 parent's without a rescan. A run that the budget cuts reports as its
 upper end the largest bound of any branch it left open.
 
-The value search also branches on orbits (orbital branching: Ostrowski,
-Linderoth, Rossi and Smriglio, Math. Programming 2011). S_n, permuting
-the ground set, acts on each family, and every variant is defined by
-distances alone, so a permutation that fixes each member of X maps
-each valid extension of X to another of the same size. Those
-permutations are the products of symmetric groups on the atoms of X,
-the regions the members of X cut [n] into. They map the undecided set
-U to itself at every node, so when the search leaves the picked vertex
-v out, it leaves out v's whole orbit: any extension holding an orbit
-member maps to one holding v, which the include branch searched. All
-three families are vertex-transitive, so the root fixes vertex 0 in X.
+The value search also branches on orbits (``subsets.MaskOrbits``): the
+permutations of [n] that fix each member of X map the undecided set U
+to itself at every node, so leaving the picked vertex v out leaves out
+v's whole orbit, as an extension holding an orbit member maps to one
+holding v, which the include branch searched. All three families are
+vertex-transitive, so the root fixes vertex 0 in X.
 The dual variant is NOT subset-monotone - removing a vertex from
 X moves it outside and creates new obligated pairs - so it is solved by
 exhaustive enumeration, which caps the graph size it can handle.
@@ -82,8 +77,7 @@ Witnesses are canonicalized to the colex-least optimum by one more
 search: with the optimum size known, it decides vertices from the
 highest index down, "exclude" first, passes over vertices already forced
 out, prunes on the same packing bound, and stops at its first leaf of
-that size. It prunes by isomorphism toward that lex-least representative
-(Margot, Math. Programming 2002), with the atoms of orbital branching:
+that size. It prunes by isomorphism toward that lex-least representative:
 once the exclude branch of the highest undecided vertex w holds no
 optimum, every optimum below the node holds w's whole orbit under the
 permutations that fix each member of X and map the vertices 0..w onto
@@ -106,6 +100,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable
 
@@ -113,7 +108,7 @@ from . import hypergraphs
 from .budget import Bounds, Budget, BudgetExhausted, SearchCounters
 from .errors import ConstraintError, DomainError, PreconditionError
 from .families import FamilyGraph, _vertex_masks, format_family, graph_context, kneser
-from .subsets import KSubset
+from .subsets import KSubset, MaskOrbits, bit_indices
 
 # the definitional max search keeps two v x v tables, the index's pair slots
 # (``mid``) and each search's kept paths; keep it to graphs where they stay small
@@ -199,7 +194,7 @@ Mid = int | tuple[tuple[int, int], ...]
 class VisibilityIndex:
     """Vertex-indexed view of a graph and the search's feasibility tables."""
 
-    __slots__ = ("graph", "ctx", "v", "_through", "_forbidden", "_prefix_blocks")
+    __slots__ = ("graph", "ctx", "v", "_through", "_forbidden")
 
     def __init__(self, graph: FamilyGraph):
         self.graph = graph
@@ -207,7 +202,6 @@ class VisibilityIndex:
         self.v = len(self.ctx.masks)
         self._through: tuple[list[dict[int, int]], list[list[Mid]]] | None = None
         self._forbidden: dict[Variant, list[list[int]]] = {}
-        self._prefix_blocks: dict[int, tuple[int, ...]] = {}
 
     def index_of(self, s: KSubset) -> int:
         i = self.ctx.index.get(s.bits) if s.n == self.graph.n else None
@@ -298,16 +292,16 @@ class VisibilityIndex:
             for i in range(v):
                 li, row = layers[i], mid[i]
                 above = -(2 << i)  # the vertices j > i
-                for j in _bits_indices(li[2] & above):
+                for j in bit_indices(li[2] & above):
                     row[j] = mid[j][i] = li[1] & layers[j][1]
                 for d in range(3, len(li)):
-                    for j in _bits_indices(li[d] & above):
+                    for j in bit_indices(li[d] & above):
                         lj = layers[j]
                         if d == 3:
                             far_side = li[2] & lj[1]
                             row[j] = mid[j][i] = tuple(
                                 (1 << a, adj[a] & far_side)
-                                for a in _bits_indices(li[1] & lj[2]))
+                                for a in bit_indices(li[1] & lj[2]))
                         # the internal vertices: s from i and d - s from j
                         m = 0
                         for s in range(1, d):
@@ -344,7 +338,7 @@ class VisibilityIndex:
             sets: dict[int, None] = {}
             for i in range(self.v):
                 row = mid[i]
-                for j in _bits_indices(layers[i][2] & -(2 << i)):
+                for j in bit_indices(layers[i][2] & -(2 << i)):
                     m = row[j]
                     if variant is Variant.MUTUAL:
                         sets[m | 1 << i | 1 << j] = None
@@ -353,55 +347,24 @@ class VisibilityIndex:
                     elif variant is Variant.OUTER:
                         sets[m | 1 << i] = sets[m | 1 << j] = None
                     else:  # general position
-                        for w in _bits_indices(m):
+                        for w in bit_indices(m):
                             sets[1 << i | 1 << j | 1 << w] = None
             if variant is Variant.GENERAL_POSITION:
                 for w, ends in enumerate(through):
                     for i, js in ends.items():
-                        for j in _bits_indices(js):
+                        for j in bit_indices(js):
                             sets[1 << i | 1 << j | 1 << w] = None
             lists = [[] for _ in range(self.v)]
             for f in sets:
-                for w in _bits_indices(f):
+                for w in bit_indices(f):
                     lists[w].append(f)
             self._forbidden[variant] = lists
         return lists
 
-    def prefix_blocks(self, w: int) -> tuple[int, ...]:
-        """The ground set cut into runs of consecutive elements, as masks,
-        such that swapping two neighbours e, e + 1 of one run maps the
-        vertices 0..w onto themselves: each vertex holding exactly one of
-        them goes to a vertex of index at most w (a swap is an involution,
-        so into is onto). The permutations that map each run to itself are
-        products of such swaps, so they keep the prefix too. Colex order
-        within each size class makes the one test serve both classes of
-        the bipartite family."""
-        blocks = self._prefix_blocks.get(w)
-        if blocks is None:
-            masks, index = self.ctx.masks, self.ctx.index
-            prefix = masks[:w + 1]
-            runs, run = [], 1
-            for e in range(self.graph.n - 1):
-                pair = 3 << e
-                if all(index[m ^ pair] <= w for m in prefix if (m & pair).bit_count() == 1):
-                    run |= pair
-                else:
-                    runs.append(run)
-                    run = 2 << e
-            runs.append(run)
-            blocks = self._prefix_blocks[w] = tuple(runs)
-        return blocks
 
-
-_INDEX_CACHE: dict[FamilyGraph, VisibilityIndex] = {}
-
-
+@lru_cache(maxsize=None)
 def visibility_index(graph: FamilyGraph) -> VisibilityIndex:
-    idx = _INDEX_CACHE.get(graph)
-    if idx is None:
-        idx = VisibilityIndex(graph)
-        _INDEX_CACHE[graph] = idx
-    return idx
+    return VisibilityIndex(graph)
 
 
 # ----------------------------------------------------------------------
@@ -473,7 +436,7 @@ def is_visibility_set(graph: FamilyGraph, x_members: Iterable[KSubset],
     if variant is Variant.GENERAL_POSITION:
         # the distances among the members of X, off their own layers
         dist = {i: {j: d for d, layer in enumerate(idx.ctx.layers[i])
-                    for j in _bits_indices(layer & x_mask)} for i in x_idx}
+                    for j in bit_indices(layer & x_mask)} for i in x_idx}
         for a in range(len(x_idx)):
             for b in range(a + 1, len(x_idx)):
                 for c in range(b + 1, len(x_idx)):
@@ -578,27 +541,21 @@ class _MonotoneSearch:
 
     ``run`` uses root symmetry: the root only includes vertex 0, which
     vertex-transitivity allows (comment in ``run``). Below it each node
-    carries the atoms of X, the partition of the ground set into the
-    regions its members cut out; an include refines them by the new
-    member's set (``_refine``). The group G_X of the permutations of [n]
-    that map each atom to itself fixes every member of X, each a union of
-    atoms, and maps U to itself, by induction from the root: the vertices
-    an include forces out are determined by X + v and the distances, so
+    carries the atoms of X, and ``orbits``, the search's own
+    ``subsets.MaskOrbits``, refines them on an include and reads off them
+    the orbits of G_X, the permutations of [n] that fix each member of X.
+    G_X maps U to itself, by induction from the root: the vertices an
+    include forces out are determined by X + v and the distances, so
     G_(X+v) maps them to themselves, and an exclude drops a whole G_X
-    orbit. So the exclude branch of v drops v's orbit (``orbit``), the
-    vertices meeting each atom in as many elements as v, each through
+    orbit. So the exclude branch of v drops v's orbit, each vertex through
     ``pack_exclude``: an optimum below the node that holds an orbit member
-    has an image under G_X that holds v and lies below the include. Once
-    every atom is a single element, the orbits are single vertices. A cut
+    has an image under G_X that holds v and lies below the include. A cut
     exclude branch records the bound of dropping v's orbit: a set it did
     not reach that holds an orbit member has an image of the same size
     below the include, which the include's own records bound.
 
-    The colex-least witness search (``_colex_least_witness``) fixes no
-    vertex at its root and uses the orbits the other way round: a failed
-    exclude makes its include take the whole orbit of a smaller group,
-    the one that also keeps the vertices 0..w, so canonical witnesses are
-    as without the symmetry.
+    ``_colex_least_witness`` fixes no vertex at its root and uses the
+    orbits the other way round, so canonical witnesses are as without them.
     """
 
     def __init__(self, idx: VisibilityIndex, variant: Variant,
@@ -625,10 +582,7 @@ class _MonotoneSearch:
         # X + v leaves clear, before the first
         self.paths = [[-1] * idx.v for _ in range(idx.v)]
         self.conflicts = [0] * idx.v
-        self.masks = idx.ctx.masks
-        self.n = idx.graph.n
-        # per atom a of the ground set, the vertices u by |u & a|
-        self._by_count: dict[int, list[int]] = {}
+        self.orbits = MaskOrbits(idx.ctx.masks, idx.graph.n)
         self.best_size = 0
         self.best_mask = 0
         # the largest bound of a branch that a budget cut left open; |V|
@@ -796,7 +750,7 @@ class _MonotoneSearch:
             self.open_hi = 0
             if self.can_add(0, 0):
                 undecided = ((1 << v) - 2) & ~self.forced
-                atoms = _refine(((1 << self.n) - 1,), self.masks[0])
+                atoms = self.orbits.refine(((1 << self.orbits.n) - 1,), self.orbits.masks[0])
                 self._dfs(1, undecided, *self.pack(undecided | 1, undecided), atoms)
         except BudgetExhausted:
             return self.best_size, self.best_mask, max(self.best_size, self.open_hi)
@@ -817,10 +771,9 @@ class _MonotoneSearch:
         if bound <= self.best_size:
             return
         v = self._pick(undecided_mask)
-        # orbital branching: the exclude branch drops v's orbit, since a set
-        # below this node that holds a vertex of it maps to one that holds
-        # v, which the include searches
-        orbit = self.orbit(v, atoms) & undecided_mask
+        # orbital branching: the exclude branch drops v's whole orbit
+        orbits = self.orbits
+        orbit = orbits.orbit(v, atoms) & undecided_mask
         rest = undecided_mask & ~orbit
         dropped, uncovered = packing, covered
         while orbit:
@@ -834,30 +787,13 @@ class _MonotoneSearch:
                 left = undecided_mask & ~(1 << v | self.forced)
                 self._dfs(grown, left,
                           *self.pack_include(v, grown, left, packing, covered),
-                          atoms if len(atoms) == self.n else _refine(atoms, self.masks[v]))
+                          orbits.refine(atoms, orbits.masks[v]))
         except BudgetExhausted:
             # the exclude branch is still open: record what it may reach
             self.open_hi = max(self.open_hi,
                                min(bound, size + rest.bit_count() - len(dropped)))
             raise
         self._dfs(chosen_mask, rest, dropped, uncovered, atoms)
-
-    def orbit(self, v: int, atoms: tuple[int, ...]) -> int:
-        """The mask of v's orbit under the permutations of the ground set
-        that map each of ``atoms`` to itself: the vertices u with
-        |u & a| = |v & a| for every atom a."""
-        if len(atoms) == self.n:  # all single elements: the orbit is v alone
-            return 1 << v
-        mv, by_count = self.masks[v], self._by_count
-        orbit = -1
-        for a in atoms:
-            counts = by_count.get(a)
-            if counts is None:
-                counts = by_count[a] = [0] * (a.bit_count() + 1)
-                for u, mu in enumerate(self.masks):
-                    counts[(mu & a).bit_count()] |= 1 << u
-            orbit &= counts[(mv & a).bit_count()]
-        return orbit
 
     def _pick(self, undecided_mask: int) -> int:
         """The undecided vertex with the most conflicts, the lowest on ties."""
@@ -882,28 +818,6 @@ def _layer_of(layers: list[int], j: int) -> int:
     return d
 
 
-def _bits_indices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _refine(atoms: tuple[int, ...], member: int) -> tuple[int, ...]:
-    """The atoms split by a new member set of X: each atom's parts inside
-    and outside ``member``, the empty ones left out."""
-    out = []
-    for a in atoms:
-        inside = a & member
-        if inside and inside != a:
-            out += (inside, a ^ inside)
-        else:
-            out.append(a)
-    return tuple(out)
-
-
 def _max_monotone_bb(idx: VisibilityIndex, variant: Variant,
                      counters: SearchCounters) -> tuple[int, int, int]:
     search = _MonotoneSearch(idx, variant, counters)
@@ -925,10 +839,10 @@ def _colex_least_witness(idx: VisibilityIndex, variant: Variant, target: int,
 
     The include branch of w, the highest available vertex, is taken only
     once its exclude branch has no leaf of size ``target``, and then it
-    includes w's whole orbit under H: the permutations of [n] that map
-    each atom of X to itself (``_refine``, as the value search builds
-    them) and the vertices 0..w onto themselves (``prefix_blocks``). H
-    fixes each member of X, so it maps the forced-out vertices, which X
+    includes w's whole orbit under H: the permutations of [n] that fix
+    each member of X and map the vertices 0..w onto themselves, as
+    ``MaskOrbits.cut_by_prefix`` narrows the atoms of X to them. H fixes
+    each member of X, so it maps the forced-out vertices, which X
     alone determines, to themselves, and with them ``avail``, which is
     0..w less X and those. So H maps the optima below the node to one
     another. If one of them missed an orbit member u, its image under a
@@ -947,9 +861,8 @@ def _colex_least_witness(idx: VisibilityIndex, variant: Variant, target: int,
     with canonical False."""
     search = _MonotoneSearch(idx, variant, counters)
     tick = counters.tick
-    can_add, orbit_of = search.can_add, search.orbit
-    include, exclude = search.pack_include, search.pack_exclude
-    masks, n, prefix_blocks = search.masks, search.n, idx.prefix_blocks
+    can_add, include, exclude = search.can_add, search.pack_include, search.pack_exclude
+    orbits, masks = search.orbits, search.orbits.masks
 
     def dfs(chosen_mask: int, size: int, avail: int, atoms: tuple[int, ...],
             packing: list[int], covered: int) -> int | None:
@@ -965,9 +878,7 @@ def _colex_least_witness(idx: VisibilityIndex, variant: Variant, target: int,
                     *exclude(w, chosen_mask, rest, packing, covered))
         if found is not None:
             return found
-        # H's orbits: the cells where the atoms of X meet the prefix blocks
-        orbit = orbit_of(w, atoms if len(atoms) == n else tuple(
-            cell for b in prefix_blocks(w) for a in atoms if (cell := a & b)))
+        orbit = orbits.orbit(w, orbits.cut_by_prefix(atoms, w))
         while orbit:
             u = orbit.bit_length() - 1
             orbit ^= 1 << u
@@ -978,14 +889,13 @@ def _colex_least_witness(idx: VisibilityIndex, variant: Variant, target: int,
             chosen_mask |= 1 << u
             avail &= ~(1 << u | search.forced)
             packing, covered = include(u, chosen_mask, avail, packing, covered)
-            if len(atoms) < n:
-                atoms = _refine(atoms, masks[u])
+            atoms = orbits.refine(atoms, masks[u])
             size += 1
         return dfs(chosen_mask, size, avail, atoms, packing, covered)
 
     full = (1 << idx.v) - 1
     try:
-        return dfs(0, 0, full, ((1 << n) - 1,), *search.pack(full, full)), True
+        return dfs(0, 0, full, ((1 << orbits.n) - 1,), *search.pack(full, full)), True
     except BudgetExhausted:
         return found_mask, False
 

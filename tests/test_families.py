@@ -100,7 +100,7 @@ def test_vertex_membership_and_neighbors():
     row = ctx.adj[ctx.index[v.bits]]
     nbrs = [KSubset(5, m) for j, m in enumerate(ctx.masks) if row >> j & 1]
     assert len(nbrs) == 3
-    assert all(v.isdisjoint(u) for u in nbrs)
+    assert all(not v.bits & u.bits for u in nbrs)
     assert not g.is_vertex(KSubset.from_members([1, 2, 3], 5))
 
 

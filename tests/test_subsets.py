@@ -2,10 +2,13 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvlab.errors import DomainError
 from mvlab.subsets import (
     KSubset,
+    MaskOrbits,
     colex_rank,
     k_subset_masks,
     k_subsets_of_mask,
@@ -72,7 +75,34 @@ def test_ksubset_operations():
     assert a.size == 2
     assert a.members() == (1, 3)
     assert a.complement().members() == (2, 4, 5)
-    assert a.isdisjoint(b)
-    assert not a.isdisjoint(c)
-    assert a.intersection_size(c) == 1
+    assert not a.bits & b.bits
+    assert (a.bits & c.bits).bit_count() == 1
     assert KSubset(5, a.bits) == a
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_orbits_match_every_atom_preserving_permutation(data):
+    # covering's shape: the k-subsets of [n] through a set T (T empty for
+    # every k-subset; a t-set at the covering root), with atoms cut by T
+    # and then by random members; the orbit of a block is its image under
+    # every permutation of [n] that maps each atom to itself
+    n = data.draw(st.integers(2, 7), label="n")
+    k = data.draw(st.integers(1, n - 1), label="k")
+    full = (1 << n) - 1
+    t = data.draw(st.integers(0, k - 1), label="t")
+    through = data.draw(st.sampled_from(list(k_subset_masks(n, t))), label="T")
+    blocks = tuple(b for b in k_subset_masks(n, k) if b & through == through)
+    orbits = MaskOrbits(blocks, n)
+    atoms = orbits.refine((full,), through)
+    for member in data.draw(st.lists(st.integers(0, full), max_size=4), label="X"):
+        atoms = orbits.refine(atoms, member)
+    assert sum(atoms) == full and all(atoms)
+    i = data.draw(st.integers(0, len(blocks) - 1), label="block")
+    index = {b: j for j, b in enumerate(blocks)}
+    expected = 0
+    for p in itertools.permutations(range(n)):
+        images = [sum(1 << p[e] for e in range(n) if m >> e & 1) for m in (*atoms, blocks[i])]
+        if images[:-1] == list(atoms):
+            expected |= 1 << index[images[-1]]
+    assert orbits.orbit(i, atoms) == expected

@@ -78,8 +78,7 @@ def test_pattern_builders_and_embedding():
     pat = build_c4_suspension(3)
     assert pat.k == 3 and pat.vertex_count == 5 and pat.edge_count == 4
     # a hypergraph that is exactly one suspended C4 contains the pattern
-    edges = pat.edges_on((9,), (1, 2, 3, 4))
-    h = hypergraph(9, edges)
+    h = hypergraph(9, [(1, 2, 9), (2, 3, 9), (3, 4, 9), (1, 4, 9)])
     hit = contains_pattern(h, pat)
     assert hit is not None
     apex, cycle = hit

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mvlab.budget import Budget, BudgetExhausted, SearchCounters
 from mvlab.errors import DomainError, PreconditionError
 from mvlab.families import bipartite_kneser, format_family, johnson, kneser
-from mvlab.subsets import KSubset
+from mvlab.subsets import KSubset, MaskOrbits
 from mvlab.visibility import (
     PARAM_TO_VARIANT,
     VARIANT_TO_PARAM,
@@ -18,7 +18,6 @@ from mvlab.visibility import (
     _MonotoneSearch,
     _colex_least_witness,
     _max_monotone_bb,
-    _refine,
     is_visibility_set,
     kneser_total_mv_check_fast,
     max_visibility_number,
@@ -575,14 +574,14 @@ def _stabiliser(graph, chosen):
 @PROPERTY
 @given(st.sampled_from(ORBIT_GRAPHS), st.data())
 def test_orbits_match_the_stabiliser_of_x(graph, data):
-    # the orbit the search reads off X's atoms is v's image under every
-    # permutation of [n] that fixes each member of X
+    # the orbit read off X's atoms is v's image under every permutation of
+    # [n] that fixes each member of X
     idx = visibility_index(graph)
-    search = _MonotoneSearch(idx, Variant.MUTUAL, SearchCounters(None))
+    orbits = MaskOrbits(idx.ctx.masks, graph.n)
     members = data.draw(st.lists(st.integers(0, idx.v - 1), max_size=4), label="X")
     atoms, chosen = ((1 << graph.n) - 1,), 0
     for x in members:
-        atoms = _refine(atoms, idx.ctx.masks[x])
+        atoms = orbits.refine(atoms, idx.ctx.masks[x])
         chosen |= 1 << x
     # the atoms partition [n]: two elements share one iff each member of
     # X holds both or neither
@@ -595,7 +594,7 @@ def test_orbits_match_the_stabiliser_of_x(graph, data):
     expected = 0
     for p in _stabiliser(graph, chosen):
         expected |= 1 << p[v]
-    assert search.orbit(v, atoms) == expected
+    assert orbits.orbit(v, atoms) == expected
 
 
 @pytest.mark.parametrize("variant", MONOTONE)
@@ -625,11 +624,13 @@ def test_undecided_vertices_stay_a_union_of_orbits(graph, variant):
 def test_prefix_blocks_keep_the_prefix(graph):
     # every permutation of [n] that maps each block to itself maps the
     # vertices 0..w onto themselves, and the blocks are the longest runs
-    # that do: a swap across a block boundary moves some vertex out
+    # that do: a swap across a block boundary moves some vertex out. With
+    # the whole of [n] as the one atom, the cells are the blocks
     idx = visibility_index(graph)
+    orbits = MaskOrbits(idx.ctx.masks, graph.n)
     grounds = list(itertools.permutations(range(graph.n)))
     for w in range(idx.v):
-        blocks = idx.prefix_blocks(w)
+        blocks = orbits.cut_by_prefix(((1 << graph.n) - 1,), w)
         assert sum(blocks) == (1 << graph.n) - 1
         assert all(not (b + (b & -b)) & b for b in blocks)  # runs of neighbours
         keeping = [images for p, images in zip(grounds, _vertex_permutations(graph))
