@@ -64,6 +64,34 @@ floor(n D / k). k = 2 has no such bound: its trees are those of the
 include/exclude search alone, and it never reads the ex(m, C4) table,
 so the table can be re-derived with it.
 
+At k = 3 and n <= 8 a link-completion table sharpens the bound by
+Furedi's link recursion applied at every node: a vertex that reaches D
+has a link that is a pattern-free graph on n - 1 vertices with D edges.
+The candidates through y are y + P for the pairs P of [n] - {y}, and they
+come in the colex order of those pairs, since colex compares the largest
+element of the symmetric difference and y is in neither set. Relabelling
+[n] - {y} onto [n - 1] keeps that order, so once the search has decided
+j candidates through y, the link of y is fixed on the first j pairs of
+[n - 1] in colex order, and one ``_LinkTable`` over those prefixes serves
+every vertex. When no extremal graph has that prefix, y is dead: its
+degree stays at most D - 1, and its term in the sum becomes
+min(deg_y + rem_y, D - dead_y). Each include or pass looks up the
+members y that can still reach D (deg_y + rem_y >= D after it) and were
+live before it; one that dies adds 1 to the deficit. A later pass over
+a dead y at deg_y + rem_y = D adds nothing, since its term is D - 1
+already, and from then on deg_y + rem_y < D bounds it and passes add 1
+as usual. No dead flag is stored: while deg_y + rem_y >= D, y is dead
+exactly when the table says its current prefix is. The sum stays an
+upper bound on the degree sum of every system below the node, so the
+existing ``deficit <= limit`` test prunes with it. A table takes
+2^(C(n - 1, 2) + 1) bytes: 64 KB at n = 7, 4 MB at n = 8 and 512 MB at
+n = 9, so n >= 9 and k != 3 search without one. Its fill is not counted
+as nodes (see the budget module), so a tree with the table is the tree
+without it minus subtrees that hold no larger system: values, the
+witness and every cut lower end at equal node caps stay the same or
+improve. With it, ex(7, c4sus_3) = 15 takes 28,096 nodes and
+ex(8, k4sus_3) = 40 is exact in 440,603.
+
 On budget exhaustion the result degrades to an interval [best found,
 ex_cap(n, k)], for every k. At k = 2 that is the exact ex(n, C4) for
 n <= 10 and Reiman's bound floor((n/4)(1 + sqrt(4n - 3))) above (or the
@@ -267,22 +295,28 @@ class _SplitRows(dict):
     and m + 1 governs the edge, and 0 otherwise. ``degs`` pairs each member
     y (0-based) with D - rem_y, where D is the degree cap and rem_y the
     number of candidates from i on that contain y; it is empty without a
-    cap. A row is built when the search first reaches its edge, so a
-    budget-cut search on a large [n] builds only the rows it visits. The
-    search reaches candidate i + 1 only through candidate i, so rows are
-    built in index order and rem_y is a running count."""
+    cap. With a link table (``linked``) each entry also carries 1 << j,
+    where j counts the candidates before i through y: the edge's pair
+    e - {y} is pair j of y's link. A row is built when the search first
+    reaches its edge, so a budget-cut search on a large [n] builds only
+    the rows it visits. The search reaches candidate i + 1 only through
+    candidate i, so rows are built in index order and rem_y is a running
+    count."""
 
-    def __init__(self, candidates: list[int], n: int, k: int, cap: int | None):
+    def __init__(self, candidates: list[int], n: int, k: int, cap: int | None,
+                 linked: bool):
         super().__init__()
         self.candidates = candidates
         self.links: dict[int, dict[int, int]] = {}
         self.vertex_bits = [1 << v for v in range(n)]
         self.cap = cap
+        self.linked = linked
+        self.per_vertex = comb(n - 1, k - 1)
         # through[y]: candidates through y from the next row to be built on
-        self.through = [comb(n - 1, k - 1)] * n
+        self.through = [self.per_vertex] * n
 
     def __missing__(self, i: int) -> tuple[list[tuple[dict[int, int], int, int]],
-                                           int, int, int, tuple[tuple[int, int], ...]]:
+                                           int, int, int, tuple[tuple[int, ...], ...]]:
         edge = self.candidates[i]
         links = self.links
         splits = []
@@ -294,11 +328,15 @@ class _SplitRows(dict):
         top = edge.bit_length()
         rest = edge ^ 1 << (top - 1)
         m = 0 if rest >> (top - 2) & 1 else top - 1
-        degs: tuple[tuple[int, int], ...] = ()
+        degs: tuple[tuple[int, ...], ...] = ()
         if self.cap is not None:
             through = self.through
             ys = bit_indices(edge)
-            degs = tuple((y, self.cap - through[y]) for y in ys)
+            if self.linked:
+                degs = tuple((y, self.cap - through[y], 1 << (self.per_vertex - through[y]))
+                             for y in ys)
+            else:
+                degs = tuple((y, self.cap - through[y]) for y in ys)
             for y in ys:
                 through[y] -= 1
         row = self[i] = (splits, top, 1 << colex_rank(rest), m, degs)
@@ -342,6 +380,76 @@ def _completes_k4(splits: list[tuple[dict[int, int], int, int]]) -> bool:
     return False
 
 
+# A link-completion table answers 1 (live) or 2 (dead) per key; 0 is not
+# yet known. Tables exist for m <= 7 (4 MB), where 2^(C(m, 2) + 1) bytes
+# stay small; m = 8 would take 512 MB
+_LIVE, _DEAD = 1, 2
+_LINK_TABLE_MAX_M = 7
+
+
+class _LinkTable:
+    """Which prefixes of a pattern-free graph on [m] extend to one with
+    D = ex_cap(m, 2, name) edges.
+
+    The pairs of [m] are taken in colex order, pair j being the j-th. The
+    key ``L | 1 << j`` stands for the graphs whose pairs among the first
+    j are exactly those of the mask L, and ``known[key]`` says whether some
+    pattern-free graph on [m] with D edges is among them. ``fill`` decides
+    a key by an include-first search over the pairs from j on, and stores
+    every key that search decides, so the table fills on demand and each
+    key is searched once. The contract covers pattern-free L only: a
+    prefix that holds the pattern may be answered live. Its entries depend
+    on (m, name) alone; each search makes its own table."""
+
+    def __init__(self, m: int, name: str):
+        self.known = bytearray(2 << comb(m, 2))
+        self.target = ex_cap(m, 2, name)
+        self.find = _completes_c4 if name == "c4sus" else _completes_k4
+        self.adj = dict.fromkeys([1 << v for v in range(m)], 0)
+        # splits[j]: the containment-test row of pair j alone
+        self.splits = [[(self.adj, 1 << a, 1 << b)] for b in range(m) for a in range(b)]
+
+    def fill(self, key: int) -> int:
+        """Decide ``key`` (and the keys its search meets); return its entry."""
+        known, target, find = self.known, self.target, self.find
+        adj, splits = self.adj, self.splits
+        pairs = len(splits)
+
+        def reach(key: int, j: int, size: int) -> int:
+            entry = known[key]
+            if entry:
+                return entry
+            if size == target:
+                entry = _LIVE
+            elif size + pairs - j < target:
+                entry = _DEAD
+            else:
+                entry = _DEAD
+                split = splits[j]
+                if not find(split):
+                    _, lo, hi = split[0]
+                    adj[lo] |= hi
+                    adj[hi] |= lo
+                    entry = reach(key | 2 << j, j + 1, size + 1)
+                    adj[lo] ^= hi
+                    adj[hi] ^= lo
+                if entry == _DEAD:
+                    entry = reach(key + (1 << j), j + 1, size)
+            known[key] = entry
+            return entry
+
+        j = key.bit_length() - 1
+        link = bit_indices(key ^ 1 << j)
+        for r in link:
+            _, lo, hi = splits[r][0]
+            adj[lo] |= hi
+            adj[hi] |= lo
+        entry = reach(key, j, len(link))
+        for v in adj:
+            adj[v] = 0
+        return entry
+
+
 def ex_uniform(n: int, k: int, pattern: Pattern,
                budget: Budget | None = None) -> TuranResult:
     """Exact maximum edges of a pattern-free k-uniform system on [n]."""
@@ -361,10 +469,19 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
     find = _completes_c4 if pattern.name == "c4sus" else _completes_k4
     # the degree cap D: each vertex link is pattern-free on the other n - 1
     cap = ex_cap(n - 1, k - 1, pattern.name) if k >= 3 else None
-    rows = _SplitRows(candidates, n, k, cap)
+    # at k = 3 the link of y is a graph on n - 1 vertices; for n - 1 <= 7 a
+    # link-completion table says when it can no longer reach D edges
+    linked = k == 3 and n - 1 <= _LINK_TABLE_MAX_M
+    if linked:
+        table = _LinkTable(n - 1, pattern.name)
+        known, fill = table.known, table.fill
+    rows = _SplitRows(candidates, n, k, cap, linked)
     # back[v] holds 1 << rank(R) for each included edge R + {v} with top v
     back = [0] * (n + 1)
     deg = [0] * n
+    # lnk[y] holds 1 << j for each included edge through y, j its pair's
+    # place in the link of y (kept with a link table only)
+    lnk = [0] * n
     edges: list[int] = []
 
     def dfs() -> None:
@@ -401,10 +518,21 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
                         adj[lo] |= hi
                         adj[hi] |= lo
                     back[top] |= bit
-                    for y, _ in degs:
-                        deg[y] += 1
                     edges.append(candidates[i])
                     stack.append((i, deficit))
+                    if linked:
+                        # a y that can still reach D and was live asks
+                        # whether its link lives with the pair in
+                        for y, t, jb in degs:
+                            deg[y] += 1
+                            key = lnk[y] | jb
+                            lnk[y] = key
+                            if (deg[y] > t and known[key] == _LIVE
+                                    and (known[key | jb << 1] or fill(key | jb << 1)) == _DEAD):
+                                deficit += 1
+                    else:
+                        for y, _ in degs:
+                            deg[y] += 1
                     i += 1
                     if nodes >= horizon:
                         horizon = catch_up(nodes)
@@ -419,16 +547,34 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
                     adj[lo] ^= hi
                     adj[hi] ^= lo
                 back[top] ^= bit
-                for y, _ in degs:
-                    deg[y] -= 1
+                if linked:
+                    for y, _, jb in degs:
+                        deg[y] -= 1
+                        lnk[y] ^= jb
+                else:
+                    for y, _ in degs:
+                        deg[y] -= 1
                 edges.pop()
             else:
                 counters.nodes = nodes
                 return
             # pass over candidate i
-            for y, t in degs:
-                if deg[y] <= t:
-                    deficit += 1
+            if linked:
+                # below D, y loses 1; at D, a live y loses 1 and a dead y
+                # stays at D - 1; above D, a live y dies (and loses 1) when
+                # its link is dead without the pair
+                for y, t, jb in degs:
+                    if deg[y] < t:
+                        deficit += 1
+                    else:
+                        key = lnk[y] | jb
+                        if known[key] == _LIVE and (
+                                deg[y] == t or (known[key + jb] or fill(key + jb)) == _DEAD):
+                            deficit += 1
+            else:
+                for y, t in degs:
+                    if deg[y] <= t:
+                        deficit += 1
             i += 1
             if nodes >= horizon:
                 horizon = catch_up(nodes)
@@ -441,8 +587,16 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
         adj[lo] |= hi
         adj[hi] |= lo
     back[top] |= bit
-    for y, _ in degs:
+    for y, *_ in degs:
         deg[y] += 1
+    if linked:
+        # the root's pair is pair 0 of each member's link. Keys 1 and 3, the
+        # empty link before and after it, are the first keys the search
+        # reads; both are live (every pair lies in some extremal graph)
+        for y, _, jb in degs:
+            lnk[y] = jb
+        fill(1)
+        fill(3)
     edges.append(candidates[0])
     best, best_size = list(edges), 1
     complete = True

@@ -310,6 +310,24 @@ def brute_graph_turan(n: int, pattern: str) -> int:
     return best
 
 
+def pattern_free_graphs(m: int, pattern: str) -> list[int]:
+    """Every C4-free or K4-free graph on [m], as a mask over the pairs of
+    [m] in colex order ({1,2}, {1,3}, {2,3}, {1,4}, ...), by enumerating
+    all of them. Only feasible through m = 6."""
+    pairs = [(a, b) for b in range(1, m + 1) for a in range(1, b)]
+    check = _graph_has_c4 if pattern == "c4" else _graph_has_k4
+    free = []
+    for x in range(1 << len(pairs)):
+        adj: dict[int, set[int]] = {v: set() for v in range(1, m + 1)}
+        for i, (a, b) in enumerate(pairs):
+            if x >> i & 1:
+                adj[a].add(b)
+                adj[b].add(a)
+        if not check(adj):
+            free.append(x)
+    return free
+
+
 def _has_c4_suspension(edges: list[frozenset], k: int) -> bool:
     verts = set().union(*edges) if edges else set()
     for apex in itertools.combinations(sorted(verts), k - 2):

@@ -153,6 +153,17 @@ def test_mu_johnson_k2_and_sandwich():
     assert r.verdict == "pass" and r.claim == "within"
 
 
+def test_sandwich_at_k3_n8_has_exact_certificates():
+    # the link-completion table closes ex(8, k4sus_3) at 40 (the search
+    # without it stops at [40, 42] after 10^7 nodes); J(8, 3) itself is past
+    # the definitional-search cap
+    (r,) = verify("mu-johnson-sandwich", {"n": 8, "k": 3})
+    assert r.formula_value == Bounds(24, 40)
+    assert [(c["pattern"], c["value"], c["status"]) for c in r.certificates] == [
+        ("c4sus:k=3", 24, "exact"), ("k4sus:k=3", 40, "exact")]
+    assert r.verdict == "skipped"
+
+
 def test_gp_lower_bound_witness():
     reports = verify("mu-kneser-gp-lb", {"n": 5, "k": 2})
     (r,) = reports

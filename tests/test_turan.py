@@ -7,6 +7,8 @@ from mvlab.budget import Budget
 from mvlab.errors import ConstraintError, DomainError
 from mvlab.hypergraphs import hypergraph
 from mvlab.turan import (
+    _LIVE,
+    _LinkTable,
     build_c4_suspension,
     build_k4_suspension,
     contains_pattern,
@@ -24,6 +26,7 @@ from oracles import (
     K4_FREE_MAX,
     brute_graph_turan,
     brute_uniform_turan_c4sus,
+    pattern_free_graphs,
     reference_ex_uniform,
 )
 
@@ -144,8 +147,8 @@ PINNED_TREES = (
      [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5), (2, 6), (2, 7), (6, 7), (4, 8),
       (6, 8)]),
     # the optima and witnesses of the search before the degree bound
-    (7, 3, build_c4_suspension(3), None, 15, 15, 156852, C4SUS3_N7),
-    (7, 3, build_k4_suspension(3), None, 28, 28, 2910,
+    (7, 3, build_c4_suspension(3), None, 15, 15, 28096, C4SUS3_N7),
+    (7, 3, build_k4_suspension(3), None, 28, 28, 1773,
      [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5), (1, 3, 5), (2, 4, 5),
       (3, 4, 5), (1, 2, 6), (2, 3, 6), (1, 4, 6), (3, 4, 6), (1, 5, 6), (2, 5, 6),
       (3, 5, 6), (4, 5, 6), (1, 3, 7), (2, 3, 7), (1, 4, 7), (2, 4, 7), (1, 5, 7),
@@ -157,6 +160,15 @@ PINNED_TREES = (
     (10, 2, build_c4_suspension(2), None, 16, 16, 293552,
      [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5), (2, 6), (2, 7), (6, 7), (3, 8),
       (4, 9), (6, 9), (8, 9), (5, 10), (7, 10), (8, 10)]),
+    # exact only with the link-completion table: the search without it
+    # stops at [40, 42] after 10^7 nodes
+    (8, 3, build_k4_suspension(3), None, 40, 40, 440603,
+     [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5), (1, 3, 5), (2, 3, 5), (1, 2, 6),
+      (1, 3, 6), (2, 4, 6), (3, 4, 6), (2, 5, 6), (3, 5, 6), (4, 5, 6), (1, 2, 7), (2, 3, 7),
+      (1, 4, 7), (3, 4, 7), (1, 5, 7), (3, 5, 7), (4, 5, 7), (1, 6, 7), (2, 6, 7), (3, 6, 7),
+      (4, 6, 7), (1, 3, 8), (2, 3, 8), (1, 4, 8), (2, 4, 8), (1, 5, 8), (2, 5, 8), (4, 5, 8),
+      (1, 6, 8), (2, 6, 8), (3, 6, 8), (4, 6, 8), (1, 7, 8), (2, 7, 8), (3, 7, 8),
+      (5, 7, 8)]),
 )
 
 
@@ -189,14 +201,38 @@ def test_reference_search_is_the_former_search():
     assert reference_ex_uniform(6, 2, "k4sus")[3] == 301
 
 
+# k = 3 at n <= 8 runs with the link-completion table, whose fill counts
+# no nodes
 @pytest.mark.parametrize("n,k,name", [(n, 2, name) for name in ("c4sus", "k4sus")
                                       for n in (6, 7, 8, 9)]
-                         + [(n, 3, name) for name in ("c4sus", "k4sus") for n in (6, 7)])
+                         + [(n, 3, name) for name in ("c4sus", "k4sus") for n in (6, 7, 8)])
 def test_swap_rule_never_lowers_a_cut_lower_end(n, k, name):
     pattern = parse_pattern(f"{name}:k={k}")
     for cap in (0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 20000):
         r = ex_uniform(n, k, pattern, Budget(max_nodes=cap))
         assert r.lo >= reference_ex_uniform(n, k, name, cap)[0], cap
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("name", ("c4sus", "k4sus"))
+def test_link_table_matches_the_extremal_graphs(m, name):
+    # the key L | 1 << j is live iff L is the j-prefix of some pattern-free
+    # graph on [m] with ex_cap(m, 2, name) edges; keys with a pattern in L
+    # lie outside the table's contract and are never asked
+    free = pattern_free_graphs(m, name[:2])
+    target = ex_cap(m, 2, name)
+    pairs = comb(m, 2)
+    live = {x & ((1 << j) - 1) | 1 << j
+            for x in free if x.bit_count() == target for j in range(pairs + 1)}
+    table = _LinkTable(m, name)
+    asked = 0
+    for x in free:
+        for j in range(pairs + 1):
+            if x >> j == 0:
+                key = x | 1 << j
+                assert ((table.known[key] or table.fill(key)) == _LIVE) == (key in live), key
+                asked += 1
+    assert asked > len(live) > 0
 
 
 def test_reiman_bound_matches_its_real_form():
