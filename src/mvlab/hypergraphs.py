@@ -164,7 +164,7 @@ def solve_tau(edges, counters: SearchCounters, ceiling: int | None = None):
     # dedupe, order by (size, mask) with a stable sort by size, and drop
     # superset edges: distinct edges of one size never contain one another,
     # so each edge is checked only against the kept edges of smaller sizes
-    uniq = sorted(set(int(e) for e in edges))
+    uniq = sorted(set(map(int, edges)))
     uniq.sort(key=int.bit_count)
     if uniq and not uniq[0]:
         raise ValueError("empty edge has no transversal")

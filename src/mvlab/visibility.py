@@ -13,20 +13,20 @@ lie in X). The supported set properties are:
   triples of distinct members
 
 The X-visibility test walks the distance layers of the graph context,
-``layers[s][d]`` being the vertices at distance d from s. A BFS from s
-that expands only through vertices outside X, keeping at step d only
-``layers[s][d]``, reaches a vertex iff some shortest path to it avoids X
-internally. ``is_visibility_set`` runs it once per obligated source, in
-ascending order, and reports the lowest target missed: the
-lexicographically first blocking pair. In the last layer that holds
-targets of s the BFS stops as soon as every target is reached.
-``clear_path`` walks the same frontiers for one pair and walks back from
-the far end to the internal vertices of one clear shortest path;
+``layers[s][d]`` being the vertices at distance d from s (the only record
+of distances: no distance table is kept). A BFS from s that expands only
+through vertices outside X, keeping at step d only ``layers[s][d]``,
+reaches a vertex iff some shortest path to it avoids X internally.
+``is_visibility_set`` runs it from each source in ascending order, and a
+source with no obligated target above it costs one mask test. Whole
+layers expand only while targets lie beyond the current one; one
+strike-off loop serves the layer that holds all that remain, and leaves s
+once none is left. Every target of s is decided, so the lowest one that
+the first failing source misses is the lexicographically first blocking
+pair. ``clear_path`` walks the same frontiers for one pair and walks back
+from the far end to the internal vertices of one clear shortest path;
 ``pair_visible`` asks whether there is one. Adjacent pairs are always
 visible.
-
-Distances are read off the same layers: d(s, t) is the d with t in
-``layers[s][d]``, and no distance table is kept.
 
 The search needs no frontier walk below distance 4. A pair at distance
 2 is X-visible iff a common neighbour lies outside X, so each obligation
@@ -101,7 +101,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterable
 
 from . import hypergraphs
@@ -204,10 +204,12 @@ class VisibilityIndex:
         self._forbidden: dict[Variant, list[list[int]]] = {}
 
     def index_of(self, s: KSubset) -> int:
-        i = self.ctx.index.get(s.bits) if s.n == self.graph.n else None
-        if i is None:
-            raise DomainError(f"{s!r} is not a vertex of {format_family(self.graph)}")
-        return i
+        try:
+            if s.n == self.graph.n:
+                return self.ctx.index[s.bits]
+        except (AttributeError, KeyError):  # not a KSubset, or not a vertex
+            pass
+        raise DomainError(f"{s!r} is not a vertex of {format_family(self.graph)}")
 
     def subset(self, indices: Iterable[int]) -> tuple[KSubset, ...]:
         n = self.graph.n
@@ -379,36 +381,29 @@ def _blocked_pair(idx: VisibilityIndex, variant: Variant,
     to the vertices at distance d from s, and a target is visible iff it
     is reached in its own layer. Adjacent targets are not tested.
 
-    Intermediate layers take the whole reach, since the next layer grows
-    from it. In the final layer, the last one holding targets of s, the
-    BFS only strikes targets off and leaves s once none is left; a target
-    still standing when the frontier runs out is missed, as before."""
+    ``above`` masks the vertices after s, so a source with no target left
+    costs one mask test. Whole layers expand only while targets lie beyond
+    the current one, adding those each misses to ``missed``. One strike-off
+    loop serves the layer holding all that remain, the last ring or not,
+    and leaves s once none is left. So every target of s is decided, and
+    the lowest missed one is the pair that deciding pair by pair gives."""
     adj, layers = idx.ctx.adj, idx.ctx.layers
-    full = (1 << idx.v) - 1
+    above = (1 << idx.v) - 1
     # the partners a source must see when it is in X, and when it is not
-    on_x, off_x = {Variant.MUTUAL: (x_mask, 0), Variant.TOTAL: (full, full),
-                   Variant.OUTER: (full, x_mask),
-                   Variant.DUAL: (x_mask, full & ~x_mask)}[variant]
+    on_x, off_x = {Variant.MUTUAL: (x_mask, 0), Variant.TOTAL: (above, above),
+                   Variant.OUTER: (above, x_mask),
+                   Variant.DUAL: (x_mask, above & ~x_mask)}[variant]
     free = ~x_mask
-    for s in range(idx.v):
-        ring = layers[s]
-        remaining = (on_x if x_mask >> s & 1 else off_x) & ~((2 << s) - 1) & ~ring[1]
+    missed = 0  # 0 at each source: a source that misses a target returns
+    for s, ring in enumerate(layers):
+        above &= above - 1
+        remaining = (on_x if x_mask >> s & 1 else off_x) & above & ~ring[1]
+        if not remaining:
+            continue
         reach = ring[1]
-        missed = 0
-        for layer in ring[2:]:
-            if not remaining:
-                break
+        d = 2
+        while remaining & ~(layer := ring[d]):
             f = reach & free
-            if not remaining & ~layer:
-                # the final layer: strike targets off until none is left
-                while f:
-                    low = f & -f
-                    remaining &= ~adj[low.bit_length() - 1]
-                    if not remaining:
-                        break
-                    f ^= low
-                missed |= remaining
-                break
             reach = 0
             while f:
                 low = f & -f
@@ -417,6 +412,15 @@ def _blocked_pair(idx: VisibilityIndex, variant: Variant,
             reach &= layer
             missed |= remaining & layer & ~reach
             remaining &= ~layer
+            d += 1
+        f = reach & free
+        while f:
+            low = f & -f
+            remaining &= ~adj[low.bit_length() - 1]
+            if not remaining:
+                break
+            f ^= low
+        missed |= remaining
         if missed:
             return s, (missed & -missed).bit_length() - 1
     return None
@@ -425,32 +429,28 @@ def _blocked_pair(idx: VisibilityIndex, variant: Variant,
 def is_visibility_set(graph: FamilyGraph, x_members: Iterable[KSubset],
                       variant: Variant | str) -> CheckResult:
     """Definitional check of the variant property, with a blocking pair
-    (or triple, for general-position) on failure."""
+    (or triple, for general-position) on failure. A member that is not a
+    vertex of the graph (a foreign ground set or size, or not a KSubset at
+    all) raises DomainError."""
     variant = Variant(variant)
     idx = visibility_index(graph)
-    x_idx = sorted({idx.index_of(s) for s in x_members})
     x_mask = 0
-    for i in x_idx:
-        x_mask |= 1 << i
+    for s in x_members:
+        x_mask |= 1 << idx.index_of(s)
 
     if variant is Variant.GENERAL_POSITION:
-        # the distances among the members of X, off their own layers
+        # the distances among the members of X, keyed in ascending order
         dist = {i: {j: d for d, layer in enumerate(idx.ctx.layers[i])
-                    for j in bit_indices(layer & x_mask)} for i in x_idx}
-        for a in range(len(x_idx)):
-            for b in range(a + 1, len(x_idx)):
-                for c in range(b + 1, len(x_idx)):
-                    i, j, k = x_idx[a], x_idx[b], x_idx[c]
-                    if (dist[i][j] + dist[j][k] == dist[i][k]
-                            or dist[j][i] + dist[i][k] == dist[j][k]
-                            or dist[i][k] + dist[k][j] == dist[i][j]):
-                        return CheckResult(False, idx.subset((i, j, k)))
+                    for j in bit_indices(layer & x_mask)} for i in bit_indices(x_mask)}
+        for i, j, k in combinations(dist, 3):
+            if (dist[i][j] + dist[j][k] == dist[i][k]
+                    or dist[j][i] + dist[i][k] == dist[j][k]
+                    or dist[i][k] + dist[k][j] == dist[i][j]):
+                return CheckResult(False, idx.subset((i, j, k)))
         return CheckResult(True, None)
 
     pair = _blocked_pair(idx, variant, x_mask)
-    if pair is None:
-        return CheckResult(True, None)
-    return CheckResult(False, idx.subset(pair))
+    return CheckResult(pair is None, pair and idx.subset(pair))
 
 
 # ----------------------------------------------------------------------
@@ -946,7 +946,7 @@ def kneser_total_mv_check_fast(n: int, k: int, x_members: Iterable[KSubset],
             f"the reduction requires n >= 3k-1 = {3 * k - 1}, got n={n}")
     x_bits = set()
     for s in x_members:
-        if not graph.is_vertex(s):
+        if not isinstance(s, KSubset) or s.n != n or s.bits.bit_count() != k:
             raise DomainError(f"{s!r} is not a vertex of {format_family(graph)}")
         x_bits.add(s.bits)
     outside = [m for m in _vertex_masks(graph) if m not in x_bits]

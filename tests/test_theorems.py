@@ -222,6 +222,21 @@ def test_equivalence_sweep_no_disagreements():
     assert cert["subsets_checked"] >= 40 + 15 + 2  # samples + singletons + ends
 
 
+# lemma-transversal-equiv at seed 0 with 200 samples, n -> (subsets checked,
+# positives): the two ends, the singletons and every sample are checked, and
+# at n >= 10 only the full vertex set is negative
+PINNED_SWEEPS = {10: (247, 246), 11: (257, 256), 12: (268, 267)}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_SWEEPS))
+def test_pinned_equivalence_sweep_certificates(n):
+    (r,) = verify("lemma-transversal-equiv", {"n": n, "k": 2, "samples": 200}, seed=0)
+    checked, positives = PINNED_SWEEPS[n]
+    assert r.verdict == "pass"
+    assert r.certificates == ({"subsets_checked": checked, "random_samples": 200,
+                               "seed": 0, "positives": positives, "disagreements": 0},)
+
+
 def test_sandwich_dual_outer_chain():
     reports = verify("sandwich-dual-outer", {"family": "kneser:n=5,k=2"})
     (r,) = reports

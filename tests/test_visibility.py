@@ -16,6 +16,7 @@ from mvlab.visibility import (
     VARIANT_TO_PARAM,
     Variant,
     _MonotoneSearch,
+    _blocked_pair,
     _colex_least_witness,
     _max_monotone_bb,
     is_visibility_set,
@@ -202,6 +203,9 @@ def test_fast_total_check_rejects_non_vertices():
         kneser_total_mv_check_fast(6, 2, [KSubset.from_members([1, 2, 3], 6)])
     with pytest.raises(DomainError):
         kneser_total_mv_check_fast(6, 2, [KSubset.from_members([1, 2], 7)])
+    for member in ((1, 2), 3):
+        with pytest.raises(DomainError):
+            kneser_total_mv_check_fast(6, 2, [member])
     with pytest.raises(PreconditionError):
         kneser_total_mv_check_fast(7, 3, [])
 
@@ -302,8 +306,11 @@ def test_root_fixed_search_matches_brute_force(graph, param):
 
 def test_rejects_non_vertices():
     g = kneser(5, 2)
-    with pytest.raises(DomainError):
-        is_visibility_set(g, [KSubset.from_members([1, 2, 3], 5)], Variant.MUTUAL)
+    # a foreign size, a foreign ground set, and members that are no KSubset
+    for member in (KSubset.from_members([1, 2, 3], 5), KSubset.from_members([1, 2], 6),
+                   (1, 2), 3):
+        with pytest.raises(DomainError):
+            is_visibility_set(g, [member], Variant.MUTUAL)
 
 
 def test_certificate_json_canonical_order():
@@ -413,6 +420,30 @@ def test_predicate_matches_the_pairwise_reference(graph, variant, data):
     i = data.draw(st.integers(0, idx.v - 1), label="i")
     j = data.draw(st.integers(0, idx.v - 1).filter(lambda j: j != i), label="j")
     assert idx.pair_visible(i, j, x) == reference_pair_visible(adj, i, j, x)
+
+
+def _balls_and_idle_sets(idx) -> list[int]:
+    """X for the predicate's control flow, as masks. The ball of each
+    radius r below the eccentricity around vertex 0, and its complement,
+    put vertex 0's mutual targets only in layers up to r, short of its last
+    ring, or only beyond r. Then X with no obligated target for most
+    sources: empty (none for mutual and outer) and single vertices (none
+    for mutual)."""
+    full = (1 << idx.v) - 1
+    xs, ball = [], 0
+    for layer in idx.ctx.layers[0][:-1]:
+        ball |= layer
+        xs += [ball, full & ~ball]
+    return xs + [0, 1, 1 << idx.v // 2, 1 << idx.v - 1]
+
+
+@pytest.mark.parametrize("variant", PAIR_VARIANTS, ids=lambda v: v.value)
+@pytest.mark.parametrize("graph", REFERENCE_GRAPHS, ids=format_family)
+def test_blocked_pair_matches_the_reference_on_balls_and_idle_sources(graph, variant):
+    idx = visibility_index(graph)
+    for x in _balls_and_idle_sets(idx):
+        expected = reference_blocking_pair(idx.ctx.adj, variant.value, x)
+        assert _blocked_pair(idx, variant, x) == expected, f"X = {x:#x}"
 
 
 MONOTONE = (Variant.MUTUAL, Variant.TOTAL, Variant.OUTER, Variant.GENERAL_POSITION)
