@@ -272,14 +272,24 @@ def _cmd_tau(args) -> int:
 # argument wiring
 
 
+def _nonnegative(cast):
+    """An argparse type: ``cast`` of the text, rejected below 0 or at NaN."""
+    def convert(text: str):
+        if not (value := cast(text)) >= 0:  # NaN would switch the clock off
+            raise argparse.ArgumentTypeError(f"expected a value >= 0, got {text!r}")
+        return value
+    convert.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return convert
+
+
 def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "table", "csv"),
                    default="json", help="output format (default json)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized sweeps")
-    p.add_argument("--budget-nodes", type=int, default=10_000_000,
+    p.add_argument("--budget-nodes", type=_nonnegative(int), default=10_000_000,
                    help="search node budget (default 1e7)")
-    p.add_argument("--budget-seconds", type=float, default=60.0,
+    p.add_argument("--budget-seconds", type=_nonnegative(float), default=60.0,
                    help="search wall-clock budget (default 60)")
 
 

@@ -139,7 +139,7 @@ def _cover(n: int, k: int, t: int, counters: SearchCounters,
     uidx = {m: i for i, m in enumerate(universe)}
     blocks = list(k_subset_masks(n, k))
     cover = []  # coverage bitmask over universe indices, per block
-    blocks_for: list[list[int]] = [[] for _ in universe]
+    blocks_for: list[list] = [[] for _ in universe]
     try:
         # building a block's coverage is one node of the search, and costs
         # enough to read the clock at each
@@ -176,8 +176,10 @@ def _cover(n: int, k: int, t: int, counters: SearchCounters,
     if len(seed) <= len(best):
         best = [colex_rank(b) for b in seed]
     best_size = len(best)
-    # the t-sets each block leaves uncovered, so a node takes one AND
-    uncovered_by = [full ^ c for c in cover]
+    # one entry per block, (index, bit, the t-sets it leaves uncovered), shared
+    # by its C(k, t) t-sets' lists: an entry per slot would set c_star's peak RSS
+    entries = [(bi, 1 << bi, full ^ c) for bi, c in enumerate(cover)]
+    blocks_for = [[entries[bi] for bi in row] for row in blocks_for]
 
     sols: list[list[int]] = [best]
     # the search counts its nodes in ``nodes`` up to ``horizon`` and calls
@@ -197,13 +199,13 @@ def _cover(n: int, k: int, t: int, counters: SearchCounters,
         nonlocal best_size, nodes, horizon
         size = len(chosen) + 1
         limit = per_block * (best_size - size - 1)
-        for bi in blocks_for[(uncov & -uncov).bit_length() - 1]:
-            if (forbidden >> bi) & 1:
+        for bi, bit, away in blocks_for[(uncov & -uncov).bit_length() - 1]:
+            if forbidden & bit:
                 continue
             if nodes >= horizon:
                 horizon = catch_up(nodes)
             nodes += 1
-            left = uncov & uncovered_by[bi]
+            left = uncov & away
             if not left:
                 if size < best_size:
                     best_size = size
@@ -218,7 +220,7 @@ def _cover(n: int, k: int, t: int, counters: SearchCounters,
                 if best_size <= lower:
                     return
                 limit = per_block * (best_size - size - 1)
-            forbidden |= 1 << bi
+            forbidden |= bit
 
     status_exact = True
     try:

@@ -95,14 +95,6 @@ class FamilyGraph:
         """All vertices, colex-ordered within each size class."""
         return [KSubset(self.n, m) for m in _vertex_masks(self)]
 
-    def is_vertex(self, v: KSubset) -> bool:
-        if not isinstance(v, KSubset) or v.n != self.n:
-            return False
-        s = v.size
-        if self.kind is FamilyKind.BIPARTITE_KNESER:
-            return s in (self.k, self.n - self.k)
-        return s == self.k
-
 
 # ----------------------------------------------------------------------
 # constructors and the family spec string format

@@ -102,13 +102,15 @@ def hypergraph(n: int, edges: Iterable[Sequence[int] | int]) -> Hypergraph:
 # and dies at once when some uncovered edge is wholly banned.
 #
 # The matching takes the lowest remaining edge and drops every edge that
-# meets its unbanned part: ``nbr[i]`` (the edges meeting edge i) when the
-# edge has no banned vertex, and the ``hit`` of each unbanned vertex
-# otherwise. An edge meets the parts matched so far iff it holds one of
-# their vertices, so this takes the same edges, in the same order, as a
-# scan that keeps the union of the matched parts. A wholly banned edge
-# holds no unbanned vertex, so it is never dropped and the matching still
-# reaches it.
+# meets its unbanned part e & ~banned with one AND: the part table maps a
+# vertex set to the complement of the union of its ``hit[v]``, filled the
+# first time the matching meets it. The entry depends on the set alone, not
+# on the edge or node that met it, so all share it; ``hit`` numbers this
+# call's edges, so the table lives only as long as the call. An edge meets
+# the parts matched so far iff it holds one of their vertices, so this
+# takes the same edges, in the same order, as a scan that keeps the union
+# of the matched parts. A wholly banned edge has part 0 and holds no
+# unbanned vertex, so it is never dropped: the matching reaches it and stops.
 #
 # The bans cut whole subtrees but leave tau and the witness as they were
 # without them. Unless the greedy start is already optimal (then both
@@ -191,20 +193,13 @@ def solve_tau(edges, counters: SearchCounters, ceiling: int | None = None):
         if matched >= ceiling:
             return ceiling, 0, 0, True
 
-    # hit[v]: the edges through vertex bit v. The search uses complements,
-    # so that dropping a set of edges is one AND: miss[v] = ~hit[v], and
-    # apart[i] = ~nbr[i], nbr[i] being the edges that meet edge i
+    # hit[v]: the edges through vertex bit v. ``apart`` is the part table (see
+    # above); it starts with every single vertex, which the children read
     hit: dict[int, int] = {}
     for i, e in enumerate(minimal):
         for v in iter_bits(e):
             hit[v] = hit.get(v, 0) | 1 << i
-    miss = {v: ~through for v, through in hit.items()}
-    apart = []
-    for e in minimal:
-        nbr = 0
-        for v in iter_bits(e):
-            nbr |= hit[v]
-        apart.append(~nbr)
+    apart = {v: ~through for v, through in hit.items()}
     every = (1 << len(minimal)) - 1
 
     # a max-degree greedy transversal: hit's keys are single bits
@@ -236,31 +231,30 @@ def solve_tau(edges, counters: SearchCounters, ceiling: int | None = None):
             # greedy matching over the unbanned parts: prune once it holds
             # best_size - size edges, or reaches a wholly banned edge
             room = best_size - size
+            keep = ~banned
             rest = uncovered
             while rest:
-                i = (rest & -rest).bit_length() - 1
-                e = minimal[i]
-                if e & banned:
-                    e &= ~banned
-                    if not e:
+                part = minimal[(rest & -rest).bit_length() - 1] & keep
+                away = apart.get(part)
+                if away is None:
+                    if not part:
                         break
-                    while e:
-                        v = e & -e
-                        rest &= miss[v]
-                        e ^= v
-                else:
-                    rest &= apart[i]
+                    away = -1
+                    for v in iter_bits(part):
+                        away &= apart[v]
+                    apart[part] = away
+                rest &= away
                 room -= 1
                 if room <= 0:
                     break
             else:
                 # push in descending bit order so the stack pops ascending
                 # bits first; each child bans its elder siblings' (lower) bits
-                left = minimal[(uncovered & -uncovered).bit_length() - 1] & ~banned
+                left = minimal[(uncovered & -uncovered).bit_length() - 1] & keep
                 while left:
                     bit = 1 << (left.bit_length() - 1)
                     left ^= bit
-                    stack.append((uncovered & miss[bit], chosen | bit, banned | left))
+                    stack.append((uncovered & apart[bit], chosen | bit, banned | left))
         counters.nodes = nodes
     except BudgetExhausted:
         complete = False
@@ -380,6 +374,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
         n, k = int(head[0]), int(head[1])
     except ValueError:
         raise DomainError(f"bad header {lines[0]!r}; expected integers") from None
+    if k < 0:
+        raise DomainError(f"bad header {lines[0]!r}; uniformity must be 0 or more")
     edges = []
     for ln in lines[1:]:
         try:

@@ -284,6 +284,20 @@ def test_usage_errors_are_json_on_stderr():
     assert json.loads(bad_range.stderr)["error"]["kind"] == "domain"
 
 
+@pytest.mark.parametrize("flag, value", [("--budget-nodes", "-5"),
+                                         ("--budget-seconds", "-1"),
+                                         ("--budget-seconds", "nan")])
+def test_negative_or_nan_budget_is_a_usage_error(flag, value):
+    # a budget below 0 would stop a search at once, and NaN would switch its
+    # clock off; both are rejected before any search starts
+    _, text = _random_tau_input()
+    p = run_cli("tau", "--in", "-", flag, value, stdin_text=text)
+    assert p.returncode == 2
+    assert p.stdout == ""
+    err = json.loads(p.stderr)["error"]
+    assert err["kind"] == "usage" and flag in err["message"]
+
+
 def test_explore_reports_bounds():
     p = run_cli("explore", "--family", "johnson:n=5,k=2", "--param", "mu-total")
     assert p.returncode == 0

@@ -246,7 +246,8 @@ def test_format_parse_round_trip():
 
 
 def test_parse_rejects_malformed():
-    for text in ("", "5", "5 2\n1 1", "5 2\n2 1", "5 2\n1 2 3", "x y\n1 2"):
+    for text in ("", "5", "5 2\n1 1", "5 2\n2 1", "5 2\n1 2 3", "x y\n1 2",
+                 "5 -2\n1 2"):
         with pytest.raises(DomainError):
             parse_hypergraph(text)
 

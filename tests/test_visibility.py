@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mvlab.budget import Budget, BudgetExhausted, SearchCounters
 from mvlab.errors import DomainError, PreconditionError
-from mvlab.families import bipartite_kneser, format_family, johnson, kneser
+from mvlab.families import bipartite_kneser, format_family, graph_context, johnson, kneser
 from mvlab.subsets import KSubset, MaskOrbits
 from mvlab.visibility import (
     PARAM_TO_VARIANT,
@@ -126,7 +126,8 @@ def test_blocking_pair_reported():
     assert not res.ok
     assert res.blocking is not None
     u, v = res.blocking
-    assert g.is_vertex(u) and g.is_vertex(v)
+    index = graph_context(g).index
+    assert u.n == v.n == g.n and u.bits in index and v.bits in index
 
 
 def test_sandwich_inequalities():
