@@ -27,13 +27,13 @@ import io
 import json
 import sys
 
-from .budget import Budget
+from .budget import DEFAULT_BUDGET, Budget
 from .constructions import build_complete_uniform, build_generalized_triangle, build_h_nk
 from .covering import c_star, covering_number
 from .errors import MvlabError
 from .families import FamilyKind, parse_family
 from .hypergraphs import format_hypergraph, parse_hypergraph, transversal_number
-from .theorems import all_formula_ids, parse_range, verify as run_verify
+from .theorems import all_formula_ids, verify as run_verify
 from .turan import contains_pattern, ex_uniform, mubayi_asymptote, parse_pattern
 from .visibility import PARAM_TO_VARIANT, max_visibility_number
 
@@ -160,7 +160,7 @@ def _cmd_explore(args) -> int:
 def _verify_params(args) -> dict:
     params: dict = {}
     if args.n is not None:
-        params["n"] = parse_range(args.n)
+        params["n"] = args.n
     if args.k is not None:
         params["k"] = args.k
     if args.family is not None:
@@ -287,9 +287,10 @@ def _common(p: argparse.ArgumentParser) -> None:
                    default="json", help="output format (default json)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized sweeps")
-    p.add_argument("--budget-nodes", type=_nonnegative(int), default=10_000_000,
-                   help="search node budget (default 1e7)")
-    p.add_argument("--budget-seconds", type=_nonnegative(float), default=60.0,
+    p.add_argument("--budget-nodes", type=_nonnegative(int),
+                   default=DEFAULT_BUDGET.max_nodes, help="search node budget (default 1e7)")
+    p.add_argument("--budget-seconds", type=_nonnegative(float),
+                   default=DEFAULT_BUDGET.max_seconds,
                    help="search wall-clock budget (default 60)")
 
 
@@ -304,7 +305,7 @@ def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", help="value or inclusive range, e.g. 5 or 4..6")
     p.add_argument("--k", type=int)
     p.add_argument("--family", help="family spec for graph-shaped formulas")
-    p.add_argument("--samples", type=int,
+    p.add_argument("--samples", type=_nonnegative(int),
                    help="random subsets per instance for sweep oracles")
     p.add_argument("--summary", action="store_true",
                    help="fixed-width table with a wall-clock column")
@@ -341,11 +342,6 @@ def _tau_args(p: argparse.ArgumentParser) -> None:
                    help="hypergraph file, or - for stdin")
 
 
-def _explore_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True)
-    p.add_argument("--param", required=True, choices=PARAM_CHOICES)
-
-
 # verb: (help line, its own arguments, handler), in the order -h lists them
 _VERBS = {
     "compute": ("exact visibility parameter of a family", _compute_args, _cmd_compute),
@@ -354,7 +350,7 @@ _VERBS = {
     "turan": ("pattern-free extremal edge counts", _turan_args, _cmd_turan),
     "covering": ("covering numbers C(n, k, t)", _covering_args, _cmd_covering),
     "tau": ("transversal number of a hypergraph file", _tau_args, _cmd_tau),
-    "explore": ("budgeted search on open ranges", _explore_args, _cmd_explore),
+    "explore": ("budgeted search on open ranges", _compute_args, _cmd_explore),
 }
 
 

@@ -30,14 +30,18 @@ first rung within reach of the graph runs.
 The lemmas use covering-search, construction-tau, integer-arithmetic and
 equivalence-sweep (seeded random subsets, definitional against reduction).
 
-A verdict is "pass" when formula and oracle enclosures agree on their
-overlap (for equality claims the oracle must be exact), "fail" on a
-contradiction, and "skipped" otherwise; ``_report`` builds every skipped
-row. A skip reason says which of two things stopped the oracle: a static
-cap, decided before any search runs ("kneser:n=11,k=4 has 330 vertices,
-above the 300-vertex witness-check cap"), or the caller's budget ("oracle
-beyond budget", "mu-dual search beyond budget"). A precondition skip names
-the violated clause.
+A witness comes from the certificate that proved its formula (c_star's
+edge system, the covering family, the Turan edge system), or where the
+value is closed from the closed form's construction. ``_report`` settles
+every row from the formula enclosure and an ``_Oracle`` answer: "pass" when
+the enclosures agree on their overlap (for equality claims the oracle must
+be exact), "fail" on a contradiction or a refuted check, and "skipped"
+otherwise. "equivalence" and "chain" rows have no enclosures and settle
+themselves: they pass unless refuted or skipped. A skip reason says which
+of two things stopped the oracle: a static cap, decided before any search
+runs ("kneser:n=11,k=4 has 330 vertices, above the 300-vertex witness-check
+cap"), or the caller's budget ("oracle beyond budget", "mu-dual search
+beyond budget"). A precondition skip names the violated clause.
 
 A valid construction of size s is the oracle enclosure [s, |V|]; one that
 fails its validation fails the row. For a "witness-only" equality with
@@ -46,7 +50,8 @@ f is exact and s < f.lo; skipped when f is a proper interval and s < f.lo;
 pass otherwise. So a witness larger than an interval formula fails (no
 shipped construction reaches this), and mu-johnson-k2 skips a row whose
 Turan search the budget cut short, since a smaller witness from an
-unfinished search contradicts nothing.
+unfinished search contradicts nothing. A cut c_star search still returns
+valid blocks at its upper end, so mu-kneser's witness meets f.lo exactly.
 """
 
 from __future__ import annotations
@@ -60,14 +65,16 @@ from typing import Callable, NamedTuple
 
 from .budget import Budget, Bounds, BudgetExhausted, as_bounds, bounds_agree
 from .constructions import build_h_nk
-from .covering import CoveringCertificate, c_star, covering_number, min_edges_with_tau
+from .covering import (CoveringCertificate, CStarCertificate, c_star, covering_number,
+                       min_edges_with_tau)
 from .errors import ConstraintError, DomainError, PreconditionError
 from .families import (FamilyGraph, FamilyKind, bipartite_kneser, format_family, johnson,
                        kneser, parse_family)
 from .hypergraphs import transversal_number
 from .subsets import KSubset
-from .turan import build_c4_suspension, build_k4_suspension, ex_uniform
+from .turan import Pattern, TuranResult, build_c4_suspension, build_k4_suspension, ex_uniform
 from .visibility import (
+    VARIANT_TO_PARAM,
     Variant,
     is_visibility_set,
     kneser_total_mv_check_fast,
@@ -105,12 +112,14 @@ WITNESS_CHECK_CAP = 300
 # formula evaluators
 
 
-def _kneser_minus_c_star(n: int, k: int, budget: Budget | None) -> Bounds:
-    """C(n,k) - c_star(n,k), closed as C(n,k) - 2k from n = 2k^2 on."""
+def _kneser_minus_c_star(n: int, k: int, budget: Budget | None
+                         ) -> tuple[Bounds, CStarCertificate | None]:
+    """C(n,k) - c_star(n,k), closed as C(n,k) - 2k from n = 2k^2 on, with
+    the c_star certificate it rests on (None where the value is closed)."""
     if n >= 2 * k * k:
-        return as_bounds(comb(n, k) - 2 * k)
+        return as_bounds(comb(n, k) - 2 * k), None
     cert = c_star(n, k, budget)
-    return Bounds(comb(n, k) - cert.hi, comb(n, k) - cert.lo)
+    return Bounds(comb(n, k) - cert.hi, comb(n, k) - cert.lo), cert
 
 
 def _mut_bipartite(n: int, k: int, budget: Budget | None
@@ -136,12 +145,19 @@ def mut_kneser_formula(n: int, k: int, budget: Budget | None = None) -> Bounds:
         raise ConstraintError(f"need n >= 2k+1 and k >= 2, got n={n}, k={k}")
     if n <= 3 * k - 1:
         return Bounds(0, 0)
-    return _kneser_minus_c_star(n, k, budget)
+    return _kneser_minus_c_star(n, k, budget)[0]
 
 
 def mu_kneser_formula(n: int, k: int, budget: Budget | None = None) -> Bounds:
     """Mutual visibility number C(n,k) - c_star(n,k), proved for
     n >= 7k-5 and additionally for (n,k) = (8,2)."""
+    return _mu_kneser(n, k, budget)[0]
+
+
+def _mu_kneser(n: int, k: int, budget: Budget | None
+               ) -> tuple[Bounds, CStarCertificate | None]:
+    """``mu_kneser_formula`` with its c_star certificate, from which the
+    verifier takes its witness (see ``_kneser_minus_c_star``)."""
     if k < 2:
         raise ConstraintError(f"need k >= 2, got {k}")
     if n < 7 * k - 5 and not (k == 2 and n == 8):
@@ -159,11 +175,10 @@ def mut_bipartite_formula(n: int, k: int, budget: Budget | None = None) -> Bound
 
 
 def _mu_bipartite_lb(n: int, k: int, budget: Budget | None
-                     ) -> tuple[Bounds, Bounds, CoveringCertificate | None]:
+                     ) -> tuple[Bounds, CoveringCertificate | None]:
     """max{C(n,k), 2 C(n,k) - 2 C(n, n-k, 2k)}, a proven lower bound on
     the mutual visibility number of the containment graph, with the
-    total-visibility bounds and the covering certificate it was taken from
-    (see ``_mut_bipartite``)."""
+    covering certificate it was taken from (see ``_mut_bipartite``)."""
     if k < 2:
         raise ConstraintError(f"need k >= 2, got {k}")
     if n < 3 * k + 1:
@@ -171,15 +186,22 @@ def _mu_bipartite_lb(n: int, k: int, budget: Budget | None
             f"bipartite lower bound requires n >= 3k+1 = {3 * k + 1}, got n={n}")
     base = comb(n, k)
     other, cov = _mut_bipartite(n, k, budget)
-    return Bounds(max(base, other.lo), max(base, other.hi)), other, cov
+    return Bounds(max(base, other.lo), max(base, other.hi)), cov
+
+
+def _johnson_ex(n: int, k: int, build: Callable[[int], Pattern],
+                budget: Budget | None) -> TuranResult:
+    """The most edges of a k-uniform system on [n] free of ``build(k)``,
+    for the (n, k) on which the one-swap graph's formulas are stated."""
+    if k < 2 or n < k + 2:
+        raise ConstraintError(f"need n >= k+2 and k >= 2, got n={n}, k={k}")
+    return ex_uniform(n, k, build(k), budget)
 
 
 def mut_johnson_value(n: int, k: int, budget: Budget | None = None) -> Bounds:
     """Total visibility number of the one-swap graph: the maximum edge
     count of a suspended-4-cycle-free k-uniform system on [n]."""
-    if k < 2 or n < k + 2:
-        raise ConstraintError(f"need n >= k+2 and k >= 2, got n={n}, k={k}")
-    return ex_uniform(n, k, build_c4_suspension(k), budget).bounds
+    return _johnson_ex(n, k, build_c4_suspension, budget).bounds
 
 
 def mu_johnson_k2(n: int) -> int:
@@ -274,20 +296,40 @@ def _settle(claim: str, f: Bounds, o: Bounds) -> str | None:
     raise DomainError(f"unknown claim shape {claim!r}")
 
 
-def _report(formula: FormulaId, params: dict, f: Bounds | None, o: Bounds | None,
-            oracle: str, claim: str = "equals", reason: str = "",
+class _Oracle(NamedTuple):
+    """An oracle's answer: the oracle that ran (for the ladder, the rung
+    that ran or the last one tried), its enclosure (None for a skip, which
+    ``reason`` explains, and for the self-settled claims), its certificates,
+    and whether it refuted the check it ran (``reason`` may say how)."""
+    name: str
+    value: Bounds | None = None
+    certificates: tuple[dict, ...] = ()
+    reason: str = ""
+    refuted: bool = False
+
+
+def _report(formula: FormulaId, params: dict, f: Bounds | None, oracle: _Oracle,
+            claim: str = "equals", reason: str = "",
             certificates: tuple[dict, ...] = ()) -> VerificationReport:
-    """Assemble a report, settling the verdict from the enclosures. This is
-    the one place a skipped row is built: o None is a skip for ``reason``.
-    A "witness-only" equality follows the witness rule (module docstring)
-    and words its own fail and skipped reasons."""
-    if o is None:
+    """The one place a row is built: its verdict settled from ``f`` and the
+    oracle's answer, its certificates after ``certificates``, and the
+    answer's reason, if any, in place of ``reason``. A refuted answer fails; a self-settled claim
+    passes unless skipped for a reason; any other answer with no enclosure
+    is a skip and needs a reason. A "witness-only" equality follows the
+    witness rule (module docstring) and words its own reasons."""
+    o, reason = oracle.value, oracle.reason or reason
+    certificates += oracle.certificates
+    if oracle.refuted:
+        verdict = "fail"
+    elif claim in ("equivalence", "chain"):
+        verdict = "skipped" if reason else "pass"
+    elif o is None:
         if not reason:
             raise DomainError(f"{formula.value}: a skipped row needs a reason")
         verdict = "skipped"
     elif f is None:
         raise DomainError(f"{formula.value}: a report needs the formula enclosure")
-    elif claim == "equals" and oracle == "witness-only":
+    elif claim == "equals" and oracle.name == "witness-only":
         size = o.lo                   # o = [witness size, |V|]
         if size > f.hi or (f.exact and size < f.lo):
             verdict = "fail"
@@ -304,7 +346,7 @@ def _report(formula: FormulaId, params: dict, f: Bounds | None, o: Bounds | None
         verdict = _settle(claim, f, o)
         if verdict is None:
             verdict, reason = "skipped", reason or "enclosures too loose to decide"
-    return VerificationReport(formula, params, f, o, verdict, oracle, claim,
+    return VerificationReport(formula, params, f, o, verdict, oracle.name, claim,
                               reason, certificates)
 
 
@@ -318,17 +360,6 @@ class _Witness(NamedTuple):
     members: list[KSubset] | None
     construction: str
     certificates: tuple[dict, ...] = ()
-
-
-class _Oracle(NamedTuple):
-    """The ladder's answer: the rung that ran (or the last one tried), its
-    enclosure (None for a skip, which ``reason`` explains), its certificates,
-    and whether the construction it checked failed validation."""
-    name: str
-    value: Bounds | None
-    certificates: tuple[dict, ...] = ()
-    reason: str = ""
-    refuted: bool = False
 
 
 def _past_cap(graph: FamilyGraph, variant: Variant, rung: str) -> str:
@@ -389,7 +420,7 @@ def _checked(rung: str, graph: FamilyGraph, variant: Variant, budget: Budget | N
     cert["construction"] = w.construction
     size = len(w.members) if ok else 0
     return _Oracle(rung, Bounds(size, graph.vertex_count), w.certificates + (cert,),
-                   refuted=not ok)
+                   "" if ok else "witness fails the visibility predicate", not ok)
 
 
 def _min_edges(graph: FamilyGraph, budget: Budget | None) -> _Oracle:
@@ -400,21 +431,6 @@ def _min_edges(graph: FamilyGraph, budget: Budget | None) -> _Oracle:
         raise BudgetExhausted
     return _Oracle("reduction-min-edges", as_bounds(comb(n, k) - m),
                    ({"min_edges": m, "nodes_expanded": nodes}, tau_cert.as_json()))
-
-
-def _row(formula: FormulaId, params: dict, f: Bounds, o: _Oracle,
-         claim: str = "equals", reason: str = "",
-         certificates: tuple[dict, ...] = ()) -> VerificationReport:
-    """The report for the ladder's answer ``o``, its certificates after
-    ``certificates``. A construction that fails its validation fails the
-    row; every other answer is settled by ``_report``."""
-    certificates += o.certificates
-    if o.refuted:
-        return VerificationReport(formula, params, f, o.value, "fail", o.name, claim,
-                                  "witness fails the visibility predicate",
-                                  certificates)
-    return _report(formula, params, f, o.value, o.name, claim, o.reason or reason,
-                   certificates)
 
 
 def _definitional(graph: FamilyGraph, variant: Variant, budget: Budget | None
@@ -473,47 +489,36 @@ def _v_mut_kneser(inst: dict, budget: Budget | None, seed: int) -> list[Verifica
     rungs = (("singleton-sweep",) if n <= 3 * k - 1
              else ("definitional-search", "reduction-min-edges"))
     o = _oracle(kneser(n, k), Variant.TOTAL, budget, rungs)
-    return [_row(FormulaId.MUT_KNESER, inst, f, o)]
-
-
-def _mu_kneser_witness(n: int, k: int) -> tuple[list[int], str]:
-    """Complement edge set for the mutual-visibility witness.
-
-    n >= 2k^2 (which includes every admissible k = 2 instance) gets 2k
-    disjoint edges; the k >= 3 middle range gets the two-triangles plus
-    two-complete-systems construction."""
-    if n >= 2 * k * k:
-        return _disjoint_edges(n, k, 2 * k), "disjoint-edges"
-    h = build_h_nk(n, k)
-    return list(h.edges), "two-triangles-two-complete"
+    return [_report(FormulaId.MUT_KNESER, inst, f, o)]
 
 
 def _v_mu_kneser(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
     n, k = inst["n"], inst["k"]
-    f = mu_kneser_formula(n, k, budget)
+    f, cert = _mu_kneser(n, k, budget)
     g = kneser(n, k)
+    removed = ((list(cert.witness.edges), "c-star-witness") if cert is not None
+               else (_disjoint_edges(n, k, 2 * k), "disjoint-edges"))
     o = _oracle(g, Variant.MUTUAL, budget, ("witness-only",),
-                lambda: _kneser_minus(g, *_mu_kneser_witness(n, k)))
-    return [_row(FormulaId.MU_KNESER, inst, f, o)]
+                lambda: _kneser_minus(g, *removed))
+    return [_report(FormulaId.MU_KNESER, inst, f, o)]
 
 
 def _v_mut_bipartite(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
-    f, cov = _mut_bipartite(inst["n"], inst["k"], budget)
-    return [_mut_bipartite_report(inst, f, cov, budget)]
-
-
-def _mut_bipartite_report(inst: dict, f: Bounds, cov: CoveringCertificate | None,
-                          budget: Budget | None) -> VerificationReport:
-    """The mut-bipartite row for formula bounds ``f`` and the covering
-    certificate they came from."""
     n, k = inst["n"], inst["k"]
+    f, cov = _mut_bipartite(n, k, budget)
+    return [_report(FormulaId.MUT_BIPARTITE, inst, f,
+                    _mut_bipartite_oracle(n, k, cov, budget))]
+
+
+def _mut_bipartite_oracle(n: int, k: int, cov: CoveringCertificate | None,
+                          budget: Budget | None) -> _Oracle:
+    """The mut-bipartite oracle for the covering certificate the formula
+    bounds came from."""
     g = bipartite_kneser(n, k)
     if n <= 3 * k:
-        o = _oracle(g, Variant.TOTAL, budget, ("singleton-sweep",))
-        return _row(FormulaId.MUT_BIPARTITE, inst, f, o)
+        return _oracle(g, Variant.TOTAL, budget, ("singleton-sweep",))
     if cov is not None and not cov.exact:
-        return _report(FormulaId.MUT_BIPARTITE, inst, f, None, "witness-only",
-                       reason="covering search beyond budget")
+        return _Oracle("witness-only", reason="covering search beyond budget")
 
     def witness() -> _Witness:
         # both sides of a minimum covering family removed
@@ -524,52 +529,48 @@ def _mut_bipartite_report(inst: dict, f: Bounds, cov: CoveringCertificate | None
         return _Witness([v for v in g.vertices() if v.bits not in gone],
                         "covering-family-both-sides")
 
-    o = _oracle(g, Variant.TOTAL, budget, ("witness-only",), witness)
-    return _row(FormulaId.MUT_BIPARTITE, inst, f, o)
+    return _oracle(g, Variant.TOTAL, budget, ("witness-only",), witness)
 
 
 def _v_mu_bipartite_lb(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
     n, k = inst["n"], inst["k"]
-    f, f_mut, cov = _mu_bipartite_lb(n, k, budget)
+    f, cov = _mu_bipartite_lb(n, k, budget)
     g = bipartite_kneser(n, k)
     # k-side class: pairwise distance 2 through the larger side
     side = _oracle(g, Variant.MUTUAL, budget, ("witness",),
                    lambda: _Witness([v for v in g.vertices() if v.size == k],
                                     "k-side-class"))
     if side.value is None:
-        return [_row(FormulaId.MU_BIPARTITE_LB, inst, f, side, claim="at-least")]
+        return [_report(FormulaId.MU_BIPARTITE_LB, inst, f, side, claim="at-least")]
     best = 0 if side.refuted else side.value.lo
     certs = side.certificates
-    mut = _mut_bipartite_report(inst, f_mut, cov, budget)
-    if mut.verdict == "pass":
-        best = max(best, mut.oracle_value.lo)
+    mut = _mut_bipartite_oracle(n, k, cov, budget)
+    if mut.value is not None and not mut.refuted:
+        best = max(best, mut.value.lo)
         certs += mut.certificates
-    return [_report(FormulaId.MU_BIPARTITE_LB, inst, f, Bounds(best, g.vertex_count),
-                    "witness", claim="at-least", certificates=certs)]
+    return [_report(FormulaId.MU_BIPARTITE_LB, inst, f,
+                    _Oracle("witness", Bounds(best, g.vertex_count), certs),
+                    claim="at-least")]
 
 
 def _v_mut_johnson(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
     n, k = inst["n"], inst["k"]
-    if k < 2 or n < k + 2:
-        raise ConstraintError(f"need n >= k+2 and k >= 2, got n={n}, k={k}")
-    tr = ex_uniform(n, k, build_c4_suspension(k), budget)
+    tr = _johnson_ex(n, k, build_c4_suspension, budget)
     o = _oracle(johnson(n, k), Variant.TOTAL, budget,
                 ("definitional-search", "witness-only"),
                 lambda: _Witness([KSubset(n, e) for e in tr.witness.edges],
                                  "pattern-free-edge-system"))
-    return [_row(FormulaId.MUT_JOHNSON, inst, tr.bounds, o,
-                 certificates=(tr.as_json(),))]
+    return [_report(FormulaId.MUT_JOHNSON, inst, tr.bounds, o,
+                    certificates=(tr.as_json(),))]
 
 
 def _v_mu_johnson_sandwich(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
     n, k = inst["n"], inst["k"]
-    if k < 2 or n < k + 2:
-        raise ConstraintError(f"need n >= k+2 and k >= 2, got n={n}, k={k}")
-    lo = ex_uniform(n, k, build_c4_suspension(k), budget)
-    hi = ex_uniform(n, k, build_k4_suspension(k), budget)
+    lo = _johnson_ex(n, k, build_c4_suspension, budget)
+    hi = _johnson_ex(n, k, build_k4_suspension, budget)
     o = _oracle(johnson(n, k), Variant.MUTUAL, budget, ("definitional-search",))
-    return [_row(FormulaId.MU_JOHNSON_SANDWICH, inst, Bounds(lo.lo, hi.hi), o,
-                 claim="within", certificates=(lo.as_json(), hi.as_json()))]
+    return [_report(FormulaId.MU_JOHNSON_SANDWICH, inst, Bounds(lo.lo, hi.hi), o,
+                    claim="within", certificates=(lo.as_json(), hi.as_json()))]
 
 
 def _v_mu_johnson_k2(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
@@ -577,13 +578,13 @@ def _v_mu_johnson_k2(inst: dict, budget: Budget | None, seed: int) -> list[Verif
     f = as_bounds(mu_johnson_k2(n))
 
     def witness() -> _Witness:
-        tr = ex_uniform(n, 2, build_k4_suspension(2), budget)
+        tr = _johnson_ex(n, 2, build_k4_suspension, budget)
         members = [KSubset(n, e) for e in tr.witness.edges] if tr.exact else None
         return _Witness(members, "clique-pattern-free-edge-system", (tr.as_json(),))
 
     o = _oracle(johnson(n, 2), Variant.MUTUAL, budget,
                 ("definitional-search", "witness-only"), witness)
-    return [_row(FormulaId.MU_JOHNSON_K2, inst, f, o)]
+    return [_report(FormulaId.MU_JOHNSON_K2, inst, f, o)]
 
 
 def _v_mu_kneser_gp_lb(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
@@ -595,7 +596,7 @@ def _v_mu_kneser_gp_lb(inst: dict, budget: Budget | None, seed: int) -> list[Ver
     o = _oracle(g, Variant.GENERAL_POSITION, budget, ("witness",),
                 lambda: _Witness([v for v in g.vertices() if v.bits & 1],
                                  "common-element-star"))
-    return [_row(FormulaId.MU_KNESER_GP_LB, inst, f, o, claim="at-least")]
+    return [_report(FormulaId.MU_KNESER_GP_LB, inst, f, o, claim="at-least")]
 
 
 def _v_kneser2_all_params(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
@@ -604,12 +605,12 @@ def _v_kneser2_all_params(inst: dict, budget: Budget | None, seed: int) -> list[
     g = kneser(n, 2)
     # the total parameter gets an exact oracle through the edge-count search
     total = _oracle(g, Variant.TOTAL, budget, ("reduction-min-edges",))
-    rows = [_row(FormulaId.KNESER2_ALL_PARAMS, {**inst, "param": "mu-total"}, f, total)]
+    rows = [_report(FormulaId.KNESER2_ALL_PARAMS, {**inst, "param": "mu-total"}, f, total)]
     o = _oracle(g, Variant.TOTAL, budget, ("witness-only",),
                 lambda: _kneser_minus(g, _disjoint_edges(n, 2, 4),
                                       "complement-four-disjoint-pairs"))
-    rows.extend(_row(FormulaId.KNESER2_ALL_PARAMS, {**inst, "param": p}, f, o,
-                     reason="upper bound from the exact total parameter")
+    rows.extend(_report(FormulaId.KNESER2_ALL_PARAMS, {**inst, "param": p}, f, o,
+                        reason="upper bound from the exact total parameter")
                 for p in ("mu", "mu-dual", "mu-outer"))
     return rows
 
@@ -620,14 +621,12 @@ def _v_lemma_binom(inst: dict, budget: Budget | None, seed: int) -> list[Verific
     for k in range(n // 2 + 1, n):
         if not k < n < 2 * k:
             continue
-        f = as_bounds(comb(n, k))
-        o = as_bounds(2 * comb(n - 1, k))
-        rows.append(_report(FormulaId.LEMMA_BINOM, {"n": n, "k": k}, f, o,
-                            "integer-arithmetic", claim="greater-than"))
+        o = _Oracle("integer-arithmetic", as_bounds(2 * comb(n - 1, k)))
+        rows.append(_report(FormulaId.LEMMA_BINOM, {"n": n, "k": k},
+                            as_bounds(comb(n, k)), o, claim="greater-than"))
     if not rows:
-        rows.append(_report(FormulaId.LEMMA_BINOM, inst, None, None,
-                            "integer-arithmetic",
-                            reason=f"no k satisfies k < {n} < 2k"))
+        rows.append(_report(FormulaId.LEMMA_BINOM, inst, None, _Oracle(
+            "integer-arithmetic", reason=f"no k satisfies k < {n} < 2k")))
     return rows
 
 
@@ -639,44 +638,41 @@ def _v_lemma_cstar(inst: dict, budget: Budget | None, seed: int) -> list[Verific
     if n >= 2 * k * k:
         f = as_bounds(2 * k)
         cs = c_star(n, k, budget)
-        o = Bounds(cs.lo, cs.hi)
-        rows.append(_report(FormulaId.LEMMA_CSTAR, {**inst, "part": "i"}, f, o,
-                            "covering-search",
-                            certificates=(cs.as_json(),)))
+        o = _Oracle("covering-search", Bounds(cs.lo, cs.hi), (cs.as_json(),))
+        rows.append(_report(FormulaId.LEMMA_CSTAR, {**inst, "part": "i"}, f, o))
     if k >= 3 and n >= 7 * k - 5:
         f = as_bounds(2 * comb(2 * k - 3, k) + 6)
         h = build_h_nk(n, k)
         tau_cert = transversal_number(h, budget)
-        params, certs = {**inst, "part": "ii"}, (tau_cert.as_json(),)
-        if tau_cert.optimal and tau_cert.tau != 2 * k:
-            rows.append(VerificationReport(
-                FormulaId.LEMMA_CSTAR, params, f, None, "fail", "construction-tau",
-                reason=f"construction has transversal number {tau_cert.tau}, "
-                       f"expected {2 * k}",
-                certificates=certs))
-        else:   # a search the budget cut short is a skip
-            o = Bounds(2 * k, len(h.edges)) if tau_cert.optimal else None
-            rows.append(_report(FormulaId.LEMMA_CSTAR, params, f, o, "construction-tau",
-                                claim="at-most", certificates=certs,
-                                reason="" if o else "oracle beyond budget"))
+        certs = (tau_cert.as_json(),)
+        if not tau_cert.optimal:   # a search the budget cut short is a skip
+            o = _Oracle("construction-tau", None, certs, "oracle beyond budget")
+        elif tau_cert.tau != 2 * k:
+            o = _Oracle("construction-tau", None, certs,
+                        f"construction has transversal number {tau_cert.tau}, "
+                        f"expected {2 * k}", refuted=True)
+        else:
+            o = _Oracle("construction-tau", Bounds(2 * k, len(h.edges)), certs)
+        rows.append(_report(FormulaId.LEMMA_CSTAR, {**inst, "part": "ii"}, f, o,
+                            claim="at-most"))
     if n >= 2 * k * k + k:
         f = as_bounds(2 * k + 1)
         # the partition seed of C(n, n-k, 2k) is the complements of 2k+1
         # disjoint k-sets
         cov = covering_number(n, n - k, 2 * k, budget)
-        o = Bounds(cov.lo, cov.hi)
-        rows.append(_report(FormulaId.LEMMA_CSTAR, {**inst, "part": "iii"}, f, o,
-                            "covering-search", certificates=(cov.as_json(),)))
+        o = _Oracle("covering-search", Bounds(cov.lo, cov.hi), (cov.as_json(),))
+        rows.append(_report(FormulaId.LEMMA_CSTAR, {**inst, "part": "iii"}, f, o))
     if not rows:
-        rows.append(_report(FormulaId.LEMMA_CSTAR, inst, None, None, "covering-search",
-                            reason=f"no clause covers n={n}, k={k}"))
+        rows.append(_report(FormulaId.LEMMA_CSTAR, inst, None, _Oracle(
+            "covering-search", reason=f"no clause covers n={n}, k={k}")))
     return rows
 
 
 def _v_lemma_transversal_equiv(inst: dict, budget: Budget | None,
                                seed: int) -> list[VerificationReport]:
-    n, k = inst["n"], inst["k"]
-    samples = inst.get("samples", 200)
+    n, k, samples = inst["n"], inst["k"], inst["samples"]
+    if samples < 0:
+        raise DomainError(f"samples must be >= 0, got {samples}")
     if n < 3 * k - 1:
         raise PreconditionError(
             f"the transversal characterization requires n >= 3k-1 = {3 * k - 1}, "
@@ -688,7 +684,6 @@ def _v_lemma_transversal_equiv(inst: dict, budget: Budget | None,
     pools.extend([v] for v in verts)  # singletons are the sharpest edge cases
     for _ in range(samples):
         pools.append([v for v in verts if rng.random() < 0.5])
-    params = {**inst, "samples": samples}
     checked = disagreements = positives = 0
     first_bad: dict | None = None
     for x in pools:
@@ -699,9 +694,9 @@ def _v_lemma_transversal_equiv(inst: dict, budget: Budget | None,
             # a disagreement found before the cut still fails the row
             if disagreements:
                 break
-            return [_report(FormulaId.LEMMA_TRANSVERSAL_EQUIV, params, None, None,
-                            "equivalence-sweep", claim="equivalence",
-                            reason="oracle beyond budget")]
+            return [_report(FormulaId.LEMMA_TRANSVERSAL_EQUIV, inst, None,
+                            _Oracle("equivalence-sweep", reason="oracle beyond budget"),
+                            claim="equivalence")]
         checked += 1
         positives += definitional
         if definitional != reduced:
@@ -713,10 +708,8 @@ def _v_lemma_transversal_equiv(inst: dict, budget: Budget | None,
             "seed": seed, "positives": positives, "disagreements": disagreements}
     if first_bad is not None:
         cert["first_disagreement"] = first_bad
-    verdict = "pass" if disagreements == 0 else "fail"
-    return [VerificationReport(FormulaId.LEMMA_TRANSVERSAL_EQUIV, params, None, None,
-                               verdict, "equivalence-sweep", claim="equivalence",
-                               certificates=(cert,))]
+    o = _Oracle("equivalence-sweep", certificates=(cert,), refuted=disagreements > 0)
+    return [_report(FormulaId.LEMMA_TRANSVERSAL_EQUIV, inst, None, o, claim="equivalence")]
 
 
 def _v_sandwich_dual_outer(inst: dict, budget: Budget | None,
@@ -725,49 +718,47 @@ def _v_sandwich_dual_outer(inst: dict, budget: Budget | None,
     g = parse_family(spec) if isinstance(spec, str) else spec
     inst = {**inst, "family": format_family(g)}
 
-    def skip(reason: str) -> list[VerificationReport]:
-        return [_report(FormulaId.SANDWICH_DUAL_OUTER, inst, None, None,
-                        "definitional-search", claim="chain", reason=reason)]
+    def row(o: _Oracle) -> list[VerificationReport]:
+        return [_report(FormulaId.SANDWICH_DUAL_OUTER, inst, None, o, claim="chain")]
 
     # the dual search has the smallest cap, so it decides for all four
     reason = _past_cap(g, Variant.DUAL, "definitional-search")
     if reason:
-        return skip(reason)
+        return row(_Oracle("definitional-search", reason=reason))
     values: dict[str, int] = {}
     certs: list[dict] = []
-    for name, variant in (("mu-total", Variant.TOTAL), ("mu-dual", Variant.DUAL),
-                          ("mu-outer", Variant.OUTER), ("mu", Variant.MUTUAL)):
+    for variant in (Variant.TOTAL, Variant.DUAL, Variant.OUTER, Variant.MUTUAL):
+        name = VARIANT_TO_PARAM[variant]
         o = _oracle(g, variant, budget, ("definitional-search",))
         if not o.value.exact:
-            return skip(f"{name} search beyond budget")
+            return row(_Oracle(o.name, reason=f"{name} search beyond budget"))
         values[name] = o.value.lo
         certs.extend(o.certificates)
     chain_ok = (values["mu-total"] <= values["mu-dual"] <= values["mu"]
                 and values["mu-total"] <= values["mu-outer"] <= values["mu"])
     certs.insert(0, {"values": values, "chain_holds": chain_ok})
-    return [VerificationReport(FormulaId.SANDWICH_DUAL_OUTER, inst, None, None,
-                               "pass" if chain_ok else "fail",
-                               "definitional-search", claim="chain",
-                               reason="" if chain_ok else "an inequality fails",
-                               certificates=tuple(certs))]
+    return row(_Oracle("definitional-search", None, tuple(certs),
+                       "" if chain_ok else "an inequality fails", not chain_ok))
 
 
-# each formula's verifier and the parameters it requires ("n" may be a
-# single int or a range)
-_VERIFIERS: dict[FormulaId, tuple[Callable, tuple[str, ...]]] = {
-    FormulaId.MUT_KNESER: (_v_mut_kneser, ("n", "k")),
-    FormulaId.MU_KNESER: (_v_mu_kneser, ("n", "k")),
-    FormulaId.MUT_BIPARTITE: (_v_mut_bipartite, ("n", "k")),
-    FormulaId.MU_BIPARTITE_LB: (_v_mu_bipartite_lb, ("n", "k")),
-    FormulaId.MUT_JOHNSON: (_v_mut_johnson, ("n", "k")),
-    FormulaId.MU_JOHNSON_SANDWICH: (_v_mu_johnson_sandwich, ("n", "k")),
-    FormulaId.MU_JOHNSON_K2: (_v_mu_johnson_k2, ("n",)),
-    FormulaId.MU_KNESER_GP_LB: (_v_mu_kneser_gp_lb, ("n", "k")),
-    FormulaId.KNESER2_ALL_PARAMS: (_v_kneser2_all_params, ("n",)),
-    FormulaId.LEMMA_BINOM: (_v_lemma_binom, ("n",)),
-    FormulaId.LEMMA_CSTAR: (_v_lemma_cstar, ("n", "k")),
-    FormulaId.LEMMA_TRANSVERSAL_EQUIV: (_v_lemma_transversal_equiv, ("n", "k")),
-    FormulaId.SANDWICH_DUAL_OUTER: (_v_sandwich_dual_outer, ("family",)),
+# each formula's verifier, the parameters it requires ("n" may be a single
+# int or a range) and the optional ones it reads, with their defaults; a
+# formula reads no other parameter
+_VERIFIERS: dict[FormulaId, tuple[Callable, tuple[str, ...], dict]] = {
+    FormulaId.MUT_KNESER: (_v_mut_kneser, ("n", "k"), {}),
+    FormulaId.MU_KNESER: (_v_mu_kneser, ("n", "k"), {}),
+    FormulaId.MUT_BIPARTITE: (_v_mut_bipartite, ("n", "k"), {}),
+    FormulaId.MU_BIPARTITE_LB: (_v_mu_bipartite_lb, ("n", "k"), {}),
+    FormulaId.MUT_JOHNSON: (_v_mut_johnson, ("n", "k"), {}),
+    FormulaId.MU_JOHNSON_SANDWICH: (_v_mu_johnson_sandwich, ("n", "k"), {}),
+    FormulaId.MU_JOHNSON_K2: (_v_mu_johnson_k2, ("n",), {}),
+    FormulaId.MU_KNESER_GP_LB: (_v_mu_kneser_gp_lb, ("n", "k"), {}),
+    FormulaId.KNESER2_ALL_PARAMS: (_v_kneser2_all_params, ("n",), {}),
+    FormulaId.LEMMA_BINOM: (_v_lemma_binom, ("n",), {}),
+    FormulaId.LEMMA_CSTAR: (_v_lemma_cstar, ("n", "k"), {}),
+    FormulaId.LEMMA_TRANSVERSAL_EQUIV: (_v_lemma_transversal_equiv, ("n", "k"),
+                                        {"samples": 200}),
+    FormulaId.SANDWICH_DUAL_OUTER: (_v_sandwich_dual_outer, ("family",), {}),
 }
 
 
@@ -795,10 +786,13 @@ def parse_range(value) -> tuple[int, int]:
 
 
 def _instances(formula: FormulaId, params: dict) -> list[dict]:
-    _, needed = _VERIFIERS[formula]
+    _, needed, optional = _VERIFIERS[formula]
     for key in needed:
         if key not in params:
             raise DomainError(f"formula {formula.value} requires parameter {key!r}")
+    for key in params:
+        if key not in needed and key not in optional:
+            raise DomainError(f"formula {formula.value} does not read parameter {key!r}")
     if "family" in needed:
         return [dict(params)]
     lo, hi = parse_range(params["n"])
@@ -808,6 +802,8 @@ def _instances(formula: FormulaId, params: dict) -> list[dict]:
         inst["n"] = n
         if "k" in inst:
             inst["k"] = int(inst["k"])
+        for key, default in optional.items():
+            inst.setdefault(key, default)
         out.append(inst)
     return out
 
@@ -824,16 +820,16 @@ def verify(formula: FormulaId | str, params: dict | None = None,
     except ValueError:
         raise DomainError(f"unknown formula {formula!r}; "
                           f"expected one of {', '.join(all_formula_ids())}") from None
-    verifier, _ = _VERIFIERS[fid]
+    verifier = _VERIFIERS[fid][0]
     out: list[VerificationReport] = []
     for inst in _instances(fid, params or {}):
         t0 = time.perf_counter()
         try:
             rows = verifier(inst, budget, seed)
         except PreconditionError as e:
-            rows = [_report(fid, inst, None, None, "none", reason=f"precondition: {e}")]
+            rows = [_report(fid, inst, None, _Oracle("none", reason=f"precondition: {e}"))]
         except BudgetExhausted:
-            rows = [_report(fid, inst, None, None, "none", reason="oracle beyond budget")]
+            rows = [_report(fid, inst, None, _Oracle("none", reason="oracle beyond budget"))]
         dt = time.perf_counter() - t0
         out.extend(replace(r, seconds=dt) for r in rows)
     return out

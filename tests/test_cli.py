@@ -298,6 +298,28 @@ def test_negative_or_nan_budget_is_a_usage_error(flag, value):
     assert err["kind"] == "usage" and flag in err["message"]
 
 
+def test_negative_samples_is_a_usage_error(capsys):
+    # a sweep cannot draw fewer than no subsets; 0 keeps only the fixed pools
+    argv = ["verify", "--formula", "lemma-transversal-equiv", "--n", "5", "--k", "2"]
+    assert mvlab.cli.main(argv + ["--samples", "-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)["error"]
+    assert err["kind"] == "usage" and "--samples" in err["message"]
+    assert mvlab.cli.main(argv + ["--samples", "0"]) == 0
+    capsys.readouterr()
+
+
+def test_unread_verify_parameter_is_a_domain_error(capsys):
+    argv = ["verify", "--formula", "mut-kneser", "--n", "6", "--k", "2",
+            "--samples", "5", "--family", "kneser:n=5,k=2"]
+    assert mvlab.cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = json.loads(err)["error"]
+    assert err["kind"] == "domain" and "'family'" in err["message"]
+
+
 def test_explore_reports_bounds():
     p = run_cli("explore", "--family", "johnson:n=5,k=2", "--param", "mu-total")
     assert p.returncode == 0

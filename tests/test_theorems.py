@@ -1,5 +1,8 @@
+import ast
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from mvlab.budget import Bounds, Budget, BudgetExhausted
 from mvlab.errors import ConstraintError, DomainError, PreconditionError
 from mvlab.theorems import (
     FormulaId,
+    _Oracle,
     _disjoint_edges,
     _report,
     all_formula_ids,
@@ -24,6 +28,7 @@ from mvlab.theorems import (
     parse_range,
     verify,
 )
+from mvlab.visibility import Variant
 
 
 def _verdicts(reports):
@@ -101,6 +106,16 @@ def test_mu_kneser_witness_route():
     assert r.certificates[0]["witness_size"] == 24
     assert r.certificates[0]["validates"] is True
     assert r.certificates[0]["construction"] == "disjoint-edges"
+
+
+def test_mu_kneser_middle_range_takes_the_c_star_witness():
+    # c*(17, 3) = 7, one edge fewer than the doubled construction H(17, 3),
+    # whose complement (672) failed this row
+    (r,) = verify("mu-kneser", {"n": 17, "k": 3})
+    assert (r.verdict, r.formula_value, r.oracle_value) == (
+        "pass", Bounds(673, 673), Bounds(673, 680))
+    assert r.certificates[0]["construction"] == "c-star-witness"
+    assert r.certificates[0]["validator"] == "transversal-reduction"
 
 
 def test_mut_bipartite_first_range_and_witness():
@@ -198,6 +213,22 @@ def test_lemma_binom_rows():
     assert seen == expected
 
 
+def test_lemma_cstar_tau_mismatch_fails_its_row(monkeypatch):
+    # H(n, k) has transversal number 2k, so only a broken kernel reaches this
+    inner = theorems.transversal_number
+
+    def off_by_one(h, budget=None):
+        cert = inner(h, budget)
+        return dataclasses.replace(cert, tau=cert.tau - 1)
+
+    monkeypatch.setattr(theorems, "transversal_number", off_by_one)
+    (ii,) = verify("lemma-cstar", {"n": 16, "k": 3})
+    assert (ii.params["part"], ii.verdict, ii.claim) == ("ii", "fail", "at-most")
+    assert ii.reason == "construction has transversal number 5, expected 6"
+    assert ii.oracle_value is None and ii.formula_value == Bounds(8, 8)
+    assert ii.certificates[0]["tau"] == 5
+
+
 def test_lemma_cstar_parts():
     reports = verify("lemma-cstar", {"n": 8, "k": 2})
     parts = {r.params["part"]: r for r in reports}
@@ -244,6 +275,18 @@ def test_sandwich_dual_outer_chain():
     values = r.certificates[0]["values"]
     assert values["mu-total"] <= values["mu-dual"] <= values["mu"]
     assert values["mu-total"] <= values["mu-outer"] <= values["mu"]
+
+
+def test_broken_sandwich_chain_fails_its_row(monkeypatch):
+    # mu-dual above mu breaks the chain; no real graph reaches this
+    values = {Variant.TOTAL: 3, Variant.DUAL: 6, Variant.OUTER: 4, Variant.MUTUAL: 5}
+    monkeypatch.setattr(theorems, "_definitional", lambda graph, variant, budget:
+                        _Oracle("definitional-search",
+                                Bounds(values[variant], values[variant])))
+    (r,) = verify("sandwich-dual-outer", {"family": "kneser:n=5,k=2"})
+    assert (r.verdict, r.claim, r.reason) == ("fail", "chain", "an inequality fails")
+    assert r.certificates == ({"values": {"mu-total": 3, "mu-dual": 6, "mu-outer": 4,
+                                          "mu": 5}, "chain_holds": False},)
 
 
 def test_budget_exhaustion_skips_not_fails():
@@ -378,6 +421,29 @@ def test_missing_required_params():
         verify("mut-kneser", {"n": 5})
     with pytest.raises(DomainError):
         verify("sandwich-dual-outer", {"n": 5, "k": 2})
+    # a parameter the formula never reads is an error, not a copied field
+    for formula, params, key in (
+            ("mut-kneser", {"n": 6, "k": 2, "samples": 5}, "samples"),
+            ("mut-kneser", {"n": 6, "k": 2, "family": "kneser:n=5,k=2"}, "family"),
+            ("sandwich-dual-outer", {"family": "kneser:n=5,k=2", "n": 5}, "n")):
+        with pytest.raises(DomainError, match=repr(key)):
+            verify(formula, params)
+    # samples is optional and counted from 0
+    with pytest.raises(DomainError, match="samples"):
+        verify("lemma-transversal-equiv", {"n": 5, "k": 2, "samples": -3})
+    (r,) = verify("lemma-transversal-equiv", {"n": 5, "k": 2, "samples": 0})
+    assert r.verdict == "pass" and r.certificates[0]["random_samples"] == 0
+
+
+def test_every_row_is_built_by_report():
+    # verdicts are settled in one place: no other code builds a row
+    tree = ast.parse(Path(theorems.__file__).read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "VerificationReport"]
+    (report,) = [fn for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "_report"]
+    inside = set(ast.walk(report))
+    assert calls and all(call in inside for call in calls)
 
 
 def test_disjoint_edges_rejects_overfull_ground_set():
@@ -422,7 +488,7 @@ _RELATION = {
 @PROPERTY
 @given(_bounds(), _bounds(), st.sampled_from(sorted(_RELATION)))
 def test_report_decides_only_where_the_enclosures_do(f, o, claim):
-    r = _report(FormulaId.MUT_KNESER, {}, f, o, "definitional-search", claim=claim)
+    r = _report(FormulaId.MUT_KNESER, {}, f, _Oracle("definitional-search", o), claim=claim)
     rel = _RELATION[claim]
     pairs = [(p, q) for p in range(o.lo, o.hi + 1) for q in range(f.lo, f.hi + 1)]
     some = any(rel(p, q) for p, q in pairs)
@@ -442,7 +508,7 @@ def test_report_decides_only_where_the_enclosures_do(f, o, claim):
 @given(_bounds(), st.integers(0, 16), st.integers(0, 4))
 def test_witness_rule(f, size, extra):
     o = Bounds(size, size + extra)          # [witness size, |V|]
-    r = _report(FormulaId.MU_KNESER, {}, f, o, "witness-only")
+    r = _report(FormulaId.MU_KNESER, {}, f, _Oracle("witness-only", o))
     assert (r.verdict == "fail") == (size > f.hi or (f.exact and size < f.lo))
     assert not (r.verdict == "pass" and size < f.lo)
     if r.verdict == "skipped":
@@ -451,9 +517,13 @@ def test_witness_rule(f, size, extra):
 
 
 def _fails_validation(monkeypatch):
+    # both validators refuse: the definitional one and, past its cap, the
+    # transversal reduction
     def refuse(graph, members, variant):
         return False, {"witness_size": len(members), "validates": False}
     monkeypatch.setattr(theorems, "_validate_witness", refuse)
+    monkeypatch.setattr(theorems, "kneser_total_mv_check_fast",
+                        lambda n, k, x, budget: False)
 
 
 def _assert_fail_row(r, vertex_count, construction):
@@ -465,6 +535,7 @@ def _assert_fail_row(r, vertex_count, construction):
 
 @pytest.mark.parametrize("formula,params,budget,vertices,construction", [
     ("mu-kneser", {"n": 8, "k": 2}, None, 28, "disjoint-edges"),
+    ("mu-kneser", {"n": 17, "k": 3}, None, 680, "c-star-witness"),
     ("mut-bipartite", {"n": 7, "k": 2}, None, 42, "covering-family-both-sides"),
     ("mut-johnson", {"n": 7, "k": 3}, Budget(max_nodes=2000), 35,
      "pattern-free-edge-system"),
