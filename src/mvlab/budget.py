@@ -1,16 +1,17 @@
 """Search budgets and interval values.
 
 Every exact search accepts a Budget; exceeding it is not an error but
-degrades the result to an interval (status "incomplete"/"interval") with
-the best proven bounds and witness. Defaults follow the CLI contract:
-10^7 nodes and 60 seconds.
+degrades the result to an interval (status "interval") with the best
+proven bounds and witness. Defaults follow the CLI contract: 10^7 nodes
+and 60 seconds.
 
 Intervals are read out one way. ``IntervalResult`` gives ``exact``,
 ``status``, ``value`` and ``bounds`` to anything with ``lo`` and ``hi``
-fields: ``Bounds`` itself and the covering, c-star and Turan results.
-``value`` raises DomainError on a proper interval. The visibility
-certificate keeps its own read-outs, since its ``value`` is a field (the
-lower end) and its status word is "incomplete".
+fields: ``Bounds`` itself and the visibility, covering, c-star and Turan
+results. ``value`` raises DomainError on a proper interval, so a caller
+that wants the best witness's size on a cut reads ``lo``. The transversal
+certificate is not yet an interval: its ``exact`` is a field, and a cut
+keeps only the upper end ``tau``.
 
 A Budget bounds each search, not each command: every search counts its
 own nodes and times itself from its own start. A command that runs

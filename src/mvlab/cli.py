@@ -8,11 +8,17 @@ Verbs map one-to-one onto library operations:
   turan      pattern-free extremal edge counts / containment checks
   covering   covering numbers and the minimum-edge constant
   tau        transversal number of a hypergraph file
-  explore    budgeted search on ranges with no published value
+  explore    the same as compute
 
 Exit codes: 0 success (all verdicts pass), 1 a verification failed,
 2 usage error (machine-readable object on stderr), 3 a budget-limited
 search returned an interval instead of an exact value.
+
+The search verbs (compute, covering, turan, tau) print one result each.
+compute, covering and turan give a "status" of "exact" or "interval".
+compute prints the lower end as "value", with "bounds" [lo, hi] when cut;
+covering and turan print "value" as an integer or [lo, hi]. tau prints
+"tau", an upper bound when cut, and "optimal" in place of a status.
 
 Output is deterministic for a fixed argv: json and csv never include
 wall-clock fields. The verify --summary table does include a seconds
@@ -31,10 +37,10 @@ from .budget import DEFAULT_BUDGET, Budget
 from .constructions import build_complete_uniform, build_generalized_triangle, build_h_nk
 from .covering import c_star, covering_number
 from .errors import MvlabError
-from .families import FamilyKind, parse_family
+from .families import parse_family
 from .hypergraphs import format_hypergraph, parse_hypergraph, transversal_number
 from .theorems import all_formula_ids, verify as run_verify
-from .turan import contains_pattern, ex_uniform, mubayi_asymptote, parse_pattern
+from .turan import contains_pattern, ex_uniform, parse_pattern
 from .visibility import PARAM_TO_VARIANT, max_visibility_number
 
 EXIT_OK = 0
@@ -126,35 +132,16 @@ def _budget(args) -> Budget:
 # subcommands
 
 
-def _emit_result(out: dict, exact: bool, fmt: str) -> int:
+def _emit_result(result, fmt: str) -> int:
     """Print one search result; exit 3 when it is not exact."""
-    _emit(out, fmt)
-    return EXIT_OK if exact else EXIT_BUDGET
-
-
-def _search_family(args):
-    """The --param maximum of the --family graph, searched on the budget."""
-    return max_visibility_number(parse_family(args.family),
-                                 PARAM_TO_VARIANT[args.param], _budget(args))
+    _emit(result.as_json(), fmt)
+    return EXIT_OK if result.exact else EXIT_BUDGET
 
 
 def _cmd_compute(args) -> int:
-    cert = _search_family(args)
-    return _emit_result(cert.as_json(), cert.exact, args.format)
-
-
-def _cmd_explore(args) -> int:
-    cert = _search_family(args)
-    graph, bounds = cert.graph, cert.bounds
-    out = cert.as_json()
-    out["bounds"] = [bounds.lo, bounds.hi]
-    out["note"] = "exploratory search; no published value is asserted here"
-    if graph.kind is FamilyKind.JOHNSON and args.param == "mu-total":
-        out["asymptotic_guide"] = {
-            "value": mubayi_asymptote(graph.n, graph.k),
-            "binding": False,
-        }
-    return _emit_result(out, cert.exact, args.format)
+    cert = max_visibility_number(parse_family(args.family),
+                                 PARAM_TO_VARIANT[args.param], _budget(args))
+    return _emit_result(cert, args.format)
 
 
 def _verify_params(args) -> dict:
@@ -239,8 +226,7 @@ def _cmd_turan(args) -> int:
         return EXIT_OK
     if args.n is None:
         raise _UsageError("turan requires --n (or --check FILE)")
-    result = ex_uniform(args.n, pattern.k, pattern, _budget(args))
-    return _emit_result(result.as_json(), result.exact, args.format)
+    return _emit_result(ex_uniform(args.n, pattern.k, pattern, _budget(args)), args.format)
 
 
 def _cmd_covering(args) -> int:
@@ -252,7 +238,7 @@ def _cmd_covering(args) -> int:
         if args.t is None:
             raise _UsageError("covering requires --t (or --c-star)")
         cert = covering_number(args.n, args.k, args.t, _budget(args))
-    return _emit_result(cert.as_json(), cert.exact, args.format)
+    return _emit_result(cert, args.format)
 
 
 def _read_input(path: str) -> str:
@@ -264,8 +250,7 @@ def _read_input(path: str) -> str:
 
 def _cmd_tau(args) -> int:
     h = parse_hypergraph(_read_input(args.infile))
-    cert = transversal_number(h, _budget(args))
-    return _emit_result(cert.as_json(), cert.optimal, args.format)
+    return _emit_result(transversal_number(h, _budget(args)), args.format)
 
 
 # ----------------------------------------------------------------------
@@ -285,8 +270,6 @@ def _nonnegative(cast):
 def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "table", "csv"),
                    default="json", help="output format (default json)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized sweeps")
     p.add_argument("--budget-nodes", type=_nonnegative(int),
                    default=DEFAULT_BUDGET.max_nodes, help="search node budget (default 1e7)")
     p.add_argument("--budget-seconds", type=_nonnegative(float),
@@ -307,6 +290,8 @@ def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", help="family spec for graph-shaped formulas")
     p.add_argument("--samples", type=_nonnegative(int),
                    help="random subsets per instance for sweep oracles")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized sweeps")
     p.add_argument("--summary", action="store_true",
                    help="fixed-width table with a wall-clock column")
 
@@ -350,7 +335,7 @@ _VERBS = {
     "turan": ("pattern-free extremal edge counts", _turan_args, _cmd_turan),
     "covering": ("covering numbers C(n, k, t)", _covering_args, _cmd_covering),
     "tau": ("transversal number of a hypergraph file", _tau_args, _cmd_tau),
-    "explore": ("budgeted search on open ranges", _compute_args, _cmd_explore),
+    "explore": ("the same as compute", _compute_args, _cmd_compute),
 }
 
 

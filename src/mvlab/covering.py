@@ -79,6 +79,10 @@ def _validate_cover_params(n: int, k: int, t: int) -> None:
 
 @dataclass(frozen=True)
 class CoveringCertificate(IntervalResult):
+    """C(n, k, t) as a proven enclosure [lo, hi], with hi blocks that
+    cover every t-subset. The blocks are the first cover of that size
+    found (a seed or the search's incumbent), not a canonical one."""
+
     n: int
     k: int
     t: int
@@ -319,7 +323,9 @@ def _valid_seed(seed_blocks: tuple[int, ...] | None, n: int, k: int,
 @dataclass(frozen=True)
 class CStarCertificate(IntervalResult):
     """Minimum edge count of a k-uniform system on [n] with transversal
-    number >= 2k, with the witness system and its solved transversal."""
+    number >= 2k, with the witness system and its solved transversal. The
+    witness is the complement of the first cover found by the covering
+    search, not a canonical one."""
 
     n: int
     k: int
@@ -339,7 +345,7 @@ class CStarCertificate(IntervalResult):
             "witness_tau": self.witness_tau.tau,
             "nodes_expanded": self.nodes_expanded,
         }
-        if not self.witness_tau.optimal:
+        if not self.witness_tau.exact:
             out["witness_tau_optimal"] = False
         return out
 
@@ -351,7 +357,7 @@ def c_star(n: int, k: int, budget: Budget | None = None) -> CStarCertificate:
     reaches transversal number 2k). Computed as C(n, n-k, 2k-1) on the
     complement side; the witness returned is the k-uniform edge system,
     re-validated by the transversal kernel on a budget of its own. When
-    that budget cuts the check, ``witness_tau.optimal`` is False and
+    that budget cuts the check, ``witness_tau.exact`` is False and
     ``witness_tau.tau`` only bounds the transversal number from above.
     """
     if k < 2:

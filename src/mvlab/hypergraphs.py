@@ -19,14 +19,15 @@ canonical (edges colex-sorted), so write -> read -> write is bit-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .budget import Budget, BudgetExhausted, SearchCounters
 from .errors import DomainError, MvlabError
 from .subsets import KSubset, MAX_GROUND_SET, iter_bits, mask_of, members_of
 
-# name of the tau kernel below, reported in certificates and benchmark results
+# name of the tau kernel below; perfbench records it with each run and
+# refuses to compare runs whose kernels differ
 ACTIVE_KERNEL = "python"
 
 
@@ -72,10 +73,6 @@ def hypergraph(n: int, edges: Iterable[Sequence[int] | int]) -> Hypergraph:
     for e in edges:
         if isinstance(e, int):
             masks.add(e)
-        elif isinstance(e, KSubset):
-            if e.n != n:
-                raise DomainError(f"edge over [1..{e.n}] in a hypergraph on [1..{n}]")
-            masks.add(e.bits)
         else:
             masks.add(mask_of(e, n))
     return Hypergraph(n, tuple(sorted(masks)))
@@ -264,15 +261,15 @@ def solve_tau(edges, counters: SearchCounters, ceiling: int | None = None):
 
 @dataclass(frozen=True)
 class TransversalCertificate:
-    """Minimum transversal with witness. ``optimal`` is False only when a
-    budget stopped the search, in which case tau is an upper bound."""
+    """Minimum transversal with witness: the first optimum in the kernel's
+    depth-first order. ``exact`` is False only when a budget stopped the
+    search, in which case tau is an upper bound."""
 
     hypergraph: Hypergraph
     tau: int
     transversal: KSubset
-    optimal: bool
+    exact: bool
     nodes_expanded: int
-    kernel: str = field(default=ACTIVE_KERNEL)
 
     def as_json(self) -> dict:
         return {
@@ -281,9 +278,8 @@ class TransversalCertificate:
             "edge_count": self.hypergraph.edge_count,
             "tau": self.tau,
             "transversal": list(self.transversal.members()),
-            "optimal": self.optimal,
+            "optimal": self.exact,
             "nodes_expanded": self.nodes_expanded,
-            "kernel": self.kernel,
         }
 
 
@@ -300,7 +296,7 @@ def transversal_number(h: Hypergraph,
         hypergraph=h,
         tau=tau,
         transversal=KSubset(h.n, mask),
-        optimal=complete,
+        exact=complete,
         nodes_expanded=nodes,
     )
 

@@ -427,7 +427,7 @@ def _min_edges(graph: FamilyGraph, budget: Budget | None) -> _Oracle:
     n, k = graph.n, graph.k
     m, witness, nodes = min_edges_with_tau(n, k, 2 * k, budget)
     tau_cert = transversal_number(witness, budget)
-    if not tau_cert.optimal:
+    if not tau_cert.exact:
         raise BudgetExhausted
     return _Oracle("reduction-min-edges", as_bounds(comb(n, k) - m),
                    ({"min_edges": m, "nodes_expanded": nodes}, tau_cert.as_json()))
@@ -638,14 +638,14 @@ def _v_lemma_cstar(inst: dict, budget: Budget | None, seed: int) -> list[Verific
     if n >= 2 * k * k:
         f = as_bounds(2 * k)
         cs = c_star(n, k, budget)
-        o = _Oracle("covering-search", Bounds(cs.lo, cs.hi), (cs.as_json(),))
+        o = _Oracle("covering-search", cs.bounds, (cs.as_json(),))
         rows.append(_report(FormulaId.LEMMA_CSTAR, {**inst, "part": "i"}, f, o))
     if k >= 3 and n >= 7 * k - 5:
         f = as_bounds(2 * comb(2 * k - 3, k) + 6)
         h = build_h_nk(n, k)
         tau_cert = transversal_number(h, budget)
         certs = (tau_cert.as_json(),)
-        if not tau_cert.optimal:   # a search the budget cut short is a skip
+        if not tau_cert.exact:   # a search the budget cut short is a skip
             o = _Oracle("construction-tau", None, certs, "oracle beyond budget")
         elif tau_cert.tau != 2 * k:
             o = _Oracle("construction-tau", None, certs,
@@ -660,7 +660,7 @@ def _v_lemma_cstar(inst: dict, budget: Budget | None, seed: int) -> list[Verific
         # the partition seed of C(n, n-k, 2k) is the complements of 2k+1
         # disjoint k-sets
         cov = covering_number(n, n - k, 2 * k, budget)
-        o = _Oracle("covering-search", Bounds(cov.lo, cov.hi), (cov.as_json(),))
+        o = _Oracle("covering-search", cov.bounds, (cov.as_json(),))
         rows.append(_report(FormulaId.LEMMA_CSTAR, {**inst, "part": "iii"}, f, o))
     if not rows:
         rows.append(_report(FormulaId.LEMMA_CSTAR, inst, None, _Oracle(
@@ -785,6 +785,16 @@ def parse_range(value) -> tuple[int, int]:
     return lo, hi
 
 
+def _integer(key: str, value) -> int:
+    """An integer parameter given as an int or an integer string."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise DomainError(f"parameter {key!r} must be an integer, got {value!r}")
+
+
 def _instances(formula: FormulaId, params: dict) -> list[dict]:
     _, needed, optional = _VERIFIERS[formula]
     for key in needed:
@@ -800,10 +810,11 @@ def _instances(formula: FormulaId, params: dict) -> list[dict]:
     for n in range(lo, hi + 1):
         inst = {key: params[key] for key in params if key != "n"}
         inst["n"] = n
-        if "k" in inst:
-            inst["k"] = int(inst["k"])
         for key, default in optional.items():
             inst.setdefault(key, default)
+        for key in ("k", "samples"):
+            if key in inst:
+                inst[key] = _integer(key, inst[key])
         out.append(inst)
     return out
 

@@ -247,6 +247,11 @@ def contains_pattern(h: Hypergraph, pattern: Pattern
 
 @dataclass(frozen=True)
 class TuranResult(IntervalResult):
+    """ex(n, pattern) as a proven enclosure [lo, hi], with a pattern-free
+    witness of lo edges. When exact, the witness is the lex-greatest
+    maximum system in the colex order of the candidate edges; on a cut it
+    is the largest system found so far."""
+
     n: int
     k: int
     pattern: Pattern

@@ -105,7 +105,7 @@ from itertools import chain, combinations
 from typing import Iterable
 
 from . import hypergraphs
-from .budget import Bounds, Budget, BudgetExhausted, SearchCounters
+from .budget import Budget, BudgetExhausted, IntervalResult, SearchCounters
 from .errors import ConstraintError, DomainError, PreconditionError
 from .families import FamilyGraph, _vertex_masks, format_family, graph_context, kneser
 from .subsets import KSubset, MaskOrbits, bit_indices
@@ -144,35 +144,25 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class VisibilityCertificate:
+class VisibilityCertificate(IntervalResult):
+    """The largest visibility set of one variant, as a proven enclosure
+    [lo, hi] with a witness of size lo. The witness is the colex-least
+    optimum, unless ``witness_canonical`` is False: the budget ran out
+    while an exact optimum was being made colex-least."""
+
     graph: FamilyGraph
     variant: Variant
-    value: int
+    lo: int
     witness: tuple[KSubset, ...]
-    # a proven upper bound on the optimum; the value itself when exact
     hi: int
     nodes_expanded: int
-    # False when the budget ran out before an exact optimum was made colex-least
     witness_canonical: bool = True
-
-    @property
-    def exact(self) -> bool:
-        return self.value == self.hi
-
-    @property
-    def status(self) -> str:
-        return "exact" if self.exact else "incomplete"
-
-    @property
-    def bounds(self) -> Bounds:
-        """The proven enclosure [value, hi]."""
-        return Bounds(self.value, self.hi)
 
     def as_json(self) -> dict:
         out = {
             "family": format_family(self.graph),
             "variant": self.variant.value,
-            "value": self.value,
+            "value": self.lo,
             "witness": [list(s.members()) for s in self.witness],
             "status": self.status,
             "nodes_expanded": self.nodes_expanded,
@@ -180,7 +170,7 @@ class VisibilityCertificate:
         if not self.witness_canonical:
             out["witness_canonical"] = False
         if not self.exact:
-            out["bounds"] = [self.value, self.hi]
+            out["bounds"] = [self.lo, self.hi]
         return out
 
 
@@ -461,7 +451,7 @@ def max_visibility_number(graph: FamilyGraph, variant: Variant | str,
                           budget: Budget | None = None) -> VisibilityCertificate:
     """Largest size of a visibility set of the given variant, by exact
     search; on budget exhaustion the best found so far is returned with
-    status "incomplete". Canonicalizing the witness shares the budget."""
+    status "interval". Canonicalizing the witness shares the budget."""
     variant = Variant(variant)
     idx = visibility_index(graph)
     if idx.v > SEARCH_VERTEX_CAP:
@@ -483,7 +473,7 @@ def max_visibility_number(graph: FamilyGraph, variant: Variant | str,
     return VisibilityCertificate(
         graph=graph,
         variant=variant,
-        value=value,
+        lo=value,
         witness=witness,
         hi=hi,
         nodes_expanded=counters.nodes,

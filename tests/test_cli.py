@@ -283,6 +283,11 @@ def test_usage_errors_are_json_on_stderr():
     assert bad_range.returncode == 2
     assert json.loads(bad_range.stderr)["error"]["kind"] == "domain"
 
+    # only verify reads --seed, so no other verb takes it
+    seeded_tau = run_cli("tau", "--in", "-", "--seed", "4", stdin_text="3 2\n1 2\n")
+    assert seeded_tau.returncode == 2
+    assert json.loads(seeded_tau.stderr)["error"]["kind"] == "usage"
+
 
 @pytest.mark.parametrize("flag, value", [("--budget-nodes", "-5"),
                                          ("--budget-seconds", "-1"),
@@ -320,19 +325,23 @@ def test_unread_verify_parameter_is_a_domain_error(capsys):
     assert err["kind"] == "domain" and "'family'" in err["message"]
 
 
-def test_explore_reports_bounds():
-    p = run_cli("explore", "--family", "johnson:n=5,k=2", "--param", "mu-total")
-    assert p.returncode == 0
-    out = json.loads(p.stdout)
-    assert out["bounds"] == [6, 6]
-    assert out["asymptotic_guide"]["binding"] is False
+# an exact run (exit 0) and a cut one (exit 3)
+@pytest.mark.parametrize("args,code", (
+    (("--family", "johnson:n=5,k=2", "--param", "mu-total"), 0),
+    (("--family", "kneser:n=6,k=2", "--param", "mu", "--budget-nodes", "2"), 3),
+))
+def test_explore_prints_what_compute_prints(args, code, capsys):
+    runs = []
+    for verb in ("compute", "explore"):
+        runs.append((mvlab.cli.main([verb, *args]), capsys.readouterr().out))
+    assert runs[0] == runs[1] and runs[0][0] == code
 
 
 def test_compute_budget_exhaustion_exit_three():
     p = run_cli("compute", "--family", "kneser:n=6,k=2", "--param", "mu",
                 "--budget-nodes", "2")
     assert p.returncode == 3
-    assert json.loads(p.stdout)["status"] == "incomplete"
+    assert json.loads(p.stdout)["status"] == "interval"
 
 
 @pytest.mark.parametrize("fmt", ("json", "csv"))
@@ -350,7 +359,7 @@ VERB_ARGVS = {
     "construct": ["construct", "--what", "H_nk", "--n", "23", "--k", "4", "--out", "h.txt"],
     "turan": ["turan", "--pattern", "c4sus:k=3", "--n", "7", "--budget-nodes", "300000"],
     "covering": ["covering", "--n", "10", "--k", "3", "--c-star", "--budget-seconds", "5"],
-    "tau": ["tau", "--in", "-", "--seed", "4"],
+    "tau": ["tau", "--in", "-", "--budget-nodes", "100000"],
     "explore": ["explore", "--family", "bipartite-kneser:n=7,k=2", "--param", "mu"],
 }
 

@@ -20,7 +20,7 @@ def test_generalized_triangle_tau_two(k):
     assert h.k == k
     assert h.n == generalized_triangle_vertex_count(k) == k + (k + 1) // 2
     cert = transversal_number(h)
-    assert cert.optimal and cert.tau == 2
+    assert cert.exact and cert.tau == 2
 
 
 @pytest.mark.parametrize("k", range(2, 5))
@@ -44,7 +44,7 @@ def test_complete_uniform_on_2k_minus_3(k):
     assert h.edge_count == math.comb(2 * k - 3, k)
     cert = transversal_number(h)
     # any v-(k-1) vertices hit every edge; fewer leave k untouched vertices
-    assert cert.optimal and cert.tau == k - 2
+    assert cert.exact and cert.tau == k - 2
 
 
 def test_complete_uniform_brute_small():
@@ -57,7 +57,7 @@ def test_h_nk_16_3():
     assert h.n == 16 and h.k == 3
     assert h.edge_count == 8
     cert = transversal_number(h)
-    assert cert.optimal and cert.tau == 6
+    assert cert.exact and cert.tau == 6
     assert brute_tau(h.edge_members(), 16) == 6
 
 

@@ -153,7 +153,7 @@ def test_kernel_calls_take_the_caller_budget(monkeypatch):
     # c_star re-checks its witness on the caller's budget, and says so when
     # the budget cut that check
     cut = c_star(8, 2, Budget(max_nodes=0))
-    assert cut.witness_tau.optimal is False
+    assert cut.witness_tau.exact is False
     assert cut.as_json()["witness_tau_optimal"] is False
     assert "witness_tau_optimal" not in c_star(8, 2).as_json()
 

@@ -37,7 +37,7 @@ def test_tau_matches_brute_force():
         edges = _random_hypergraph(rng, n, rng.randint(1, 10))
         h = hypergraph(n, edges)
         cert = transversal_number(h)
-        assert cert.optimal
+        assert cert.exact
         assert cert.tau == brute_tau(edges, n)
         assert is_transversal(h, cert.transversal.bits)
         assert cert.transversal.size == cert.tau
@@ -216,7 +216,7 @@ def test_kernel_reads_the_clock_every_stride():
         assert (nodes, complete) == (spent, False)
         assert is_transversal(h, mask) and mask.bit_count() == tau
     cert = transversal_number(h, Budget(max_nodes=10_000_000, max_seconds=0.0))
-    assert not cert.optimal and cert.nodes_expanded == _TIME_CHECK_STRIDE
+    assert not cert.exact and cert.nodes_expanded == _TIME_CHECK_STRIDE
 
 
 def test_gallai_identity_on_graphs():
@@ -258,8 +258,3 @@ def test_hypergraph_validates_members():
     with pytest.raises(DomainError):
         hypergraph(3, [()])  # mask 0: the empty set cannot be an edge
 
-
-def test_certificate_reports_kernel():
-    cert = transversal_number(hypergraph(3, [(1, 2)]))
-    assert cert.kernel == "python"
-    assert cert.as_json()["kernel"] == "python"

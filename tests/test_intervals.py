@@ -65,7 +65,7 @@ def test_transversal_bound_holds_the_pinned_value(case, nodes):
     h = build_h_nk(n, k)
     cert = transversal_number(h, Budget(max_nodes=nodes))
     # a cut search proves only the upper end: its transversal
-    assert cert.tau == tau if cert.optimal else cert.tau >= tau
+    assert cert.tau == tau if cert.exact else cert.tau >= tau
     assert cert.nodes_expanded <= nodes
     assert cert.transversal.size == cert.tau
     assert is_transversal(h, cert.transversal.bits)

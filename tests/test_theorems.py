@@ -425,14 +425,23 @@ def test_missing_required_params():
     for formula, params, key in (
             ("mut-kneser", {"n": 6, "k": 2, "samples": 5}, "samples"),
             ("mut-kneser", {"n": 6, "k": 2, "family": "kneser:n=5,k=2"}, "family"),
-            ("sandwich-dual-outer", {"family": "kneser:n=5,k=2", "n": 5}, "n")):
+            ("sandwich-dual-outer", {"family": "kneser:n=5,k=2", "n": 5}, "n"),
+            # nor is a k or samples that is not an integer, whole or as a string
+            ("mut-kneser", {"n": 7, "k": 2.5}, "k"),
+            ("mut-kneser", {"n": 7, "k": "x"}, "k"),
+            ("lemma-transversal-equiv", {"n": 5, "k": 2, "samples": 2.5}, "samples"),
+            ("lemma-transversal-equiv", {"n": 5, "k": 2, "samples": "x"}, "samples")):
         with pytest.raises(DomainError, match=repr(key)):
             verify(formula, params)
+    (r,) = verify("mut-kneser", {"n": 7, "k": "2"})
+    assert r.verdict == "pass" and r.params == {"k": 2, "n": 7}
     # samples is optional and counted from 0
     with pytest.raises(DomainError, match="samples"):
         verify("lemma-transversal-equiv", {"n": 5, "k": 2, "samples": -3})
     (r,) = verify("lemma-transversal-equiv", {"n": 5, "k": 2, "samples": 0})
     assert r.verdict == "pass" and r.certificates[0]["random_samples"] == 0
+    (r,) = verify("lemma-transversal-equiv", {"n": 5, "k": 2, "samples": "3"})
+    assert r.verdict == "pass" and r.certificates[0]["random_samples"] == 3
 
 
 def test_every_row_is_built_by_report():
@@ -537,6 +546,8 @@ def _assert_fail_row(r, vertex_count, construction):
     ("mu-kneser", {"n": 8, "k": 2}, None, 28, "disjoint-edges"),
     ("mu-kneser", {"n": 17, "k": 3}, None, 680, "c-star-witness"),
     ("mut-bipartite", {"n": 7, "k": 2}, None, 42, "covering-family-both-sides"),
+    # n >= 2k^2 + k: the closed value, no covering search
+    ("mut-bipartite", {"n": 10, "k": 2}, None, 90, "covering-family-both-sides"),
     ("mut-johnson", {"n": 7, "k": 3}, Budget(max_nodes=2000), 35,
      "pattern-free-edge-system"),
     ("mu-johnson-k2", {"n": 8}, None, 28, "clique-pattern-free-edge-system"),

@@ -215,8 +215,10 @@ def test_budget_degrades_to_incomplete():
     g = kneser(6, 2)
     cert = max_visibility_number(g, Variant.MUTUAL, Budget(max_nodes=1, max_seconds=60.0))
     assert not cert.exact
-    assert cert.status == "incomplete"
-    assert 0 <= cert.value <= g.vertex_count
+    assert cert.status == "interval"
+    assert 0 <= cert.lo <= g.vertex_count
+    with pytest.raises(DomainError):
+        cert.value  # a cut has no value, only the enclosure [lo, hi]
     # the partial witness must still be valid
     assert is_visibility_set(g, cert.witness, Variant.MUTUAL).ok
 
@@ -253,11 +255,11 @@ def test_cut_runs_report_a_proven_upper_end(graph, variant, optimum):
                *range(128, full.nodes_expanded, 53), full.nodes_expanded]
     for nodes in budgets:
         cert = max_visibility_number(graph, variant, Budget(max_nodes=nodes))
-        assert cert.value <= optimum <= cert.hi < graph.vertex_count, nodes
-        assert cert.bounds.lo == cert.value and cert.bounds.hi == cert.hi
+        assert cert.lo <= optimum <= cert.hi < graph.vertex_count, nodes
+        assert cert.bounds.lo == cert.lo and cert.bounds.hi == cert.hi
         assert is_visibility_set(graph, cert.witness, variant).ok
         if not cert.exact:
-            assert cert.as_json()["bounds"] == [cert.value, cert.hi]
+            assert cert.as_json()["bounds"] == [cert.lo, cert.hi]
     assert cert.exact and cert.witness == full.witness
 
 
@@ -272,7 +274,7 @@ _CUT_ORBIT_BOUNDS = ((kneser(7, 3), Variant.MUTUAL, 15, 2_000, 23),
                          ids=[f"{format_family(g)}-{v.value}" for g, v, *_ in _CUT_ORBIT_BOUNDS])
 def test_cut_exclude_branches_record_the_orbit_bound(graph, variant, optimum, nodes, hi):
     cert = max_visibility_number(graph, variant, Budget(max_nodes=nodes))
-    assert cert.value <= optimum <= cert.hi <= hi
+    assert cert.lo <= optimum <= cert.hi <= hi
     assert is_visibility_set(graph, cert.witness, variant).ok
 
 
@@ -827,5 +829,5 @@ PINNED_SEARCHES = (
 def test_pinned_search_trees(graph, param, cap, value, hi, nodes, canonical):
     budget = None if cap is None else Budget(max_nodes=cap)
     cert = max_visibility_number(graph, PARAM_TO_VARIANT[param], budget)
-    assert (cert.value, cert.hi, cert.nodes_expanded, cert.witness_canonical) == (
+    assert (cert.lo, cert.hi, cert.nodes_expanded, cert.witness_canonical) == (
         value, hi, nodes, canonical)
