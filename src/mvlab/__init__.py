@@ -51,7 +51,6 @@ from .turan import (
     build_k4_suspension,
     contains_pattern,
     ex_uniform,
-    mubayi_asymptote,
     parse_pattern,
     turan_k4_closed,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "kneser_total_mv_check_fast",
     "max_visibility_number",
     "min_edges_with_tau",
-    "mubayi_asymptote",
     "parse_family",
     "parse_hypergraph",
     "parse_pattern",

@@ -14,6 +14,11 @@ Exit codes: 0 success (all verdicts pass), 1 a verification failed,
 2 usage error (machine-readable object on stderr), 3 a budget-limited
 search returned an interval instead of an exact value.
 
+verify hands each parameter flag it is given to the formula, and a
+formula that does not read it exits 2: --samples and --seed are the
+lemma-transversal-equiv sweep's alone. turan takes the uniformity from
+the pattern spec.
+
 The search verbs (compute, covering, turan, tau) print one result each.
 compute, covering and turan give a "status" of "exact" or "interval".
 compute prints the lower end as "value", with "bounds" [lo, hi] when cut;
@@ -145,20 +150,14 @@ def _cmd_compute(args) -> int:
 
 
 def _verify_params(args) -> dict:
-    params: dict = {}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.k is not None:
-        params["k"] = args.k
-    if args.family is not None:
-        params["family"] = args.family
-    if args.samples is not None:
-        params["samples"] = args.samples
-    return params
+    """The verify flags given, keyed as ``verify`` reads them; a formula
+    rejects one it does not read."""
+    return {key: value for key in ("n", "k", "family", "samples", "seed")
+            if (value := getattr(args, key)) is not None}
 
 
 def _cmd_verify(args) -> int:
-    reports = run_verify(args.formula, _verify_params(args), _budget(args), args.seed)
+    reports = run_verify(args.formula, _verify_params(args), _budget(args))
 
     if args.summary:
         rows = []
@@ -212,8 +211,6 @@ def _cmd_construct(args) -> int:
 
 def _cmd_turan(args) -> int:
     pattern = parse_pattern(args.pattern)
-    if args.k is not None and args.k != pattern.k:
-        raise _UsageError(f"--k {args.k} contradicts pattern uniformity {pattern.k}")
     if args.check:
         h = parse_hypergraph(_read_input(args.check))
         found = contains_pattern(h, pattern)
@@ -226,7 +223,7 @@ def _cmd_turan(args) -> int:
         return EXIT_OK
     if args.n is None:
         raise _UsageError("turan requires --n (or --check FILE)")
-    return _emit_result(ex_uniform(args.n, pattern.k, pattern, _budget(args)), args.format)
+    return _emit_result(ex_uniform(args.n, pattern, _budget(args)), args.format)
 
 
 def _cmd_covering(args) -> int:
@@ -290,8 +287,8 @@ def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", help="family spec for graph-shaped formulas")
     p.add_argument("--samples", type=_nonnegative(int),
                    help="random subsets per instance for sweep oracles")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized sweeps")
+    p.add_argument("--seed", type=int,
+                   help="seed for the lemma-transversal-equiv sweep (default 0)")
     p.add_argument("--summary", action="store_true",
                    help="fixed-width table with a wall-clock column")
 
@@ -309,7 +306,6 @@ def _turan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pattern", required=True,
                    help="pattern spec: c4sus:k=<int> or k4sus:k=<int>")
     p.add_argument("--n", type=int, help="ground-set size for the search")
-    p.add_argument("--k", type=int, help="uniformity (must match the pattern)")
     p.add_argument("--check", metavar="FILE",
                    help="test containment in this hypergraph file instead")
 

@@ -11,11 +11,13 @@ t-set under the permutations of [n] that fix it (``subsets.MaskOrbits``);
 they form one orbit, so the root takes the first block alone. Each level
 runs three steps:
 
-1. Seeds. The smallest valid cover among the caller's seed, the partition
-   family (on the complement side, every (n-k)-set inside one of a few
-   disjoint parts, sized by convexity for the fewest blocks) and, when
-   (n-k, n-t) = (3, 4), Turan's cyclic construction. One that meets
-   Schonheim's bound L(n, k, t) is returned at once.
+1. Seeds. The smallest valid cover among the complements of the doubled
+   construction H(n, a), a = n-k, on c_star's shape t = 2a-1 (below) with
+   a >= 3 and n >= 7a-5; the partition family (on the complement side,
+   every (n-k)-set inside one of a few disjoint parts, sized by convexity
+   for the fewest blocks); and, when (n-k, n-t) = (3, 4), Turan's cyclic
+   construction. The seeds are functions of (n, k, t) alone. One that
+   meets Schonheim's bound L(n, k, t) is returned at once.
 2. Sub-instance. Each point lies in at least C(n-1, k-1, t-1) blocks, so
    C(n, k, t) >= ceil(n/k C(n-1, k-1, t-1)). The same search runs on that
    sub-instance with at most half of the nodes left, on the caller's
@@ -106,8 +108,8 @@ class CoveringCertificate(IntervalResult):
         }
 
 
-def covering_number(n: int, k: int, t: int, budget: Budget | None = None,
-                    seed_blocks: tuple[int, ...] | None = None) -> CoveringCertificate:
+def covering_number(n: int, k: int, t: int, budget: Budget | None = None
+                    ) -> CoveringCertificate:
     """Exact C(n, k, t) with witness blocks, or a proven interval on budget."""
     _validate_cover_params(n, k, t)
     if k == n:
@@ -116,21 +118,20 @@ def covering_number(n: int, k: int, t: int, budget: Budget | None = None,
         blocks = tuple(k_subset_masks(n, k))
         return CoveringCertificate(n, k, t, len(blocks), len(blocks), blocks, 0)
     counters = SearchCounters(budget)
-    lo, blocks = _cover(n, k, t, counters, seed_blocks)
+    lo, blocks = _cover(n, k, t, counters)
     return CoveringCertificate(n, k, t, lo, len(blocks), tuple(blocks), counters.nodes)
 
 
-def _cover(n: int, k: int, t: int, counters: SearchCounters,
-           seed_blocks: tuple[int, ...] | None) -> tuple[int, list[int]]:
+def _cover(n: int, k: int, t: int, counters: SearchCounters) -> tuple[int, list[int]]:
     """A proven lower end for C(n, k, t), 1 <= t < k < n, and sorted blocks
     attaining the upper end. Spends ``counters`` and returns when its budget
     runs out, so the caller's node count holds all of this work."""
     lower = schonheim_bound(n, k, t)
     universe = list(k_subset_masks(n, t))
-    # the smallest valid seed, the caller's on a tie: a check costs a pass
-    # over the t-sets, so seeds are checked smallest first
-    candidates = sorted(filter(None, (seed_blocks, *_built_in_seeds(n, k, t))), key=len)
-    seed = next(filter(None, (_valid_seed(s, n, k, universe) for s in candidates)))
+    # the smallest valid seed, the first listed on a tie: a check costs a
+    # pass over the t-sets, so seeds are checked smallest first
+    candidates = sorted(_built_in_seeds(n, k, t), key=len)
+    seed = next(filter(None, (_valid_seed(s, universe) for s in candidates)))
     if len(seed) <= lower:
         # the seed meets the lower end, so it is optimal: nothing to search
         return lower, seed
@@ -251,15 +252,27 @@ def _sub_instance_lower(n: int, k: int, t: int, counters: SearchCounters) -> int
     share = (outer.max_nodes - counters.nodes) // 2
     counters.budget = Budget(counters.nodes + share, outer.max_seconds)
     try:
-        return _cover(n - 1, k - 1, t - 1, counters, None)[0]
+        return _cover(n - 1, k - 1, t - 1, counters)[0]
     finally:
         counters.budget = outer
 
 
 def _built_in_seeds(n: int, k: int, t: int) -> list[tuple[int, ...]]:
-    """Constructed covers for C(n, k, t): the partition family, and Turan's
-    cyclic construction when blocks miss 3 points and t-sets miss 4."""
-    seeds = [_partition_seed(n, k, t)]
+    """Constructed covers for C(n, k, t), each a tuple of distinct k-subsets
+    of [n], listed in the order that breaks a tie:
+
+    - on c_star's shape, t = 2a-1 with a = n-k >= 3 and n >= 7a-5, the
+      complements of the doubled construction H(n, a);
+    - the partition family, which there has 2a blocks, fewer than H, from
+      n = 2a^2 on;
+    - Turan's cyclic construction when blocks miss 3 points and t-sets
+      miss 4."""
+    a = n - k
+    seeds = []
+    if t == 2 * a - 1 and a >= 3 and n >= 7 * a - 5:
+        full = (1 << n) - 1
+        seeds.append(tuple(full ^ e for e in build_h_nk(n, a).edges))
+    seeds.append(_partition_seed(n, k, t))
     if (n - k, n - t) == (3, 4):
         seeds.append(_turan_seed(n))
     return seeds
@@ -303,16 +316,12 @@ def _turan_seed(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _valid_seed(seed_blocks: tuple[int, ...] | None, n: int, k: int,
-                universe: list[int]) -> list[int] | None:
-    """The seed's k-subsets of [n], sorted, if they cover every t-subset
-    in ``universe``, else None. Checked without the coverage tables, so a
+def _valid_seed(seed: tuple[int, ...], universe: list[int]) -> list[int] | None:
+    """The seed's blocks, sorted, if they cover every t-subset in
+    ``universe``, else None. Checked without the coverage tables, so a
     search cut while building them can still return the seed."""
-    if not seed_blocks:
-        return None
-    seed = sorted({b for b in seed_blocks if b.bit_count() == k and not b >> n})
     if all(any(tm & b == tm for b in seed) for tm in universe):
-        return seed
+        return sorted(seed)
     return None
 
 
@@ -355,32 +364,22 @@ def c_star(n: int, k: int, budget: Budget | None = None) -> CStarCertificate:
 
     Requires n >= 3k and k >= 2 (below 3k no k-uniform system on [n]
     reaches transversal number 2k). Computed as C(n, n-k, 2k-1) on the
-    complement side; the witness returned is the k-uniform edge system,
-    re-validated by the transversal kernel on a budget of its own. When
-    that budget cuts the check, ``witness_tau.exact`` is False and
+    complement side, whose seeds include the complements of H(n, k) at
+    k >= 3 from n = 7k-5 on. The witness returned is the k-uniform edge
+    system, re-validated by the transversal kernel on a budget of its own.
+    When that budget cuts the check, ``witness_tau.exact`` is False and
     ``witness_tau.tau`` only bounds the transversal number from above.
     """
     if k < 2:
         raise ConstraintError(f"c_star needs k >= 2, got {k}")
     if n < 3 * k:
         raise ConstraintError(f"c_star needs n >= 3k = {3 * k}, got n={n}")
+    cert = covering_number(n, n - k, 2 * k - 1, budget)
     full = (1 << n) - 1
-    seed = _c_star_seed(n, k)
-    seed_blocks = tuple(sorted(full ^ e for e in seed)) if seed else None
-    cert = covering_number(n, n - k, 2 * k - 1, budget, seed_blocks=seed_blocks)
     edges = tuple(sorted(full ^ b for b in cert.blocks))
     witness = Hypergraph(n, edges)
     tau_cert = transversal_number(witness, budget)
     return CStarCertificate(n, k, cert.lo, cert.hi, witness, tau_cert, cert.nodes_expanded)
-
-
-def _c_star_seed(n: int, k: int) -> tuple[int, ...] | None:
-    """The doubled construction, when it applies, to seed the search; the
-    search keeps the smaller of it and its own partition seed, which is 2k
-    disjoint edges from n = 2k^2 on."""
-    if k >= 3 and n >= 7 * k - 5:
-        return tuple(build_h_nk(n, k).edges)
-    return None
 
 
 def min_edges_with_tau(n: int, k: int, tau_target: int,

@@ -41,6 +41,9 @@ class Hypergraph:
             raise DomainError(f"ground set size {self.n} outside 1..{MAX_GROUND_SET}")
         seen = set()
         for e in self.edges:
+            # members_of would never end on a negative mask
+            if e < 0:
+                raise DomainError(f"edge mask {e} is negative")
             if e == 0:
                 raise DomainError("the empty set cannot be an edge")
             if e >> self.n:
@@ -68,13 +71,20 @@ class Hypergraph:
 
 
 def hypergraph(n: int, edges: Iterable[Sequence[int] | int]) -> Hypergraph:
-    """Build a Hypergraph from member tuples or masks, normalizing order."""
+    """Build a Hypergraph from member tuples or masks, normalizing order.
+    An edge that is neither an int mask nor an iterable of ints is a
+    DomainError."""
     masks = set()
     for e in edges:
         if isinstance(e, int):
             masks.add(e)
-        else:
+            continue
+        try:
+            # iterating, comparing or shifting a non-int member raises here
             masks.add(mask_of(e, n))
+        except TypeError:
+            raise DomainError(
+                f"edge {e!r} is neither an int mask nor an iterable of ints") from None
     return Hypergraph(n, tuple(sorted(masks)))
 
 

@@ -28,7 +28,10 @@ first rung within reach of the graph runs.
   by the reference edge-subset search (no vertex cap).
 
 The lemmas use covering-search, construction-tau, integer-arithmetic and
-equivalence-sweep (seeded random subsets, definitional against reduction).
+equivalence-sweep (random subsets drawn from the sweep's own ``seed``
+parameter, default 0, definitional against reduction). A verifier is
+called with its instance and the budget; ``_instances`` fills in the
+optional parameters it reads and rejects any other.
 
 A witness comes from the certificate that proved its formula (c_star's
 edge system, the covering family, the Turan edge system), or where the
@@ -195,7 +198,7 @@ def _johnson_ex(n: int, k: int, build: Callable[[int], Pattern],
     for the (n, k) on which the one-swap graph's formulas are stated."""
     if k < 2 or n < k + 2:
         raise ConstraintError(f"need n >= k+2 and k >= 2, got n={n}, k={k}")
-    return ex_uniform(n, k, build(k), budget)
+    return ex_uniform(n, build(k), budget)
 
 
 def mut_johnson_value(n: int, k: int, budget: Budget | None = None) -> Bounds:
@@ -483,7 +486,7 @@ def _disjoint_edges(n: int, k: int, count: int) -> list[int]:
 # rungs of the ladder it may use
 
 
-def _v_mut_kneser(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
+def _v_mut_kneser(inst: dict, budget: Budget | None) -> list[VerificationReport]:
     n, k = inst["n"], inst["k"]
     f = mut_kneser_formula(n, k, budget)
     rungs = (("singleton-sweep",) if n <= 3 * k - 1
@@ -492,7 +495,7 @@ def _v_mut_kneser(inst: dict, budget: Budget | None, seed: int) -> list[Verifica
     return [_report(FormulaId.MUT_KNESER, inst, f, o)]
 
 
-def _v_mu_kneser(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
+def _v_mu_kneser(inst: dict, budget: Budget | None) -> list[VerificationReport]:
     n, k = inst["n"], inst["k"]
     f, cert = _mu_kneser(n, k, budget)
     g = kneser(n, k)
@@ -503,7 +506,7 @@ def _v_mu_kneser(inst: dict, budget: Budget | None, seed: int) -> list[Verificat
     return [_report(FormulaId.MU_KNESER, inst, f, o)]
 
 
-def _v_mut_bipartite(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
+def _v_mut_bipartite(inst: dict, budget: Budget | None) -> list[VerificationReport]:
     n, k = inst["n"], inst["k"]
     f, cov = _mut_bipartite(n, k, budget)
     return [_report(FormulaId.MUT_BIPARTITE, inst, f,
@@ -532,7 +535,7 @@ def _mut_bipartite_oracle(n: int, k: int, cov: CoveringCertificate | None,
     return _oracle(g, Variant.TOTAL, budget, ("witness-only",), witness)
 
 
-def _v_mu_bipartite_lb(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
+def _v_mu_bipartite_lb(inst: dict, budget: Budget | None) -> list[VerificationReport]:
     n, k = inst["n"], inst["k"]
     f, cov = _mu_bipartite_lb(n, k, budget)
     g = bipartite_kneser(n, k)
@@ -553,7 +556,7 @@ def _v_mu_bipartite_lb(inst: dict, budget: Budget | None, seed: int) -> list[Ver
                     claim="at-least")]
 
 
-def _v_mut_johnson(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
+def _v_mut_johnson(inst: dict, budget: Budget | None) -> list[VerificationReport]:
     n, k = inst["n"], inst["k"]
     tr = _johnson_ex(n, k, build_c4_suspension, budget)
     o = _oracle(johnson(n, k), Variant.TOTAL, budget,
@@ -564,7 +567,7 @@ def _v_mut_johnson(inst: dict, budget: Budget | None, seed: int) -> list[Verific
                     certificates=(tr.as_json(),))]
 
 
-def _v_mu_johnson_sandwich(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
+def _v_mu_johnson_sandwich(inst: dict, budget: Budget | None) -> list[VerificationReport]:
     n, k = inst["n"], inst["k"]
     lo = _johnson_ex(n, k, build_c4_suspension, budget)
     hi = _johnson_ex(n, k, build_k4_suspension, budget)
@@ -573,7 +576,7 @@ def _v_mu_johnson_sandwich(inst: dict, budget: Budget | None, seed: int) -> list
                     claim="within", certificates=(lo.as_json(), hi.as_json()))]
 
 
-def _v_mu_johnson_k2(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
+def _v_mu_johnson_k2(inst: dict, budget: Budget | None) -> list[VerificationReport]:
     n = inst["n"]
     f = as_bounds(mu_johnson_k2(n))
 
@@ -587,11 +590,9 @@ def _v_mu_johnson_k2(inst: dict, budget: Budget | None, seed: int) -> list[Verif
     return [_report(FormulaId.MU_JOHNSON_K2, inst, f, o)]
 
 
-def _v_mu_kneser_gp_lb(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
+def _v_mu_kneser_gp_lb(inst: dict, budget: Budget | None) -> list[VerificationReport]:
     n, k = inst["n"], inst["k"]
     f = as_bounds(mu_kneser_gp_lower_bound(n, k))
-    if n < 2 * k + 1:
-        raise ConstraintError(f"need n >= 2k+1, got n={n}, k={k}")
     g = kneser(n, k)
     o = _oracle(g, Variant.GENERAL_POSITION, budget, ("witness",),
                 lambda: _Witness([v for v in g.vertices() if v.bits & 1],
@@ -599,7 +600,7 @@ def _v_mu_kneser_gp_lb(inst: dict, budget: Budget | None, seed: int) -> list[Ver
     return [_report(FormulaId.MU_KNESER_GP_LB, inst, f, o, claim="at-least")]
 
 
-def _v_kneser2_all_params(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
+def _v_kneser2_all_params(inst: dict, budget: Budget | None) -> list[VerificationReport]:
     n = inst["n"]
     f = as_bounds(kneser2_all_params(n))
     g = kneser(n, 2)
@@ -615,7 +616,7 @@ def _v_kneser2_all_params(inst: dict, budget: Budget | None, seed: int) -> list[
     return rows
 
 
-def _v_lemma_binom(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
+def _v_lemma_binom(inst: dict, budget: Budget | None) -> list[VerificationReport]:
     n = inst["n"]
     rows = []
     for k in range(n // 2 + 1, n):
@@ -630,7 +631,7 @@ def _v_lemma_binom(inst: dict, budget: Budget | None, seed: int) -> list[Verific
     return rows
 
 
-def _v_lemma_cstar(inst: dict, budget: Budget | None, seed: int) -> list[VerificationReport]:
+def _v_lemma_cstar(inst: dict, budget: Budget | None) -> list[VerificationReport]:
     n, k = inst["n"], inst["k"]
     if k < 2:
         raise ConstraintError(f"need k >= 2, got {k}")
@@ -668,9 +669,9 @@ def _v_lemma_cstar(inst: dict, budget: Budget | None, seed: int) -> list[Verific
     return rows
 
 
-def _v_lemma_transversal_equiv(inst: dict, budget: Budget | None,
-                               seed: int) -> list[VerificationReport]:
-    n, k, samples = inst["n"], inst["k"], inst["samples"]
+def _v_lemma_transversal_equiv(inst: dict, budget: Budget | None
+                               ) -> list[VerificationReport]:
+    n, k, samples, seed = inst["n"], inst["k"], inst["samples"], inst["seed"]
     if samples < 0:
         raise DomainError(f"samples must be >= 0, got {samples}")
     if n < 3 * k - 1:
@@ -712,8 +713,7 @@ def _v_lemma_transversal_equiv(inst: dict, budget: Budget | None,
     return [_report(FormulaId.LEMMA_TRANSVERSAL_EQUIV, inst, None, o, claim="equivalence")]
 
 
-def _v_sandwich_dual_outer(inst: dict, budget: Budget | None,
-                           seed: int) -> list[VerificationReport]:
+def _v_sandwich_dual_outer(inst: dict, budget: Budget | None) -> list[VerificationReport]:
     spec = inst["family"]
     g = parse_family(spec) if isinstance(spec, str) else spec
     inst = {**inst, "family": format_family(g)}
@@ -757,7 +757,7 @@ _VERIFIERS: dict[FormulaId, tuple[Callable, tuple[str, ...], dict]] = {
     FormulaId.LEMMA_BINOM: (_v_lemma_binom, ("n",), {}),
     FormulaId.LEMMA_CSTAR: (_v_lemma_cstar, ("n", "k"), {}),
     FormulaId.LEMMA_TRANSVERSAL_EQUIV: (_v_lemma_transversal_equiv, ("n", "k"),
-                                        {"samples": 200}),
+                                        {"samples": 200, "seed": 0}),
     FormulaId.SANDWICH_DUAL_OUTER: (_v_sandwich_dual_outer, ("family",), {}),
 }
 
@@ -812,7 +812,7 @@ def _instances(formula: FormulaId, params: dict) -> list[dict]:
         inst["n"] = n
         for key, default in optional.items():
             inst.setdefault(key, default)
-        for key in ("k", "samples"):
+        for key in ("k", "samples", "seed"):
             if key in inst:
                 inst[key] = _integer(key, inst[key])
         out.append(inst)
@@ -820,12 +820,13 @@ def _instances(formula: FormulaId, params: dict) -> list[dict]:
 
 
 def verify(formula: FormulaId | str, params: dict | None = None,
-           budget: Budget | None = None, seed: int = 0) -> list[VerificationReport]:
+           budget: Budget | None = None) -> list[VerificationReport]:
     """Run the bound oracle for a formula on concrete parameters.
 
-    ``params`` carries n (int or range), k, family, samples as the
-    formula requires; one report is emitted per instance (some formulas
-    emit several rows per instance, e.g. one per lemma clause)."""
+    ``params`` carries n (int or range), k, family, and the sweep's samples
+    and seed, as the formula reads them; one report is emitted per instance
+    (some formulas emit several rows per instance, e.g. one per lemma
+    clause)."""
     try:
         fid = FormulaId(formula)
     except ValueError:
@@ -836,7 +837,7 @@ def verify(formula: FormulaId | str, params: dict | None = None,
     for inst in _instances(fid, params or {}):
         t0 = time.perf_counter()
         try:
-            rows = verifier(inst, budget, seed)
+            rows = verifier(inst, budget)
         except PreconditionError as e:
             rows = [_report(fid, inst, None, _Oracle("none", reason=f"precondition: {e}"))]
         except BudgetExhausted:

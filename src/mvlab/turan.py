@@ -14,19 +14,19 @@ containing Y induce a graph on the remaining vertices (pairs e minus Y),
 and the pattern embeds with apex Y iff that link graph contains C4 (some
 vertex pair with two common neighbors) resp. K4 (as a subgraph).
 
-ex_uniform(n, k, pattern) is the exact maximum edge count of a
-pattern-free k-uniform system on [n], by include/exclude branch and
-bound over the colex-ordered candidate edges, pruning a node once
-|current| + |remaining candidates| <= incumbent. Since relabeling is a
-pattern-automorphism of [n] and the optimum is nonempty, the search
-fixes the first candidate edge {1..k} as included (root symmetry
-normalization). Each candidate edge gets one table row of its splits
-(link dict of the apex, low and high bit of the pair), one link dict per
-apex, built the first time the search reaches the edge; testing, adding
-and removing an edge at a node read that row and compute nothing else.
-A link dict is filled in advance, every vertex bit mapped to 0, so a
-test reads any vertex's neighbours directly and adding or removing a
-pair is two XORs.
+ex_uniform(n, pattern) is the exact maximum edge count of a
+pattern-free k-uniform system on [n], k the pattern's uniformity, by
+include/exclude branch and bound over the colex-ordered candidate edges,
+pruning a node once |current| + |remaining candidates| <= incumbent.
+Since relabeling is a pattern-automorphism of [n] and the optimum is
+nonempty, the search fixes the first candidate edge {1..k} as included
+(root symmetry normalization). Each candidate edge gets one table row
+of its splits (link dict of the apex, low and high bit of the pair), one
+link dict per apex, built the first time the search reaches the edge;
+testing, adding and removing an edge at a node read that row and compute
+nothing else. A link dict is filled in advance, every vertex bit mapped
+to 0, so a test reads any vertex's neighbours directly and adding or
+removing a pair is two XORs.
 
 The search also breaks the symmetry of each adjacent swap (m m+1) with a
 lex-leader rule (Crawford, Ginsberg, Luks and Roy, KR 1996). The
@@ -98,14 +98,14 @@ n <= 10 and Reiman's bound floor((n/4)(1 + sqrt(4n - 3))) above (or the
 averaging bound, 19 and 22 at n = 11 and 12), or Turan's floor(n^2 / 3)
 for K4; only the reported upper end reads the table, never the k = 2
 tree. These caps bound the reported interval, and for k >= 3 the
-search through D; the n^(k-1/2)/k! asymptotic guide can be reported
-alongside but is never a bound.
+search through D. A result holds integers only: no asymptotic estimate
+is reported beside the proven ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial, isqrt
+from math import comb, isqrt
 
 from .budget import Budget, BudgetExhausted, IntervalResult, SearchCounters
 from .errors import ConstraintError, DomainError
@@ -115,15 +115,13 @@ from .subsets import bit_indices, colex_rank, iter_bits, k_subset_masks, members
 
 @dataclass(frozen=True)
 class Pattern:
-    """A suspended pattern: apex of size k-2 plus a 4-vertex pair-graph.
-
-    ``pair_edges`` lists the zi-zj pairs (0-based into z1..z4) completed
-    by the apex; ``name`` is the CLI tag (c4sus / k4sus).
+    """A suspended pattern: apex of size k-2 plus a 4-vertex pair-graph,
+    the 4-cycle for ``name`` c4sus and all six pairs for k4sus (the CLI
+    tags). Containment and the search dispatch on ``name``.
     """
 
     name: str
     k: int
-    pair_edges: tuple[tuple[int, int], ...]
 
     @property
     def apex_size(self) -> int:
@@ -133,23 +131,19 @@ class Pattern:
     def vertex_count(self) -> int:
         return self.k + 2
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.pair_edges)
-
 
 def build_c4_suspension(k: int) -> Pattern:
     """Four k-edges: the apex completed by the pairs of a 4-cycle."""
     if k < 2:
         raise ConstraintError(f"suspension patterns need k >= 2, got {k}")
-    return Pattern("c4sus", k, ((0, 1), (1, 2), (2, 3), (3, 0)))
+    return Pattern("c4sus", k)
 
 
 def build_k4_suspension(k: int) -> Pattern:
     """Six k-edges: the apex completed by all pairs on four vertices."""
     if k < 2:
         raise ConstraintError(f"suspension patterns need k >= 2, got {k}")
-    return Pattern("k4sus", k, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    return Pattern("k4sus", k)
 
 
 def parse_pattern(spec: str) -> Pattern:
@@ -181,9 +175,8 @@ def _link_graph(h: Hypergraph, apex_mask: int) -> dict[int, int]:
     adj: dict[int, int] = {}
     for e in h.edges:
         if e & apex_mask == apex_mask:
+            # a k-edge through a (k-2)-apex leaves a pair
             rest = e ^ apex_mask
-            if rest.bit_count() != 2:
-                continue
             lo = rest & -rest
             hi = rest ^ lo
             adj[lo] = adj.get(lo, 0) | hi
@@ -253,7 +246,6 @@ class TuranResult(IntervalResult):
     is the largest system found so far."""
 
     n: int
-    k: int
     pattern: Pattern
     lo: int
     hi: int
@@ -261,21 +253,15 @@ class TuranResult(IntervalResult):
     nodes_expanded: int
 
     def as_json(self) -> dict:
-        out = {
+        return {
             "n": self.n,
-            "k": self.k,
+            "k": self.pattern.k,
             "pattern": format_pattern(self.pattern),
             "value": self.bounds.as_json(),
             "status": self.status,
             "witness": [list(m) for m in self.witness.edge_members()],
             "nodes_expanded": self.nodes_expanded,
         }
-        if not self.exact:
-            out["asymptotic_guide"] = {
-                "value": mubayi_asymptote(self.n, self.k),
-                "binding": False,
-            }
-        return out
 
 
 def _pair_splits(edge: int) -> list[int]:
@@ -455,19 +441,17 @@ class _LinkTable:
         return entry
 
 
-def ex_uniform(n: int, k: int, pattern: Pattern,
-               budget: Budget | None = None) -> TuranResult:
-    """Exact maximum edges of a pattern-free k-uniform system on [n]."""
-    if pattern.k != k:
-        raise DomainError(f"pattern uniformity {pattern.k} != k = {k}")
+def ex_uniform(n: int, pattern: Pattern, budget: Budget | None = None) -> TuranResult:
+    """Exact maximum edges of a pattern-free k-uniform system on [n], where
+    k is the pattern's uniformity."""
+    k = pattern.k
     if n < k:
-        return TuranResult(n, k, pattern, 0, 0, hypergraph(n, []), 0)
+        return TuranResult(n, pattern, 0, 0, hypergraph(n, []), 0)
     candidates = list(k_subset_masks(n, k))
     total = len(candidates)
     if n < pattern.vertex_count:
         # the pattern needs k+2 vertices; everything is pattern-free
-        return TuranResult(n, k, pattern, total, total,
-                           hypergraph(n, candidates), 0)
+        return TuranResult(n, pattern, total, total, hypergraph(n, candidates), 0)
 
     counters = SearchCounters(budget)
     catch_up = counters.catch_up
@@ -611,11 +595,11 @@ def ex_uniform(n: int, k: int, pattern: Pattern,
         complete = False
 
     hi = best_size if complete else ex_cap(n, k, pattern.name)
-    return TuranResult(n, k, pattern, best_size, hi, hypergraph(n, best), counters.nodes)
+    return TuranResult(n, pattern, best_size, hi, hypergraph(n, best), counters.nodes)
 
 
 # ----------------------------------------------------------------------
-# closed forms and asymptotics
+# closed forms
 
 
 def turan_k4_closed(n: int) -> int:
@@ -667,11 +651,3 @@ def reiman_c4_bound(n: int) -> int:
     if n < 1:
         raise ConstraintError(f"need n >= 1, got {n}")
     return (n + isqrt(n * n * (4 * n - 3))) // 4
-
-
-def mubayi_asymptote(n: int, k: int) -> float:
-    """The non-binding asymptotic guide n^(k - 1/2) / k! for the maximum
-    suspended-4-cycle-free edge count."""
-    if n < 1 or k < 1:
-        raise ConstraintError(f"need n, k >= 1, got n={n}, k={k}")
-    return float(n ** (k - 0.5) / factorial(k))

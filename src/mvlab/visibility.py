@@ -146,9 +146,11 @@ class CheckResult:
 @dataclass(frozen=True)
 class VisibilityCertificate(IntervalResult):
     """The largest visibility set of one variant, as a proven enclosure
-    [lo, hi] with a witness of size lo. The witness is the colex-least
-    optimum, unless ``witness_canonical`` is False: the budget ran out
-    while an exact optimum was being made colex-least."""
+    [lo, hi] with a witness of size lo. On an exact result the witness is
+    the colex-least optimum, unless ``witness_canonical`` is False: the
+    budget ran out while the optimum was being made colex-least. On a cut
+    the witness is the largest set found, and ``witness_canonical`` speaks
+    only of exact results."""
 
     graph: FamilyGraph
     variant: Variant

@@ -55,7 +55,7 @@ def test_criterion_02_kneser_total_via_reduction_and_equivalence_sweep():
             assert math.comb(n, 2) - m == want
             assert transversal_number(witness).tau == 4
         sweeps = verify("lemma-transversal-equiv",
-                        {"n": (6, 8), "k": 2, "samples": 200}, seed=0)
+                        {"n": (6, 8), "k": 2, "samples": 200, "seed": 0})
         assert [r.verdict for r in sweeps] == ["pass"] * 3
         for r in sweeps:
             cert = r.certificates[0]
@@ -73,7 +73,7 @@ def test_criterion_03_johnson_total_two_routes_agree():
         pat = build_c4_suspension(2)
         for n, want in expected.items():
             definitional = max_visibility_number(johnson(n, 2), Variant.TOTAL)
-            extremal = ex_uniform(n, 2, pat)
+            extremal = ex_uniform(n, pat)
             assert definitional.exact and extremal.exact
             assert definitional.value == extremal.value == want
 
@@ -184,7 +184,7 @@ def test_criterion_10_binomial_growth_and_k4_free_counts():
         assert all(r.verdict == "pass" for r in rows)
         pat = build_k4_suspension(2)
         for n in (4, 5, 6, 7):
-            r = ex_uniform(n, 2, pat)
+            r = ex_uniform(n, pat)
             assert r.exact and r.value == n * n // 3
 
     _criterion(10, 30.0, body)

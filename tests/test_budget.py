@@ -115,7 +115,7 @@ def test_turan_spends_exactly_its_cap():
     # ex(8, C4) = 11 takes 9,397 nodes; a cut search that has found 11
     # edges is exact by the table's cap
     for cap in CAPS:
-        r = ex_uniform(8, 2, build_c4_suspension(2), Budget(max_nodes=cap))
+        r = ex_uniform(8, build_c4_suspension(2), Budget(max_nodes=cap))
         assert r.nodes_expanded == cap and r.lo <= 11 <= r.hi
 
 
@@ -160,5 +160,5 @@ def test_covering_and_turan_read_the_clock_every_stride(monkeypatch):
         cert = covering_number(n, k, t, past)
         assert cert.nodes_expanded == _TIME_CHECK_STRIDE
         assert not cert.exact and cert.lo <= true <= cert.hi
-    r = ex_uniform(8, 2, build_c4_suspension(2), past)
+    r = ex_uniform(8, build_c4_suspension(2), past)
     assert r.nodes_expanded == _TIME_CHECK_STRIDE and r.lo <= 11 <= r.hi

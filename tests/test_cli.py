@@ -243,7 +243,6 @@ def test_turan_exact_and_interval_exit_codes():
     assert capped.returncode == 3
     out = json.loads(capped.stdout)
     assert out["status"] == "interval"
-    assert out["asymptotic_guide"]["binding"] is False
 
 
 def test_turan_check_containment():
@@ -323,6 +322,10 @@ def test_unread_verify_parameter_is_a_domain_error(capsys):
     assert out == ""
     err = json.loads(err)["error"]
     assert err["kind"] == "domain" and "'family'" in err["message"]
+    # --seed is read by the lemma-transversal-equiv sweep alone
+    assert mvlab.cli.main(argv[:7] + ["--seed", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "'seed'" in json.loads(err)["error"]["message"]
 
 
 # an exact run (exit 0) and a cut one (exit 3)

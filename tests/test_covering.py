@@ -6,6 +6,7 @@ import pytest
 
 from mvlab import budget, covering
 from mvlab.budget import Bounds, Budget, BudgetExhausted, SearchCounters
+from mvlab.constructions import build_h_nk
 from mvlab.covering import c_star, covering_number, min_edges_with_tau, schonheim_bound
 from mvlab.errors import ConstraintError
 from mvlab.hypergraphs import transversal_number
@@ -182,11 +183,6 @@ def test_covering_interval_on_tiny_budget():
     assert cert.status == "interval"
 
 
-def _reversed(blocks: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The blocks with point i relabelled n + 1 - i."""
-    return tuple(sorted(int(f"{b:0{n}b}"[::-1], 2) for b in blocks))
-
-
 def test_setup_cut_keeps_a_valid_seed():
     # parts i and iii are C(21, 18, 5) and C(21, 18, 6): the 6 and 7
     # disjoint edges of their seeds meet Schonheim's bound, so even a zero
@@ -194,19 +190,11 @@ def test_setup_cut_keeps_a_valid_seed():
     (i, _, iii) = verify("lemma-cstar", {"n": 21, "k": 3}, budget=Budget(max_nodes=0))
     assert i.params["part"] == "i" and i.oracle_value == Bounds(6, 6)
     assert iii.params["part"] == "iii" and iii.oracle_value == Bounds(7, 7)
-    # C(7, 4, 3): lower end 11, and Turan's cyclic seed has 12 blocks. A
-    # valid caller seed as small as that bounds a cut setup from above, and
-    # wins the tie
+    # C(7, 4, 3): lower end 11, and Turan's cyclic seed of 12 blocks bounds
+    # a cut setup from above
     cyclic = tuple(sorted(covering._turan_seed(7)))
-    blocks = _reversed(cyclic, 7)
-    assert blocks != cyclic
-    cert = covering_number(7, 4, 3, Budget(max_nodes=0), seed_blocks=blocks)
-    assert (cert.lo, cert.hi, cert.blocks, cert.nodes_expanded) == (11, 12, blocks, 0)
-    # a larger or invalid caller seed loses to the built-in one
-    for blocks in (tuple(k_subset_masks(7, 4))[1:],
-                   tuple(itertools.islice(k_subset_masks(7, 4), 3))):
-        cert = covering_number(7, 4, 3, Budget(max_nodes=0), seed_blocks=blocks)
-        assert (cert.lo, cert.hi, cert.blocks, cert.nodes_expanded) == (11, 12, cyclic, 0)
+    cert = covering_number(7, 4, 3, Budget(max_nodes=0))
+    assert (cert.lo, cert.hi, cert.blocks, cert.nodes_expanded) == (11, 12, cyclic, 0)
 
 
 def _fake_clock(monkeypatch):
@@ -267,13 +255,20 @@ def test_outer_search_gets_back_what_a_sub_instance_leaves():
 
 
 def test_every_built_in_seed_is_a_cover():
-    for n in range(2, 11):
-        for k in range(2, n):
-            for t in range(1, k):
-                universe = list(k_subset_masks(n, t))
-                for seed in covering._built_in_seeds(n, k, t):
-                    assert covering._valid_seed(seed, n, k, universe) is not None
-                    assert len(set(seed)) == len(seed)
+    # every shape up to n = 10, and c_star(16, 3) and c_star(17, 3), where the
+    # complements of H(n, 3) lead the seeds and tie the partition seed's 8
+    shapes = [(n, k, t) for n in range(2, 11) for k in range(2, n) for t in range(1, k)]
+    for n, k, t in shapes + [(16, 13, 5), (17, 14, 5)]:
+        universe = list(k_subset_masks(n, t))
+        seeds = covering._built_in_seeds(n, k, t)
+        for seed in seeds:
+            assert covering._valid_seed(seed, universe) is not None
+            assert len(set(seed)) == len(seed)
+            assert all(b.bit_count() == k and not b >> n for b in seed)
+        if n >= 16:
+            full = (1 << n) - 1
+            assert seeds[0] == tuple(full ^ e for e in build_h_nk(n, 3).edges)
+            assert len(seeds[0]) == len(seeds[1]) == 8
 
 
 @pytest.mark.parametrize("n,k,t,size", [

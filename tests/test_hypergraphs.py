@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from mvlab.budget import _TIME_CHECK_STRIDE, Budget, SearchCounters
 from mvlab.constructions import build_h_nk
 from mvlab.errors import DomainError, MvlabError
 from mvlab.hypergraphs import (
+    Hypergraph,
     format_hypergraph,
     greedy_cover,
     hypergraph,
@@ -257,4 +259,13 @@ def test_hypergraph_validates_members():
         hypergraph(3, [(1, 4)])
     with pytest.raises(DomainError):
         hypergraph(3, [()])  # mask 0: the empty set cannot be an edge
+    # a negative mask is rejected before any message lists its members
+    with pytest.raises(DomainError, match="negative"):
+        hypergraph(3, [-1])
+    with pytest.raises(DomainError, match="negative"):
+        Hypergraph(3, (-1,))
+    # an edge that is neither an int mask nor an iterable of ints is named
+    for edge in ("12", (1.0, 2), 2.5):
+        with pytest.raises(DomainError, match=re.escape(repr(edge))):
+            hypergraph(3, [edge])
 

@@ -38,7 +38,7 @@ _settings = settings(max_examples=150, deadline=None, derandomize=True, database
 @given(case=st.sampled_from(TURAN_CASES), nodes=node_budgets)
 def test_turan_interval_holds_the_pinned_value(case, nodes):
     n, k, pattern, value = case
-    r = ex_uniform(n, k, pattern, Budget(max_nodes=nodes))
+    r = ex_uniform(n, pattern, Budget(max_nodes=nodes))
     assert r.lo <= value <= r.hi
     assert r.nodes_expanded <= nodes
     assert r.witness.edge_count == r.lo

@@ -1,6 +1,7 @@
 """Every function, class and method defined in ``src/mvlab``, and every
 name a module of it assigns at its top level, is named somewhere else in
-``src/``, ``tests/`` or ``perfbench/``.
+``src/``, ``tests/`` or ``perfbench/``; and every parameter of every
+function and lambda there is read in its body.
 
 A name counts as used where the code reads it (a name, an attribute or an
 import) or spells it in a string that is not a docstring, which covers
@@ -93,3 +94,45 @@ def test_every_definition_is_named_elsewhere():
             if named[name] == own:
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not unused, "defined but never named elsewhere:\n" + "\n".join(unused)
+
+
+# parameters kept unread on purpose, as (function, parameter)
+UNREAD_PARAMETERS = {
+    # every verifier shares one signature, (inst, budget), and the
+    # arithmetic lemma runs no search
+    ("_v_lemma_binom", "budget"),
+}
+
+
+def _parameters(fn, method: bool) -> list[str]:
+    """The parameters of ``fn``, without the receiver (self or cls) of a
+    method other than a static one: Python passes that, not a caller."""
+    args = fn.args
+    every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    static = any(getattr(d, "id", None) == "staticmethod"
+                 for d in getattr(fn, "decorator_list", ()))
+    return [a.arg for a in every[method and not static:] if a is not None]
+
+
+def _reads(fn) -> set[str]:
+    """The names ``fn``'s body loads, nested functions and lambdas included."""
+    body = fn.body if isinstance(fn.body, list) else [fn.body]  # a lambda's is one expr
+    return {node.id for stmt in body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_parameter_is_read():
+    library, _ = _parse_all()
+    unread = []
+    for path, tree in library.items():
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(fn, "name", "<lambda>")
+            reads = _reads(fn)
+            unread.extend(f"{path.relative_to(ROOT)}:{fn.lineno} {name}({param})"
+                          for param in _parameters(fn, id(fn) in methods)
+                          if param not in reads and (name, param) not in UNREAD_PARAMETERS)
+    assert not unread, "parameter never read:\n" + "\n".join(unread)

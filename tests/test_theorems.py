@@ -242,8 +242,8 @@ def test_lemma_cstar_parts():
 
 
 def test_equivalence_sweep_no_disagreements():
-    reports = verify("lemma-transversal-equiv", {"n": 6, "k": 2, "samples": 40},
-                     seed=5)
+    reports = verify("lemma-transversal-equiv",
+                     {"n": 6, "k": 2, "samples": 40, "seed": 5})
     (r,) = reports
     assert r.verdict == "pass"
     cert = r.certificates[0]
@@ -261,7 +261,7 @@ PINNED_SWEEPS = {10: (247, 246), 11: (257, 256), 12: (268, 267)}
 
 @pytest.mark.parametrize("n", sorted(PINNED_SWEEPS))
 def test_pinned_equivalence_sweep_certificates(n):
-    (r,) = verify("lemma-transversal-equiv", {"n": n, "k": 2, "samples": 200}, seed=0)
+    (r,) = verify("lemma-transversal-equiv", {"n": n, "k": 2, "samples": 200, "seed": 0})
     checked, positives = PINNED_SWEEPS[n]
     assert r.verdict == "pass"
     assert r.certificates == ({"subsets_checked": checked, "random_samples": 200,
@@ -289,12 +289,15 @@ def test_broken_sandwich_chain_fails_its_row(monkeypatch):
                                           "mu": 5}, "chain_holds": False},)
 
 
-def test_budget_exhaustion_skips_not_fails():
-    tiny = Budget(max_nodes=5, max_seconds=60.0)
-    reports = verify("mut-kneser", {"n": 9, "k": 2}, budget=tiny)
-    (r,) = reports
-    assert r.verdict == "skipped"
-    assert "budget" in r.reason
+@pytest.mark.parametrize("formula,params,nodes,oracle,reason", [
+    ("mut-kneser", {"n": 9, "k": 2}, 5, "reduction-min-edges", "oracle beyond budget"),
+    # C(10, 7, 6) is cut, so its blocks are no minimum family to remove
+    ("mut-bipartite", {"n": 10, "k": 3}, 0, "witness-only",
+     "covering search beyond budget"),
+])
+def test_budget_exhaustion_skips_not_fails(formula, params, nodes, oracle, reason):
+    (r,) = verify(formula, params, budget=Budget(max_nodes=nodes, max_seconds=60.0))
+    assert (r.verdict, r.oracle, r.reason) == ("skipped", oracle, reason)
 
 
 _CAPPED = [
@@ -302,6 +305,8 @@ _CAPPED = [
      "kneser:n=11,k=4 has 330 vertices, above the 300-vertex witness-check cap"),
     ("mu-johnson-sandwich", {"n": 8, "k": 2}, "definitional-search",
      "johnson:n=8,k=2 has 28 vertices, above the 22-vertex definitional-search cap"),
+    ("mu-bipartite-lb", {"n": 18, "k": 2}, "witness",
+     "bipartite-kneser:n=18,k=2 has 306 vertices, above the 300-vertex witness-check cap"),
     ("mu-johnson-k2", {"n": 26}, "witness-only",
      "johnson:n=26,k=2 has 325 vertices, above the 300-vertex witness-check cap"),
     ("mu-kneser-gp-lb", {"n": 26, "k": 2}, "witness",
@@ -331,6 +336,7 @@ _BUDGET_SWEEP = (
     ("mut-kneser", {"n": (5, 9), "k": 2}),
     ("mu-kneser", {"n": 26, "k": 2}),
     ("mut-bipartite", {"n": (5, 8), "k": 2}),
+    ("mut-bipartite", {"n": 10, "k": 3}),
     ("mu-bipartite-lb", {"n": 8, "k": 2}),
     ("mut-johnson", {"n": 6, "k": 2}),
     ("mut-johnson", {"n": 7, "k": 3}),
@@ -384,13 +390,13 @@ def test_budget_cut_equivalence_sweep_keeps_its_identity(monkeypatch, capsys):
     (r,) = verify("lemma-transversal-equiv", {"n": 5, "k": 2}, budget=cut)
     assert (r.verdict, r.reason) == ("skipped", "oracle beyond budget")
     assert (r.oracle, r.claim) == ("equivalence-sweep", "equivalence")
-    assert r.params == {"n": 5, "k": 2, "samples": 200}
+    assert r.params == {"n": 5, "k": 2, "samples": 200, "seed": 0}
     argv = ["verify", "--formula", "lemma-transversal-equiv", "--n", "5", "--k", "2",
             "--budget-nodes", "0", "--format", "json"]
     assert mvlab.cli.main(argv) == 3
     (row,) = json.loads(capsys.readouterr().out)
     assert (row["oracle"], row["claim"]) == ("equivalence-sweep", "equivalence")
-    assert row["params"] == {"k": 2, "n": 5, "samples": 200}
+    assert row["params"] == {"k": 2, "n": 5, "samples": 200, "seed": 0}
 
     # a disagreement found before the cut still fails the row
     def disagree_then_cut(n, k, x, budget):
@@ -425,12 +431,15 @@ def test_missing_required_params():
     for formula, params, key in (
             ("mut-kneser", {"n": 6, "k": 2, "samples": 5}, "samples"),
             ("mut-kneser", {"n": 6, "k": 2, "family": "kneser:n=5,k=2"}, "family"),
+            # the seed is the equivalence sweep's alone
+            ("mut-kneser", {"n": 6, "k": 2, "seed": 3}, "seed"),
             ("sandwich-dual-outer", {"family": "kneser:n=5,k=2", "n": 5}, "n"),
             # nor is a k or samples that is not an integer, whole or as a string
             ("mut-kneser", {"n": 7, "k": 2.5}, "k"),
             ("mut-kneser", {"n": 7, "k": "x"}, "k"),
             ("lemma-transversal-equiv", {"n": 5, "k": 2, "samples": 2.5}, "samples"),
-            ("lemma-transversal-equiv", {"n": 5, "k": 2, "samples": "x"}, "samples")):
+            ("lemma-transversal-equiv", {"n": 5, "k": 2, "samples": "x"}, "samples"),
+            ("lemma-transversal-equiv", {"n": 5, "k": 2, "seed": 1.5}, "seed")):
         with pytest.raises(DomainError, match=repr(key)):
             verify(formula, params)
     (r,) = verify("mut-kneser", {"n": 7, "k": "2"})
@@ -558,6 +567,18 @@ def test_failed_validation_fails_the_row(monkeypatch, formula, params, budget,
     _fails_validation(monkeypatch)
     (r,) = verify(formula, params, budget=budget)
     _assert_fail_row(r, vertices, construction)
+
+
+def test_short_disjoint_edge_witness_fails_through_the_predicate(monkeypatch):
+    # one disjoint edge fewer leaves 25 vertices of kneser(8, 2), and the
+    # real definitional predicate finds a pair that cannot see each other
+    place = theorems._disjoint_edges
+    monkeypatch.setattr(theorems, "_disjoint_edges",
+                        lambda n, k, count: place(n, k, count - 1))
+    (r,) = verify("mu-kneser", {"n": 8, "k": 2})
+    _assert_fail_row(r, 28, "disjoint-edges")
+    assert r.certificates[-1]["witness_size"] == 25
+    assert r.certificates[-1]["blocking"] == [[1, 3], [1, 5]]
 
 
 def test_failed_transversal_reduction_fails_the_row(monkeypatch):

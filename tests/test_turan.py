@@ -15,7 +15,6 @@ from mvlab.turan import (
     ex_cap,
     ex_uniform,
     format_pattern,
-    mubayi_asymptote,
     parse_pattern,
     reiman_c4_bound,
     turan_k4_closed,
@@ -33,31 +32,31 @@ from oracles import (
 
 @pytest.mark.parametrize("n", (4, 5))
 def test_c4_free_graph_counts_match_brute(n):
-    r = ex_uniform(n, 2, build_c4_suspension(2))
+    r = ex_uniform(n, build_c4_suspension(2))
     assert r.exact and r.value == C4_FREE_MAX[n] == brute_graph_turan(n, "c4")
 
 
 @pytest.mark.parametrize("n", (6, 7, 8, 9, 10))
 def test_c4_free_graph_counts_larger(n):
-    r = ex_uniform(n, 2, build_c4_suspension(2))
+    r = ex_uniform(n, build_c4_suspension(2))
     assert r.exact and r.value == C4_FREE_MAX[n]
     assert contains_pattern(r.witness, build_c4_suspension(2)) is None
 
 
 @pytest.mark.parametrize("n", (4, 5))
 def test_k4_free_graph_counts_match_brute(n):
-    r = ex_uniform(n, 2, build_k4_suspension(2))
+    r = ex_uniform(n, build_k4_suspension(2))
     assert r.exact and r.value == K4_FREE_MAX[n] == brute_graph_turan(n, "k4")
 
 
 @pytest.mark.parametrize("n", (4, 5, 6, 7))
 def test_k4_free_matches_closed_form(n):
-    r = ex_uniform(n, 2, build_k4_suspension(2))
+    r = ex_uniform(n, build_k4_suspension(2))
     assert r.exact and r.value == turan_k4_closed(n) == n * n // 3
 
 
 def test_suspended_c4_three_uniform():
-    r = ex_uniform(5, 3, build_c4_suspension(3))
+    r = ex_uniform(5, build_c4_suspension(3))
     assert r.exact and r.value == 6
     assert brute_uniform_turan_c4sus(5, 3) == 6
     assert contains_pattern(r.witness, build_c4_suspension(3)) is None
@@ -65,7 +64,7 @@ def test_suspended_c4_three_uniform():
 
 def test_witnesses_are_pattern_free_and_maximal():
     pat = build_c4_suspension(2)
-    r = ex_uniform(6, 2, pat)
+    r = ex_uniform(6, pat)
     assert contains_pattern(r.witness, pat) is None
     # a maximum witness is maximal: every absent edge creates the pattern
     from mvlab.subsets import k_subset_masks
@@ -79,7 +78,7 @@ def test_witnesses_are_pattern_free_and_maximal():
 
 def test_pattern_builders_and_embedding():
     pat = build_c4_suspension(3)
-    assert pat.k == 3 and pat.vertex_count == 5 and pat.edge_count == 4
+    assert pat.k == 3 and pat.vertex_count == 5
     # a hypergraph that is exactly one suspended C4 contains the pattern
     h = hypergraph(9, [(1, 2, 9), (2, 3, 9), (3, 4, 9), (1, 4, 9)])
     hit = contains_pattern(h, pat)
@@ -114,21 +113,21 @@ def test_parse_format_pattern():
         parse_pattern("c4sus:k=1")
 
 
-def test_budget_interval_and_guide():
-    r = ex_uniform(7, 3, build_c4_suspension(3), Budget(max_nodes=500, max_seconds=60.0))
+def test_budget_interval():
+    r = ex_uniform(7, build_c4_suspension(3), Budget(max_nodes=500, max_seconds=60.0))
     assert not r.exact
     assert r.bounds.lo <= r.bounds.hi
     j = r.as_json()
     assert j["status"] == "interval"
-    assert j["asymptotic_guide"]["binding"] is False
-    assert j["asymptotic_guide"]["value"] == mubayi_asymptote(7, 3)
+    # the uniformity is the pattern's, printed where TuranResult.k was
+    assert list(j)[:3] == ["n", "k", "pattern"] and j["k"] == 3
 
 
 def test_trivial_small_n():
     pat = build_c4_suspension(2)
-    assert ex_uniform(1, 2, pat).value == 0
+    assert ex_uniform(1, pat).value == 0
     # on fewer vertices than the pattern needs, every graph is pattern-free
-    assert ex_uniform(3, 2, pat).value == 3
+    assert ex_uniform(3, pat).value == 3
 
 
 # Search trees pinned at their node counts and witnesses: a change to the
@@ -175,7 +174,7 @@ PINNED_TREES = (
 @pytest.mark.parametrize("n,k,pat,cap,lo,hi,nodes,witness", PINNED_TREES)
 def test_search_tree_is_pinned(n, k, pat, cap, lo, hi, nodes, witness):
     budget = None if cap is None else Budget(max_nodes=cap)
-    r = ex_uniform(n, k, pat, budget)
+    r = ex_uniform(n, pat, budget)
     assert (r.lo, r.hi, r.nodes_expanded) == (lo, hi, nodes)
     assert r.witness.edge_members() == witness
     assert contains_pattern(r.witness, pat) is None
@@ -188,7 +187,7 @@ REFERENCE_CASES = ([(n, 2, name) for name in ("c4sus", "k4sus") for n in range(4
 
 @pytest.mark.parametrize("n,k,name", REFERENCE_CASES)
 def test_swap_rule_keeps_the_optimum_and_witness(n, k, name):
-    r = ex_uniform(n, k, parse_pattern(f"{name}:k={k}"))
+    r = ex_uniform(n, parse_pattern(f"{name}:k={k}"))
     lo, hi, witness, _ = reference_ex_uniform(n, k, name)
     assert (r.lo, r.hi, r.witness.edge_members()) == (lo, hi, witness)
     # the link cap bounds every optimum the former search proves
@@ -209,7 +208,7 @@ def test_reference_search_is_the_former_search():
 def test_swap_rule_never_lowers_a_cut_lower_end(n, k, name):
     pattern = parse_pattern(f"{name}:k={k}")
     for cap in (0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 20000):
-        r = ex_uniform(n, k, pattern, Budget(max_nodes=cap))
+        r = ex_uniform(n, pattern, Budget(max_nodes=cap))
         assert r.lo >= reference_ex_uniform(n, k, name, cap)[0], cap
 
 
@@ -245,7 +244,7 @@ def test_reiman_bound_matches_its_real_form():
 def test_budget_cut_c4_interval_takes_the_reiman_cap():
     # past the exact table (n <= 10) the upper end is Reiman's bound, or
     # the averaging bound where smaller: here floor(11 ex(10, C4) / 9) = 19
-    r = ex_uniform(11, 2, build_c4_suspension(2), Budget(max_nodes=1000))
+    r = ex_uniform(11, build_c4_suspension(2), Budget(max_nodes=1000))
     assert not r.exact
     assert r.hi == 19 == 11 * C4_FREE_MAX[10] // 9 == ex_cap(11, 2, "c4sus")
     assert reiman_c4_bound(11) == 20
@@ -271,16 +270,16 @@ def test_averaging_cap_stays_above_the_known_c4_free_maxima():
 
 
 def test_budget_cut_k2_intervals_take_the_exact_table_and_turans_bound():
-    c4 = ex_uniform(10, 2, build_c4_suspension(2), Budget(max_nodes=1000))
+    c4 = ex_uniform(10, build_c4_suspension(2), Budget(max_nodes=1000))
     assert not c4.exact and c4.hi == ex_cap(10, 2, "c4sus") == C4_FREE_MAX[10] == 16
-    k4 = ex_uniform(8, 2, build_k4_suspension(2), Budget(max_nodes=10))
+    k4 = ex_uniform(8, build_k4_suspension(2), Budget(max_nodes=10))
     assert not k4.exact and k4.hi == turan_k4_closed(8) == 21 < 28  # C(8, 2)
 
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_ex_cap_table_is_the_k2_search(m):
     # k = 2 has no degree bound, so the search re-derives the table exactly
-    assert ex_uniform(m, 2, build_c4_suspension(2)).value == ex_cap(m, 2, "c4sus")
+    assert ex_uniform(m, build_c4_suspension(2)).value == ex_cap(m, 2, "c4sus")
 
 
 def test_ex_cap_never_passes_the_candidate_count():
@@ -291,7 +290,7 @@ def test_ex_cap_never_passes_the_candidate_count():
 
 
 def test_budget_cut_uniform_interval_takes_the_link_cap():
-    r = ex_uniform(9, 3, build_c4_suspension(3), Budget(max_nodes=1000))
+    r = ex_uniform(9, build_c4_suspension(3), Budget(max_nodes=1000))
     assert not r.exact and r.nodes_expanded == 1000
     assert r.hi == ex_cap(9, 3, "c4sus") == 33 < 84  # C(9, 3) candidates
 
@@ -301,7 +300,7 @@ def test_budget_cut_search_builds_only_the_rows_it_visits():
     # of MB; a 500-node search reaches a few hundred of them
     tracemalloc.start()
     try:
-        r = ex_uniform(40, 4, build_c4_suspension(4), Budget(max_nodes=500))
+        r = ex_uniform(40, build_c4_suspension(4), Budget(max_nodes=500))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -313,7 +312,7 @@ def test_deep_search_returns_an_interval():
     # the incumbent passes 1,000 included edges, deeper than the
     # interpreter's recursion limit allows a recursive search to go
     pat = build_c4_suspension(3)
-    r = ex_uniform(50, 3, pat, Budget(max_nodes=300000))
+    r = ex_uniform(50, pat, Budget(max_nodes=300000))
     assert not r.exact and r.nodes_expanded == 300000
     assert 1000 < r.lo <= r.hi == ex_cap(50, 3, "c4sus") == 3033
     assert len(r.witness.edges) == r.lo
