@@ -8,10 +8,10 @@ and 60 seconds.
 Intervals are read out one way. ``IntervalResult`` gives ``exact``,
 ``status``, ``value`` and ``bounds`` to anything with ``lo`` and ``hi``
 fields: ``Bounds`` itself and the visibility, covering, c-star and Turan
-results. ``value`` raises DomainError on a proper interval, so a caller
-that wants the best witness's size on a cut reads ``lo``. The transversal
-certificate is not yet an interval: its ``exact`` is a field, and a cut
-keeps only the upper end ``tau``.
+results, none of which holds lo > hi. ``value`` raises DomainError on a
+proper interval, so a caller that wants the best witness's size on a cut
+reads ``lo``. The transversal certificate is not yet an interval: its
+``exact`` is a field, and a cut keeps only the upper end ``tau``.
 
 A Budget bounds each search, not each command: every search counts its
 own nodes and times itself from its own start. A command that runs
@@ -64,6 +64,10 @@ from .errors import DomainError
 class Budget:
     max_nodes: int = 10_000_000
     max_seconds: float = 60.0
+
+    def __post_init__(self):
+        if self.max_nodes != self.max_nodes or self.max_seconds != self.max_seconds:
+            raise DomainError(f"no count or clock passes a NaN limit: {self}")
 
 
 DEFAULT_BUDGET = Budget()
@@ -127,7 +131,11 @@ class IntervalResult:
     """Read-outs shared by everything that carries a proven enclosure of an
     integer quantity as ``lo`` and ``hi`` fields: ``Bounds`` and the search
     results. Defines no fields, so a dataclass mixing it in keeps its own
-    field order."""
+    field order, and inherits the ``__post_init__`` rejecting lo > hi."""
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError(f"empty bounds [{self.lo}, {self.hi}]")
 
     @property
     def exact(self) -> bool:
@@ -155,10 +163,6 @@ class Bounds(IntervalResult):
 
     lo: int
     hi: int
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty bounds [{self.lo}, {self.hi}]")
 
     def as_json(self):
         return self.lo if self.exact else [self.lo, self.hi]

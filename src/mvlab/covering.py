@@ -6,10 +6,7 @@ branch on the colex-least uncovered t-set over the blocks containing it
 (forbidding earlier siblings to partition the space), prune with
 used + ceil(uncovered / C(k, t)) against the incumbent, and stop once the
 incumbent meets the lower end, which is also the lower end of a cut
-search. The root keeps one block per orbit of the blocks through its
-t-set under the permutations of [n] that fix it (``subsets.MaskOrbits``);
-they form one orbit, so the root takes the first block alone. Each level
-runs three steps:
+search. Each level runs three steps:
 
 1. Seeds. The smallest valid cover among the complements of the doubled
    construction H(n, a), a = n-k, on c_star's shape t = 2a-1 (below) with
@@ -27,7 +24,10 @@ runs three steps:
 3. Search. Building each block's coverage table is one node with a clock
    reading, so the budget bounds that setup too; a cut there returns
    [lo, |seed|]. The incumbent is the seed, or the greedy cover when it
-   is smaller.
+   is smaller. The root, t-set 0, branches on its first block alone: the
+   blocks through t-set 0 form one orbit under the permutations of [n]
+   that fix it, which act as the full symmetric group on the other n - t
+   points, so some optimum holds the first.
 
 Complementation links coverings to transversals: a k-uniform system on
 [n] has transversal number >= t+1 iff the complements of its edges (as
@@ -58,7 +58,7 @@ from .hypergraphs import (
     solve_tau,
     transversal_number,
 )
-from .subsets import MaskOrbits, colex_rank, k_subset_masks, k_subsets_of_mask, members_of
+from .subsets import colex_rank, k_subset_masks, k_subsets_of_mask, members_of
 
 
 def schonheim_bound(n: int, k: int, t: int) -> int:
@@ -159,19 +159,12 @@ def _cover(n: int, k: int, t: int, counters: SearchCounters) -> tuple[int, list[
     except BudgetExhausted:
         # cut during setup: the seed covers every t-subset
         return lower, seed
-    # Root symmetry. The root branches on t-set 0, and only the root does,
-    # since each of its branches covers it. An optimum holds a block through
-    # it, and a permutation that fixes t-set 0 (``MaskOrbits``) maps it to
-    # one holding the first block of that orbit, so the root keeps those; a
-    # later one could only tie, and ties never replace the incumbent.
-    orbits = MaskOrbits(tuple(blocks[bi] for bi in blocks_for[0]), n)
-    atoms = orbits.refine(((1 << n) - 1,), universe[0])
-    firsts, seen = [], 0
-    for i, bi in enumerate(blocks_for[0]):
-        if not seen >> i & 1:
-            firsts.append(bi)
-            seen |= orbits.orbit(i, atoms)
-    blocks_for[0] = firsts
+    # Root symmetry: only the root branches on t-set 0. A block through it
+    # is t-set 0 plus k - t of the other n - t points, which the
+    # permutations fixing t-set 0 permute as the full symmetric group. So
+    # some optimum holds the first block, and a later one could only tie
+    # (ties never replace the incumbent).
+    blocks_for[0] = blocks_for[0][:1]
     full = (1 << len(universe)) - 1
     per_block = comb(k, t)
 

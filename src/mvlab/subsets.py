@@ -141,8 +141,8 @@ class MaskOrbits:
 
     The searches that use symmetry pick candidates, each a subset of [n],
     into a set X, and are defined by relations among sets alone: graph
-    distances in the three families, or the t-sets a block covers. So a
-    permutation of [n] maps each solution to one of the same size. The
+    distances in the three families. So a permutation of [n] maps each
+    solution to one of the same size. The
     atoms of X are the nonempty regions its members cut [n] into. The
     permutations that map each atom to itself are exactly those that fix
     each member of X, a union of atoms; they form G_X, which therefore

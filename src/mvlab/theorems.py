@@ -82,6 +82,7 @@ from .visibility import (
     is_visibility_set,
     kneser_total_mv_check_fast,
     max_visibility_number,
+    require_reduction_range,
 )
 
 
@@ -618,16 +619,13 @@ def _v_kneser2_all_params(inst: dict, budget: Budget | None) -> list[Verificatio
 
 def _v_lemma_binom(inst: dict, budget: Budget | None) -> list[VerificationReport]:
     n = inst["n"]
-    rows = []
-    for k in range(n // 2 + 1, n):
-        if not k < n < 2 * k:
-            continue
-        o = _Oracle("integer-arithmetic", as_bounds(2 * comb(n - 1, k)))
-        rows.append(_report(FormulaId.LEMMA_BINOM, {"n": n, "k": k},
-                            as_bounds(comb(n, k)), o, claim="greater-than"))
+    # k < n < 2k holds exactly for n//2 < k < n
+    rows = [_report(FormulaId.LEMMA_BINOM, {"n": n, "k": k}, as_bounds(comb(n, k)),
+                    _Oracle("integer-arithmetic", as_bounds(2 * comb(n - 1, k))),
+                    claim="greater-than")
+            for k in range(n // 2 + 1, n)]
     if not rows:
-        rows.append(_report(FormulaId.LEMMA_BINOM, inst, None, _Oracle(
-            "integer-arithmetic", reason=f"no k satisfies k < {n} < 2k")))
+        raise PreconditionError(f"no k satisfies k < {n} < 2k")
     return rows
 
 
@@ -664,8 +662,7 @@ def _v_lemma_cstar(inst: dict, budget: Budget | None) -> list[VerificationReport
         o = _Oracle("covering-search", cov.bounds, (cov.as_json(),))
         rows.append(_report(FormulaId.LEMMA_CSTAR, {**inst, "part": "iii"}, f, o))
     if not rows:
-        rows.append(_report(FormulaId.LEMMA_CSTAR, inst, None, _Oracle(
-            "covering-search", reason=f"no clause covers n={n}, k={k}")))
+        raise PreconditionError(f"no clause covers n={n}, k={k}")
     return rows
 
 
@@ -674,10 +671,8 @@ def _v_lemma_transversal_equiv(inst: dict, budget: Budget | None
     n, k, samples, seed = inst["n"], inst["k"], inst["samples"], inst["seed"]
     if samples < 0:
         raise DomainError(f"samples must be >= 0, got {samples}")
-    if n < 3 * k - 1:
-        raise PreconditionError(
-            f"the transversal characterization requires n >= 3k-1 = {3 * k - 1}, "
-            f"got n={n}")
+    # before the graph, so n < 2k+1 is a precondition skip too
+    require_reduction_range(n, k)
     g = kneser(n, k)
     verts = g.vertices()
     rng = random.Random(seed)

@@ -6,7 +6,8 @@ plus four extra vertices z1..z4:
 - suspended 4-cycle: edges Y+{z1,z2}, Y+{z2,z3}, Y+{z3,z4}, Y+{z4,z1}
 - suspended 4-clique: all six edges Y+{zi,zj}
 
-For k = 2 the apex is empty and these are the plain C4 and K4.
+For k = 2 the apex is empty and these are the plain C4 and K4. One table,
+``_KINDS``, tells the two kinds apart; ``Pattern`` rejects any other name.
 
 Containment of a pattern in a k-uniform system H is decided through link
 graphs: fix a candidate apex Y (a (k-2)-subset of [n]); the edges of H
@@ -49,20 +50,18 @@ recursion (Katona, Nemetz and Simonovits 1964; Furedi, "Turan type
 problems", 1991): the link of a vertex of a pattern-free k-system is a
 pattern-free (k-1)-system on the other n - 1 vertices, so no degree
 exceeds D = ex_cap(n - 1, k - 1) and, summing degrees,
-ex_k(n) <= floor(n D / k). ``ex_cap`` applies this down to k = 2, where
-it takes the exact ex(m, C4) for m <= 10, above that Reiman's bound or
-the averaging bound from ex(m - 1, C4) where smaller, and floor(m^2 / 3)
-for K4. At a node, vertex y can still reach degree deg_y + rem_y, rem_y
+ex_k(n) <= floor(n D / k). ``ex_cap`` applies this down to a graph bound
+at k = 2. At a node, vertex y can still reach degree deg_y + rem_y, rem_y
 counting the undecided candidates through y, so the node's systems have
 at most floor(sum_y min(D, deg_y + rem_y) / k) edges. The search keeps
 that sum as n D minus a ``deficit``: passing over a candidate (by
 exclusion, the swap rule or a pattern block) adds 1 for each member y
 with deg_y + rem_y <= D before the pass, and including one changes no
-deg_y + rem_y. A node is pruned once deficit > n D - k (best +
-1), so the search ends exact as soon as the incumbent reaches
-floor(n D / k). k = 2 has no such bound: its trees are those of the
-include/exclude search alone, and it never reads the ex(m, C4) table,
-so the table can be re-derived with it.
+deg_y + rem_y. A node is pruned once deficit > n D - k (best + 1), so
+the search ends exact as soon as the incumbent reaches floor(n D / k).
+k = 2 has no such bound: its trees are those of the include/exclude
+search alone, and it never reads the ex(m, C4) table, so the table can
+be re-derived with it.
 
 At k = 3 and n <= 8 a link-completion table sharpens the bound by
 Furedi's link recursion applied at every node: a vertex that reaches D
@@ -93,19 +92,16 @@ improve. With it, ex(7, c4sus_3) = 15 takes 28,096 nodes and
 ex(8, k4sus_3) = 40 is exact in 440,603.
 
 On budget exhaustion the result degrades to an interval [best found,
-ex_cap(n, k)], for every k. At k = 2 that is the exact ex(n, C4) for
-n <= 10 and Reiman's bound floor((n/4)(1 + sqrt(4n - 3))) above (or the
-averaging bound, 19 and 22 at n = 11 and 12), or Turan's floor(n^2 / 3)
-for K4; only the reported upper end reads the table, never the k = 2
-tree. These caps bound the reported interval, and for k >= 3 the
-search through D. A result holds integers only: no asymptotic estimate
-is reported beside the proven ends.
+ex_cap(n, k)], for every k; at k = 2 only that upper end reads the
+ex(m, C4) table, never the tree. A result holds integers only: no
+asymptotic estimate is reported beside the proven ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, isqrt
+from typing import Callable, NamedTuple
 
 from .budget import Budget, BudgetExhausted, IntervalResult, SearchCounters
 from .errors import ConstraintError, DomainError
@@ -117,11 +113,16 @@ from .subsets import bit_indices, colex_rank, iter_bits, k_subset_masks, members
 class Pattern:
     """A suspended pattern: apex of size k-2 plus a 4-vertex pair-graph,
     the 4-cycle for ``name`` c4sus and all six pairs for k4sus (the CLI
-    tags). Containment and the search dispatch on ``name``.
+    tags); any other name is a DomainError, and k < 2 a ConstraintError.
     """
 
     name: str
     k: int
+
+    def __post_init__(self):
+        _kind(self.name)
+        if self.k < 2:
+            raise ConstraintError(f"suspension patterns need k >= 2, got {self.k}")
 
     @property
     def apex_size(self) -> int:
@@ -134,15 +135,11 @@ class Pattern:
 
 def build_c4_suspension(k: int) -> Pattern:
     """Four k-edges: the apex completed by the pairs of a 4-cycle."""
-    if k < 2:
-        raise ConstraintError(f"suspension patterns need k >= 2, got {k}")
     return Pattern("c4sus", k)
 
 
 def build_k4_suspension(k: int) -> Pattern:
     """Six k-edges: the apex completed by all pairs on four vertices."""
-    if k < 2:
-        raise ConstraintError(f"suspension patterns need k >= 2, got {k}")
     return Pattern("k4sus", k)
 
 
@@ -155,11 +152,7 @@ def parse_pattern(spec: str) -> Pattern:
         k = int(parts[1][2:])
     except ValueError:
         raise DomainError(f"bad pattern spec {spec!r}") from None
-    if parts[0] == "c4sus":
-        return build_c4_suspension(k)
-    if parts[0] == "k4sus":
-        return build_k4_suspension(k)
-    raise DomainError(f"unknown pattern {parts[0]!r}; expected c4sus or k4sus")
+    return Pattern(parts[0], k)
 
 
 def format_pattern(p: Pattern) -> str:
@@ -227,7 +220,7 @@ def contains_pattern(h: Hypergraph, pattern: Pattern
         adj = _link_graph(h, apex_mask)
         if len(adj) < 4:
             continue
-        found = _find_c4(adj) if pattern.name == "c4sus" else _find_k4(adj)
+        found = _kind(pattern.name).find(adj)
         if found is not None:
             zs = tuple(b.bit_length() for b in found)
             return members_of(apex_mask), zs  # type: ignore[return-value]
@@ -395,7 +388,7 @@ class _LinkTable:
     def __init__(self, m: int, name: str):
         self.known = bytearray(2 << comb(m, 2))
         self.target = ex_cap(m, 2, name)
-        self.find = _completes_c4 if name == "c4sus" else _completes_k4
+        self.find = _kind(name).completes
         self.adj = dict.fromkeys([1 << v for v in range(m)], 0)
         # splits[j]: the containment-test row of pair j alone
         self.splits = [[(self.adj, 1 << a, 1 << b)] for b in range(m) for a in range(b)]
@@ -445,8 +438,6 @@ def ex_uniform(n: int, pattern: Pattern, budget: Budget | None = None) -> TuranR
     """Exact maximum edges of a pattern-free k-uniform system on [n], where
     k is the pattern's uniformity."""
     k = pattern.k
-    if n < k:
-        return TuranResult(n, pattern, 0, 0, hypergraph(n, []), 0)
     candidates = list(k_subset_masks(n, k))
     total = len(candidates)
     if n < pattern.vertex_count:
@@ -455,7 +446,7 @@ def ex_uniform(n: int, pattern: Pattern, budget: Budget | None = None) -> TuranR
 
     counters = SearchCounters(budget)
     catch_up = counters.catch_up
-    find = _completes_c4 if pattern.name == "c4sus" else _completes_k4
+    find = _kind(pattern.name).completes
     # the degree cap D: each vertex link is pattern-free on the other n - 1
     cap = ex_cap(n - 1, k - 1, pattern.name) if k >= 3 else None
     # at k = 3 the link of y is a graph on n - 1 vertices; for n - 1 <= 7 a
@@ -473,7 +464,26 @@ def ex_uniform(n: int, pattern: Pattern, budget: Budget | None = None) -> TuranR
     lnk = [0] * n
     edges: list[int] = []
 
-    def dfs() -> None:
+    # root normalization: some optimum contains {1..k} up to relabeling, so
+    # candidate 0 goes in untested and stays in
+    splits, top, bit, _, degs = rows[0]
+    for adj, lo, hi in splits:
+        adj[lo] |= hi
+        adj[hi] |= lo
+    back[top] |= bit
+    for y, *_ in degs:
+        deg[y] += 1
+    if linked:
+        # the root's pair is pair 0 of each member's link. Keys 1 and 3, the
+        # empty link before and after it, are the first keys the search
+        # reads; both are live (every pair lies in some extremal graph)
+        for y, _, jb in degs:
+            lnk[y] = jb
+        fill(1)
+        fill(3)
+    edges.append(candidates[0])
+    best, best_size = list(edges), 1
+    try:
         # ``stack`` holds the included candidates below the root, each with
         # the deficit it was included at, so the depth is not bounded by the
         # recursion limit. The exclude branch is the next turn of the loop:
@@ -482,7 +492,6 @@ def ex_uniform(n: int, pattern: Pattern, budget: Budget | None = None) -> TuranR
         # and its limit stay 0. Nodes are counted in ``nodes`` up to
         # ``horizon``, and only there through the counters (see the budget
         # module)
-        nonlocal best, best_size
         stack: list[tuple[int, int]] = []
         deficit = limit = 0
         if cap is not None:
@@ -545,8 +554,7 @@ def ex_uniform(n: int, pattern: Pattern, budget: Budget | None = None) -> TuranR
                         deg[y] -= 1
                 edges.pop()
             else:
-                counters.nodes = nodes
-                return
+                break
             # pass over candidate i
             if linked:
                 # below D, y loses 1; at D, a live y loses 1 and a dead y
@@ -568,33 +576,10 @@ def ex_uniform(n: int, pattern: Pattern, budget: Budget | None = None) -> TuranR
             if nodes >= horizon:
                 horizon = catch_up(nodes)
             nodes += 1
-
-    # root normalization: some optimum contains {1..k} up to relabeling, so
-    # candidate 0 goes in untested and stays in
-    splits, top, bit, _, degs = rows[0]
-    for adj, lo, hi in splits:
-        adj[lo] |= hi
-        adj[hi] |= lo
-    back[top] |= bit
-    for y, *_ in degs:
-        deg[y] += 1
-    if linked:
-        # the root's pair is pair 0 of each member's link. Keys 1 and 3, the
-        # empty link before and after it, are the first keys the search
-        # reads; both are live (every pair lies in some extremal graph)
-        for y, _, jb in degs:
-            lnk[y] = jb
-        fill(1)
-        fill(3)
-    edges.append(candidates[0])
-    best, best_size = list(edges), 1
-    complete = True
-    try:
-        dfs()
+        counters.nodes = nodes
+        hi = best_size
     except BudgetExhausted:
-        complete = False
-
-    hi = best_size if complete else ex_cap(n, k, pattern.name)
+        hi = ex_cap(n, k, pattern.name)
     return TuranResult(n, pattern, best_size, hi, hypergraph(n, best), counters.nodes)
 
 
@@ -616,33 +601,34 @@ _C4_FREE_MAX = (0, 0, 1, 3, 4, 6, 7, 9, 11, 13, 16)
 
 def ex_cap(m: int, j: int, name: str) -> int:
     """A proven upper bound on ex_j(m), the most edges of a j-uniform system
-    on [m] (j >= 2) free of the suspended pattern ``name``.
-
-    - j = 2, C4: the exact ex(m, C4) for m <= 10. Above the table, the
-      smaller of Reiman's bound and the averaging bound
-      floor(m ex_cap(m - 1, 2) / (m - 2)) (Katona, Nemetz and Simonovits
-      1964): deleting a vertex leaves a C4-free graph on m - 1 vertices,
-      and each edge survives the m - 2 deletions that miss it, so
-      (m - 2) e <= m ex(m - 1, C4). Up to m = 79 it is the smaller only
-      at m = 11 and 12 (19 and 22, against Reiman's 20 and 23).
-    - j = 2, K4: Turan's floor(m^2 / 3).
-    - j >= 3: the link recursion floor(m ex_cap(m - 1, j - 1) / j).
-
-    Every j = 2 value is at most C(m, 2), and
-    floor(m C(m - 1, j - 1) / j) = C(m, j), so no value passes the
-    candidate count."""
+    on [m] (j >= 2) free of the suspended pattern ``name`` (DomainError for
+    a name with no ``_KINDS`` entry): at j = 2 the kind's graph cap
+    (``_c4_free_cap``, or Turan's floor(m^2 / 3) for K4), and for j >= 3 the
+    link recursion floor(m ex_cap(m - 1, j - 1) / j). Every j = 2 value is
+    at most C(m, 2), and floor(m C(m - 1, j - 1) / j) = C(m, j), so no
+    value passes the candidate count."""
+    graph_cap = _kind(name).graph_cap
     if m < j:
         return 0
     if j == 2:
-        if name == "k4sus":
-            return turan_k4_closed(m)
-        if m < len(_C4_FREE_MAX):
-            return _C4_FREE_MAX[m]
-        cap = _C4_FREE_MAX[-1]
-        for size in range(len(_C4_FREE_MAX), m + 1):
-            cap = min(reiman_c4_bound(size), size * cap // (size - 2))
-        return cap
+        return graph_cap(m)
     return m * ex_cap(m - 1, j - 1, name) // j
+
+
+def _c4_free_cap(m: int) -> int:
+    """ex_cap(m, 2) for C4, m >= 2: the exact ex(m, C4) for m <= 10. Above
+    the table, the smaller of Reiman's bound and the averaging bound
+    floor(m ex_cap(m - 1, 2) / (m - 2)) (Katona, Nemetz and Simonovits
+    1964): deleting a vertex leaves a C4-free graph on m - 1 vertices, and
+    each edge survives the m - 2 deletions that miss it, so
+    (m - 2) e <= m ex(m - 1, C4). Up to m = 79 it is the smaller only at
+    m = 11 and 12 (19 and 22, against Reiman's 20 and 23)."""
+    if m < len(_C4_FREE_MAX):
+        return _C4_FREE_MAX[m]
+    cap = _C4_FREE_MAX[-1]
+    for size in range(len(_C4_FREE_MAX), m + 1):
+        cap = min(reiman_c4_bound(size), size * cap // (size - 2))
+    return cap
 
 
 def reiman_c4_bound(n: int) -> int:
@@ -651,3 +637,23 @@ def reiman_c4_bound(n: int) -> int:
     if n < 1:
         raise ConstraintError(f"need n >= 1, got {n}")
     return (n + isqrt(n * n * (4 * n - 3))) // 4
+
+
+class _Kind(NamedTuple):
+    completes: Callable  # does a splits row close the 4-vertex graph in a link?
+    find: Callable       # the graph's first copy in a link graph, or None
+    graph_cap: Callable  # ex_cap(m, 2) for m >= 2
+
+
+# every pattern name, and the one place that tells the kinds apart
+_KINDS = {
+    "c4sus": _Kind(_completes_c4, _find_c4, _c4_free_cap),
+    "k4sus": _Kind(_completes_k4, _find_k4, turan_k4_closed),
+}
+
+
+def _kind(name: str) -> _Kind:
+    """The ``_KINDS`` entry of a pattern name; DomainError if it has none."""
+    if name not in _KINDS:
+        raise DomainError(f"unknown pattern {name!r}; expected {' or '.join(_KINDS)}")
+    return _KINDS[name]

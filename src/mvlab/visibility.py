@@ -916,6 +916,13 @@ def _max_dual_exhaustive(idx: VisibilityIndex,
 # Kneser total-visibility reduction
 
 
+def require_reduction_range(n: int, k: int) -> None:
+    """PreconditionError unless n >= 3k-1, where the reduction holds."""
+    if n < 3 * k - 1:
+        raise PreconditionError(
+            f"the reduction requires n >= 3k-1 = {3 * k - 1}, got n={n}")
+
+
 def kneser_total_mv_check_fast(n: int, k: int, x_members: Iterable[KSubset],
                                budget: Budget | None = None) -> bool:
     """Is X a total visibility set of the Kneser graph, via the
@@ -933,9 +940,7 @@ def kneser_total_mv_check_fast(n: int, k: int, x_members: Iterable[KSubset],
     decide and raises BudgetExhausted.
     """
     graph = kneser(n, k)
-    if n < 3 * k - 1:
-        raise PreconditionError(
-            f"the reduction requires n >= 3k-1 = {3 * k - 1}, got n={n}")
+    require_reduction_range(n, k)
     x_bits = set()
     for s in x_members:
         if not isinstance(s, KSubset) or s.n != n or s.bits.bit_count() != k:

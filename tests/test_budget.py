@@ -18,10 +18,10 @@ from mvlab.budget import (
     as_bounds,
     bounds_agree,
 )
-from mvlab.covering import covering_number, min_edges_with_tau
-from mvlab.errors import MvlabError
-from mvlab.hypergraphs import solve_tau
-from mvlab.turan import build_c4_suspension, ex_uniform
+from mvlab.covering import CoveringCertificate, covering_number, min_edges_with_tau
+from mvlab.errors import DomainError, MvlabError
+from mvlab.hypergraphs import hypergraph, solve_tau
+from mvlab.turan import TuranResult, build_c4_suspension, ex_uniform
 
 from oracles import benchmark_random_masks
 
@@ -38,6 +38,26 @@ class _Result(IntervalResult):
 def test_bounds_reject_an_empty_interval():
     with pytest.raises(ValueError):
         Bounds(3, 2)
+
+
+def test_every_interval_result_rejects_an_empty_interval():
+    # the check lives in IntervalResult, so the search results inherit it
+    with pytest.raises(ValueError, match=r"empty bounds \[3, 2\]"):
+        _Result(3, 2)
+    with pytest.raises(ValueError, match=r"empty bounds \[21, 11\]"):
+        TuranResult(8, build_c4_suspension(2), 21, 11, hypergraph(8, []), 200)
+    with pytest.raises(ValueError, match=r"empty bounds \[8, 7\]"):
+        CoveringCertificate(8, 5, 3, 8, 7, (), 0)
+
+
+@pytest.mark.parametrize("field", ("max_nodes", "max_seconds"))
+def test_a_nan_limit_is_a_domain_error(field):
+    # no count or clock compares past NaN, so it would switch every limit
+    # off: ex(10, C4) ran all 293,552 nodes under either NaN field
+    with pytest.raises(DomainError, match=f"NaN limit: Budget.*{field}=nan"):
+        Budget(**{field: float("nan")})
+    # a negative limit stays valid: a deadline already past
+    assert getattr(Budget(**{field: -1}), field) == -1
 
 
 @pytest.mark.parametrize("b", INTERVALS, ids=str)

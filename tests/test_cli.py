@@ -93,6 +93,19 @@ def test_verify_precondition_skip_keeps_exit_zero():
     assert rows[0]["reason"].startswith("precondition")
 
 
+@pytest.mark.parametrize("argv", [
+    ["lemma-binom", "--n", "1..3"],
+    ["lemma-cstar", "--n", "5..7", "--k", "2"],
+])
+def test_clause_less_lemma_rows_keep_exit_zero(argv, capsys):
+    assert mvlab.cli.main(["verify", "--formula", *argv]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    skipped = [r for r in rows if r["verdict"] == "skipped"]
+    assert skipped and all(r["oracle"] == "none" and r["reason"].startswith("precondition: ")
+                           for r in skipped)
+    assert all(r["verdict"] == "pass" for r in rows if r not in skipped)
+
+
 def test_stdout_deterministic():
     args = ("verify", "--formula", "mut-kneser", "--n", "5..6", "--k", "2")
     a, b = run_cli(*args), run_cli(*args)
@@ -286,6 +299,32 @@ def test_usage_errors_are_json_on_stderr():
     seeded_tau = run_cli("tau", "--in", "-", "--seed", "4", stdin_text="3 2\n1 2\n")
     assert seeded_tau.returncode == 2
     assert json.loads(seeded_tau.stderr)["error"]["kind"] == "usage"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "--what", "generalized-triangle"], "generalized-triangle requires --k"),
+    (["construct", "--what", "H_nk", "--k", "3"], "H_nk requires --n and --k"),
+    (["turan", "--pattern", "c4sus:k=2"], "turan requires --n (or --check FILE)"),
+    (["covering", "--n", "9", "--k", "3", "--c-star", "--t", "5"],
+     "--c-star computes its own block size; drop --t"),
+    (["covering", "--n", "9", "--k", "3"], "covering requires --t (or --c-star)"),
+])
+def test_missing_or_conflicting_options_are_usage_errors(argv, message, capsys):
+    assert mvlab.cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {"kind": "usage", "message": message}
+
+
+def test_definitional_search_past_its_vertex_cap_is_a_constraint_error(capsys):
+    argv = ["compute", "--family", "kneser:n=11,k=3", "--param", "mu"]
+    assert mvlab.cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "kind": "constraint",
+        "message": "definitional search supports at most 128 vertices; "
+                   "kneser:n=11,k=3 has 165"}
 
 
 @pytest.mark.parametrize("flag, value", [("--budget-nodes", "-5"),

@@ -83,10 +83,10 @@ def test_ksubset_operations():
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_orbits_match_every_atom_preserving_permutation(data):
-    # covering's shape: the k-subsets of [n] through a set T (T empty for
-    # every k-subset; a t-set at the covering root), with atoms cut by T
-    # and then by random members; the orbit of a block is its image under
-    # every permutation of [n] that maps each atom to itself
+    # the k-subsets of [n] through a set T (T empty for every k-subset),
+    # with atoms cut by T and then by random members; the orbit of a block
+    # is its image under every permutation of [n] that maps each atom to
+    # itself
     n = data.draw(st.integers(2, 7), label="n")
     k = data.draw(st.integers(1, n - 1), label="k")
     full = (1 << n) - 1

@@ -17,6 +17,7 @@ from mvlab.theorems import (
     _Oracle,
     _disjoint_edges,
     _report,
+    _singleton_sweep,
     all_formula_ids,
     kneser2_all_params,
     mu_johnson_k2,
@@ -28,6 +29,7 @@ from mvlab.theorems import (
     parse_range,
     verify,
 )
+from mvlab.families import kneser
 from mvlab.visibility import Variant
 
 
@@ -579,6 +581,36 @@ def test_short_disjoint_edge_witness_fails_through_the_predicate(monkeypatch):
     _assert_fail_row(r, 28, "disjoint-edges")
     assert r.certificates[-1]["witness_size"] == 25
     assert r.certificates[-1]["blocking"] == [[1, 3], [1, 5]]
+
+
+def test_short_disjoint_edge_witness_exits_one_through_the_cli(monkeypatch, capsys):
+    place = theorems._disjoint_edges
+    monkeypatch.setattr(theorems, "_disjoint_edges",
+                        lambda n, k, count: place(n, k, count - 1))
+    assert mvlab.cli.main(["verify", "--formula", "mu-kneser", "--n", "8", "--k", "2"]) == 1
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["verdict"] == "fail"
+
+
+def test_singleton_sweep_stops_at_a_total_visibility_singleton():
+    # n > 3k - 1, so some singleton of K(7, 2) is a total visibility set,
+    # and by vertex-transitivity the first one, {1, 2}, is
+    o = _singleton_sweep(kneser(7, 2))
+    assert o.name == "singleton-sweep" and o.value == Bounds(1, 21)
+    assert o.certificates == ({"singleton": [1, 2], "total_visibility": True},)
+
+
+@pytest.mark.parametrize("formula,params,reason", [
+    ("lemma-binom", {"n": "1..2"}, "no k satisfies k < {n} < 2k"),
+    ("lemma-cstar", {"n": "5..7", "k": 2}, "no clause covers n={n}, k=2"),
+    ("lemma-transversal-equiv", {"n": "4", "k": 2},
+     "the reduction requires n >= 3k-1 = 5, got n={n}"),
+])
+def test_clause_less_lemma_rows_are_precondition_rows(formula, params, reason):
+    # built by verify as every precondition row is: no rung ran
+    for r in verify(formula, params):
+        assert (r.verdict, r.oracle, r.claim) == ("skipped", "none", "equals")
+        assert r.reason == "precondition: " + reason.format(n=r.params["n"])
 
 
 def test_failed_transversal_reduction_fails_the_row(monkeypatch):

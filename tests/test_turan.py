@@ -1,14 +1,18 @@
+import ast
 import tracemalloc
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import mvlab
 from mvlab.budget import Budget
 from mvlab.errors import ConstraintError, DomainError
 from mvlab.hypergraphs import hypergraph
 from mvlab.turan import (
     _LIVE,
     _LinkTable,
+    Pattern,
     build_c4_suspension,
     build_k4_suspension,
     contains_pattern,
@@ -111,6 +115,32 @@ def test_parse_format_pattern():
         parse_pattern("c5sus:k=2")
     with pytest.raises((ConstraintError, DomainError)):
         parse_pattern("c4sus:k=1")
+
+
+def test_pattern_kinds_are_the_table():
+    # an unknown name fails where it is made, not later in a K4 search
+    # under a C4 cap (which gave ex(8, "c4") the empty interval [21, 11])
+    with pytest.raises(DomainError, match="unknown pattern 'c4'; expected c4sus or k4sus"):
+        Pattern("c4", 2)
+    with pytest.raises(ConstraintError, match="need k >= 2, got 1"):
+        Pattern("c4sus", 1)
+    with pytest.raises(DomainError, match="unknown pattern 'x'"):
+        ex_cap(5, 2, "x")
+    assert parse_pattern("k4sus:k=3") == build_k4_suspension(3) == Pattern("k4sus", 3)
+
+
+def test_only_the_kinds_table_names_a_pattern():
+    # a comparison with a pattern name outside turan._KINDS would be a
+    # second place that tells the kinds apart
+    src = Path(mvlab.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.Constant) and side.value in ("c4sus", "k4sus")
+                    for side in (node.left, *node.comparators)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_budget_interval():
